@@ -1,0 +1,109 @@
+"""Golden outputs of the CLI, pinned byte for byte.
+
+The expected values were recorded from the implementation that compared
+`Fraction` endpoints inside every counting loop. Any change to the grid,
+counting or construction code must reproduce them exactly: the `construct`
+documents (by sha256), the full `verify` stdout with its exit code, the same
+for three seeded random documents corrupted by a gap, an overlap and a member
+outside the parent, and the SVG/OBJ export bytes (by sha256).
+"""
+
+from __future__ import annotations
+
+import hashlib
+from random import Random
+
+import pytest
+
+from brickpart import Interval, emit_document, random_split_partition
+from brickpart.io_cli.cli import main
+from brickpart.partition import BrickPartition
+
+
+def run_cli(capsys, *args):
+    code = main([str(a) for a in args])
+    return code, capsys.readouterr().out
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def corrupted_document(kind: str) -> str:
+    """A seeded random partition with one defect of the given kind."""
+    seed, d, n = {"gap": (1, 3, 40), "overlap": (2, 2, 30), "outside": (3, 3, 25)}[kind]
+    rng = Random(seed)
+    P = random_split_partition(rng, d, n)
+    members = list(P.members)
+    i = rng.randrange(len(members))
+    if kind == "gap":
+        del members[i]
+    elif kind == "overlap":
+        members.append(members[i])
+    else:
+        side = members[i].sides[0]
+        members[i] = members[i].replace_side(0, Interval(side.lo, P.parent.sides[0].hi + 1))
+    return emit_document(BrickPartition(P.parent, tuple(members)))
+
+
+CONSTRUCT_SHA256 = {
+    ('piercing3d', 3): 'b11faff5e0875c688ba3e844560ad109f1e9940b05ce8e36a4607540eb6f4210',
+    ('piercing3d', 4): '3f992dbf2ec76de4b9dd80547d3db70b380acd03d2e61e5aa18cbe2aa0d9d161',
+    ('piercing3d', 10): 'f9af83a1e8bd6e8cc52b45875cf0bb7a87ebf98b789e98dc1d9c77d2fb66d05a',
+    ('slicing3d', 2): '94aae0adab61c2d575be0ca13b193167ccb1e79592eae9218e2364acb3a78b5d',
+    ('slicing3d', 3): 'd595f59161af17733bf219426bcade3e16efdb5cc794e8672aff8191b8aa721d',
+    ('slicing3d', 7): 'a784c2527a4f916d57ea0f24f554a3b530b4648a624a85bb907f7ada9e2ad005',
+    ('piercing2d', 2): 'd4e4e48851a0ce606cf61e96d2c420ca3e9e436001d0e96d7ecfd211293bb5ab',
+    ('piercing2d', 3): '935a7496883ab023736b360ca4783d81daadff47907d6fc69ecf2722402416ad',
+    ('piercing2d', 8): 'c29506aa8f70ed3d0e09b618b7e542cdcf7fb12f28462c9f3bc2263ebd85840f',
+}
+
+VERIFY = {
+    ('piercing3d', 3): (0, 'dim: 3\nmembers: 21\nvalid: yes\npiercing_number: 3\npiercing_witness: line with free axes {1} at x2=0.5 x3=0.5\nslicing_number: 8\nslicing_witness: plane with free axes {1,2} at x3=0.5\nincidence_F: 48\nincidence_alpha: 0\n'),
+    ('piercing3d', 4): (0, 'dim: 3\nmembers: 33\nvalid: yes\npiercing_number: 4\npiercing_witness: line with free axes {1} at x2=1/3 x3=1/3\nslicing_number: 12\nslicing_witness: plane with free axes {1,2} at x3=1/3\nincidence_F: 72\nincidence_alpha: 0\n'),
+    ('piercing3d', 10): (0, 'dim: 3\nmembers: 105\nvalid: yes\npiercing_number: 10\npiercing_witness: line with free axes {1} at x2=1/9 x3=1/9\nslicing_number: 36\nslicing_witness: plane with free axes {1,2} at x3=1/9\nincidence_F: 216\nincidence_alpha: 0\n'),
+    ('slicing3d', 2): (0, 'dim: 3\nmembers: 4\nvalid: yes\npiercing_number: 1\npiercing_witness: line with free axes {1} at x2=0.5 x3=0.5\nslicing_number: 2\nslicing_witness: plane with free axes {1,2} at x3=0.5\nincidence_F: 16\nincidence_alpha: 4\n'),
+    ('slicing3d', 3): (0, 'dim: 3\nmembers: 5\nvalid: yes\npiercing_number: 1\npiercing_witness: line with free axes {1} at x2=1.5 x3=0.5\nslicing_number: 3\nslicing_witness: plane with free axes {1,2} at x3=0.5\nincidence_F: 18\nincidence_alpha: 3\n'),
+    ('slicing3d', 7): (0, 'dim: 3\nmembers: 13\nvalid: yes\npiercing_number: 1\npiercing_witness: line with free axes {1} at x2=1.1 x3=0.5\nslicing_number: 7\nslicing_witness: plane with free axes {1,2} at x3=0.5\nincidence_F: 42\nincidence_alpha: 3\n'),
+    ('piercing2d', 2): (0, 'dim: 2\nmembers: 4\nvalid: yes\npiercing_number: 2\npiercing_witness: line with free axes {1} at x2=0.5\nincidence_F: 8\nincidence_alpha: 0\n'),
+    ('piercing2d', 3): (0, 'dim: 2\nmembers: 8\nvalid: yes\npiercing_number: 3\npiercing_witness: line with free axes {1} at x2=0.5\nincidence_F: 12\nincidence_alpha: 0\n'),
+    ('piercing2d', 8): (0, 'dim: 2\nmembers: 28\nvalid: yes\npiercing_number: 8\npiercing_witness: line with free axes {1} at x2=0.5\nincidence_F: 32\nincidence_alpha: 0\n'),
+}
+
+CORRUPTED = {
+    'gap': ('3dce9a43cb2f2c95b7eaec99e8c7222f7ae364521b47be06737ce4412ab41b3d', (1, 'dim: 3\nmembers: 39\nvalid: no\nfailure: gap at (0.0546875, 0.234375, 7.03125)\n')),
+    'overlap': ('c1759b5b5776717b5fe4613107afb92c41382b3facf0a5c6065ad9dcab56e626', (1, 'dim: 2\nmembers: 31\nvalid: no\nfailure: overlap at (5.7578125, 4.9444580078125) members [16, 30]\n')),
+    'outside': ('e461dbe441a9017a1d2ccc78a892c8364ecabe00792d3479e36a4dfd877ee7f2', (1, 'dim: 3\nmembers: 25\nvalid: no\nfailure: outside_parent members [18]\n')),
+}
+
+EXPORT_SHA256 = {
+    ('piercing2d', 4, 'svg'): '36903dca13cb106680c6deba9ac6b79cf92e49cb4bd6813b7af2b62091cbc29f',
+    ('piercing3d', 4, 'obj'): 'b21d8aa8db26bc6333e7515876ff0303511ab60398fff5fd76752b338b633bf1',
+}
+
+
+@pytest.mark.parametrize("family, k", sorted(CONSTRUCT_SHA256))
+def test_construct_and_verify_are_golden(tmp_path, capsys, family, k):
+    doc = tmp_path / "doc.json"
+    assert run_cli(capsys, "construct", "--family", family, "--k", k, "--out", doc) == (0, "")
+    assert sha256(doc.read_bytes()) == CONSTRUCT_SHA256[family, k]
+    assert run_cli(capsys, "verify", doc) == VERIFY[family, k]
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTED))
+def test_corrupted_documents_are_golden(tmp_path, capsys, kind):
+    doc = tmp_path / "doc.json"
+    text = corrupted_document(kind)
+    doc.write_text(text)
+    expected_sha, expected_verify = CORRUPTED[kind]
+    assert sha256(text.encode()) == expected_sha
+    assert run_cli(capsys, "verify", doc) == expected_verify
+
+
+@pytest.mark.parametrize("family, k, fmt", sorted(EXPORT_SHA256))
+def test_exports_are_golden(tmp_path, capsys, family, k, fmt):
+    doc, fig = tmp_path / "doc.json", tmp_path / "fig"
+    run_cli(capsys, "construct", "--family", family, "--k", k, "--out", doc)
+    extra = ("--exploded", "1/4") if fmt == "obj" else ("--labels",)
+    assert run_cli(capsys, "export", doc, "--format", fmt, *extra, "--out", fig) == (0, "")
+    assert sha256(fig.read_bytes()) == EXPORT_SHA256[family, k, fmt]
