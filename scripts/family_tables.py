@@ -34,7 +34,7 @@ def main() -> int:
     for k in range(max(3, args.k_min), args.k_max + 1):
         P = piercing_3d(k)
         lb = bound_value(3, k, BoundKind.ELEMENTARY_PIERCING_LB)
-        ok = validate(P.parent, P.members).valid
+        ok = validate(P).valid
         print(f"{k:>4} {len(P):>8} {lb:>6} {piercing_number(P):>9} {str(ok):>6}")
 
     print()

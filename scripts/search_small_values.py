@@ -42,7 +42,7 @@ def main() -> int:
         assert above.status is SearchStatus.FOUND
         W = above.witness
         metric = piercing_number(W) if mode is Mode.PIERCING else slicing_number(W)
-        ok = validate(W.parent, W.members).valid and metric >= k
+        ok = validate(W).valid and metric >= k
         print(
             f"{name} = {len(W)}  [none with <= {m_none} at g={g}; "
             f"witness valid={ok}, metric={metric}; "

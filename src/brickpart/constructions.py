@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import product
 
 from .errors import BadK, ConstructionInvalid
-from .geometry import Brick, Interval
+from .geometry import Brick
 from .metrics import piercing_number
 from .partition import BrickPartition, refine, validate
 
@@ -188,56 +187,52 @@ def _extension_side(touched: set[str]) -> str | None:
     raise ConstructionInvalid(f"member touches incompatible side set {touched}")
 
 
-def _pinwheel_grow(members: list[Brick], size: Fraction) -> list[Brick]:
+Rect = tuple[tuple[int, int], tuple[int, int]]  # ((x_lo, x_hi), (y_lo, y_hi))
+
+
+def _pinwheel_grow(members: list[Rect], size: int) -> list[Rect]:
     """One pinwheel step: members tile [0,size]^2, result tiles [0,size+2]^2.
 
     The old square is re-centered to [1, size+1]^2; members touching its
     boundary extend through one parent side (counterclockwise pinwheel), and
-    four corner bricks fill the rest of the unit ring.
+    four corner bricks fill the rest of the unit ring. Every coordinate of
+    the family is an integer, so the steps run on integer pairs.
     """
-    lo, hi = Fraction(1), size + 1
-    inner = [b.translate((1, 1)) for b in members]
+    lo, hi = 1, size + 1
 
     # hi_x of the member holding inner corner (lo,lo), hi_y of the one at
     # (hi,lo), lo_x at (hi,hi), lo_y at (lo,hi): these close the ring.
     bx = cy = dx = ey = None
-    grown: list[Brick] = []
-    for b in inner:
-        x, y = b.sides
-        touched = set()
-        if y.lo == lo:
-            touched.add("bottom")
-        if x.hi == hi:
-            touched.add("right")
-        if y.hi == hi:
-            touched.add("top")
-        if x.lo == lo:
-            touched.add("left")
+    grown: list[Rect] = []
+    for (x0, x1), (y0, y1) in members:
+        x0, x1, y0, y1 = x0 + 1, x1 + 1, y0 + 1, y1 + 1
+        hits = (y0 == lo, x1 == hi, y1 == hi, x0 == lo)  # bottom, right, top, left
+        touched = {side for side, hit in zip(_NEXT_SIDE, hits) if hit}
         if {"left", "bottom"} <= touched:
-            bx = x.hi
+            bx = x1
         if {"bottom", "right"} <= touched:
-            cy = y.hi
+            cy = y1
         if {"right", "top"} <= touched:
-            dx = x.lo
+            dx = x0
         if {"top", "left"} <= touched:
-            ey = y.lo
+            ey = y0
         side = _extension_side(touched)
         if side == "bottom":
-            b = Brick((x, Interval(0, y.hi)))
+            y0 = 0
         elif side == "right":
-            b = Brick((Interval(x.lo, hi + 1), y))
+            x1 = hi + 1
         elif side == "top":
-            b = Brick((x, Interval(y.lo, hi + 1)))
+            y1 = hi + 1
         elif side == "left":
-            b = Brick((Interval(0, x.hi), y))
-        grown.append(b)
+            x0 = 0
+        grown.append(((x0, x1), (y0, y1)))
 
     if None in (bx, cy, dx, ey):
         raise ConstructionInvalid("inner square corners not all covered")
-    grown.append(Brick.from_pairs([(0, bx), (0, 1)]))
-    grown.append(Brick.from_pairs([(hi, hi + 1), (0, cy)]))
-    grown.append(Brick.from_pairs([(dx, hi + 1), (hi, hi + 1)]))
-    grown.append(Brick.from_pairs([(0, 1), (ey, hi + 1)]))
+    grown.append(((0, bx), (0, 1)))
+    grown.append(((hi, hi + 1), (0, cy)))
+    grown.append(((dx, hi + 1), (hi, hi + 1)))
+    grown.append(((0, 1), (ey, hi + 1)))
     return grown
 
 
@@ -251,17 +246,12 @@ def piercing_2d(k: int) -> BrickPartition:
     """
     if k < 2:
         raise BadK("piercing_2d needs k >= 2")
-    members = [
-        Brick.from_pairs([(0, 1), (0, 1)]),
-        Brick.from_pairs([(1, 2), (0, 1)]),
-        Brick.from_pairs([(0, 1), (1, 2)]),
-        Brick.from_pairs([(1, 2), (1, 2)]),
-    ]
+    members: list[Rect] = [((x, x + 1), (y, y + 1)) for y in (0, 1) for x in (0, 1)]
     for level in range(3, k + 1):
-        members = _pinwheel_grow(members, Fraction(2 * (level - 2)))
+        members = _pinwheel_grow(members, 2 * (level - 2))
     parent = Brick.from_pairs([(0, 2 * (k - 1))] * 2)
-    P = BrickPartition(parent, tuple(members))
-    report = validate(parent, P.members)
+    P = BrickPartition(parent, tuple(Brick.from_pairs(m) for m in members))
+    report = validate(P)
     if not report.valid:
         raise ConstructionInvalid(f"piercing_2d({k}) does not tile: {report.failures[0]}")
     got = piercing_number(P)

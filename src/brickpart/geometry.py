@@ -1,21 +1,29 @@
 """Exact geometric primitives: rational scalars, closed intervals, bricks,
-and the per-axis breakpoint grids everything downstream is evaluated on.
+and the compressed breakpoint grids everything downstream is evaluated on.
 
 Every coordinate is a `fractions.Fraction`; no operation in this package
 introduces floating point. Bricks are closed sets ("intersects" always means
 nonempty intersection of closed sets), and intervals are nondegenerate by
 construction.
+
+Coordinates are compared once, when `build_grid` compresses each axis to the
+ranks of its sorted distinct endpoints and every member to an integer index
+box. `cell_counts` then counts members over any projection of the cell grid
+in rank space: over all axes to validate, over a flat's fixed axes to count
+flats.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BrickOutsideParent, DegenerateInterval, DimensionMismatch
+import numpy as np
+
+from .errors import BrickOutsideParent, DegenerateInterval, DimensionMismatch, ParseError
 
 Scalar = Fraction
 Point = tuple[Fraction, ...]
@@ -67,9 +75,25 @@ def format_scalar(x: ScalarLike) -> str:
     return f"{sign}{whole}.{str(frac).zfill(places).rstrip('0')}"
 
 
+# -digits, -digits.digits or -digits/digits with a nonzero denominator
+_SCALAR = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/(0*[1-9][0-9]*))?")
+MAX_SCALAR_DIGITS = 4300  # Python's default int <-> str limit, so format_scalar's too
+
+
 def parse_scalar(text: str) -> Fraction:
-    """Inverse of format_scalar; accepts "3", "-0.25", and "p/q" forms."""
-    return Fraction(text)
+    """Inverse of format_scalar: "3", "-0.25" or "p/q" with q nonzero.
+
+    Anything else (a "+" sign, spaces, an exponent, "_") or a digit run longer
+    than MAX_SCALAR_DIGITS raises ParseError.
+    """
+    match = _SCALAR.fullmatch(text)
+    if match is None or max(len(run or "") for run in match.groups()) > MAX_SCALAR_DIGITS:
+        raise ParseError(f"not an integer, decimal or p/q scalar: {text[:40]!r}")
+    sign, whole, frac, den = match.groups()
+    num, den = int(whole), int(den or 1)
+    if frac:
+        num, den = num * 10 ** len(frac) + int(frac), 10 ** len(frac)
+    return Fraction(-num if sign else num, den)
 
 
 @dataclass(frozen=True)
@@ -97,9 +121,6 @@ class Interval:
 
     def contains(self, x: ScalarLike) -> bool:
         return self.lo <= as_scalar(x) <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
 
     def as_pair(self) -> tuple[Fraction, Fraction]:
         return (self.lo, self.hi)
@@ -192,31 +213,25 @@ def interiors_disjoint(a: Brick, b: Brick) -> bool:
 
 @dataclass(frozen=True)
 class BreakpointGrid:
-    """Per-axis sorted distinct endpoints of a brick set.
+    """A brick set compressed to rank space.
 
-    The open boxes between consecutive breakpoints are the elementary cells;
-    no input brick endpoint falls strictly inside a cell, so per axis a cell
-    is entirely inside or entirely outside each input brick's interval.
+    axes[a] holds the sorted distinct endpoints on axis a, parent's included;
+    the open boxes between consecutive ones are the elementary cells.
+    boxes[i][a] = (rank of lo, rank of hi) is member i's half-open cell-index
+    range on axis a, and the member covers exactly the cells inside its box.
     """
 
     axes: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
+    boxes: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def shape(self) -> tuple[int, ...]:
         """Number of elementary cells per axis."""
         return tuple(len(a) - 1 for a in self.axes)
 
-    def cell_bounds(self, axis_index: int, i: int) -> tuple[Fraction, Fraction]:
-        a = self.axes[axis_index]
-        return (a[i], a[i + 1])
-
     def cell_midpoint(self, axis_index: int, i: int) -> Fraction:
-        lo, hi = self.cell_bounds(axis_index, i)
-        return (lo + hi) / 2
+        a = self.axes[axis_index]
+        return (a[i] + a[i + 1]) / 2
 
     def midpoint(self, cell: Sequence[int]) -> Point:
         """Exact midpoint representative of an elementary cell."""
@@ -225,43 +240,46 @@ class BreakpointGrid:
     def iter_cells(self) -> Iterator[tuple[int, ...]]:
         yield from product(*(range(n) for n in self.shape))
 
-    def cell_span(self, axis_index: int, interval: Interval) -> tuple[int, int]:
-        """Half-open cell-index range covered by an interval on this axis.
-
-        Both endpoints must be breakpoints of the axis (true for any interval
-        of a brick the grid was built from).
-        """
-        axis = self.axes[axis_index]
-        lo = bisect_left(axis, interval.lo)
-        hi = bisect_left(axis, interval.hi)
-        if lo >= len(axis) or axis[lo] != interval.lo or hi >= len(axis) or axis[hi] != interval.hi:
-            raise ValueError(f"interval {interval!r} endpoints are not breakpoints")
-        return (lo, hi)
-
 
 def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:
-    """Joint breakpoint grid of a brick set inside a parent.
+    """Compress a brick set inside a parent to rank space.
 
-    Collects every interval endpoint per axis (plus the parent's), sorted and
-    deduplicated; raises BrickOutsideParent if any endpoint lies strictly
-    outside the parent.
+    Sorts the distinct endpoints of each axis (the parent's included) and maps
+    every brick to its integer index box; raises BrickOutsideParent if any
+    endpoint lies strictly outside the parent.
     """
     bricks = tuple(bricks)
     for idx, b in enumerate(bricks):
         if b.dim != parent.dim:
-            raise DimensionMismatch(
-                f"brick {idx} has dimension {b.dim}, parent has {parent.dim}"
-            )
-        for a, (side, pside) in enumerate(zip(b.sides, parent.sides)):
-            if side.lo < pside.lo or side.hi > pside.hi:
-                raise BrickOutsideParent(
-                    f"brick {idx} axis {a + 1} interval {side!r} leaves parent {pside!r}"
-                )
-    axes = []
-    for a, pside in enumerate(parent.sides):
-        points = {pside.lo, pside.hi}
-        for b in bricks:
-            points.add(b.sides[a].lo)
-            points.add(b.sides[a].hi)
-        axes.append(tuple(sorted(points)))
-    return BreakpointGrid(tuple(axes))
+            raise DimensionMismatch(f"brick {idx} has dimension {b.dim}, parent has {parent.dim}")
+    axes, spans = [], []
+    for a in range(parent.dim):
+        # each endpoint is keyed by its (numerator, denominator) pair, which
+        # hashes and compares much faster than a Fraction
+        ends = [
+            (s.lo.as_integer_ratio(), s.hi.as_integer_ratio())
+            for s in (b.sides[a] for b in (parent, *bricks))
+        ]
+        axis = sorted(Fraction(*r) for r in set(chain.from_iterable(ends)))
+        rank = {x.as_integer_ratio(): i for i, x in enumerate(axis)}
+        axes.append(tuple(axis))
+        spans.append([(rank[lo], rank[hi]) for lo, hi in ends[1:]])
+    # every endpoint is inside iff the parent's endpoints are each axis's extremes
+    if any(axis[0] != p.lo or axis[-1] != p.hi for axis, p in zip(axes, parent.sides)):
+        for idx, b in enumerate(bricks):
+            for a, (side, pside) in enumerate(zip(b.sides, parent.sides)):
+                if side.lo < pside.lo or side.hi > pside.hi:
+                    raise BrickOutsideParent(
+                        f"brick {idx} axis {a + 1} interval {side!r} leaves parent {pside!r}"
+                    )
+    return BreakpointGrid(tuple(axes), tuple(zip(*spans)))
+
+
+def cell_counts(grid: BreakpointGrid, axes: Sequence[int]) -> np.ndarray:
+    """Members covering each cell of the grid's projection onto the given
+    0-based axes (ascending), as an int32 array in C order."""
+    counts = np.zeros(tuple(grid.shape[a] for a in axes), dtype=np.int32)
+    for box in grid.boxes:
+        cells = counts[tuple(slice(*box[a]) for a in axes)]
+        cells += 1  # in place on the view: no write-back through __setitem__
+    return counts

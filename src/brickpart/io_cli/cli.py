@@ -75,7 +75,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     P = doc.to_partition()
     print(f"dim: {P.dim}")
     print(f"members: {len(P.members)}")
-    report = validate(P.parent, P.members)
+    report = validate(P)
     print(f"valid: {'yes' if report.valid else 'no'}")
     if not report.valid:
         for failure in report.failures:

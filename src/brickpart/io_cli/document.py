@@ -98,8 +98,8 @@ def _parse_scalar_value(value: Any, where: str) -> Fraction:
     if isinstance(value, str):
         try:
             return parse_scalar(value)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ParseError(f"{where}: cannot parse scalar {value!r} ({e})") from e
+        except ParseError as e:
+            raise ParseError(f"{where}: {e}") from e
     raise ParseError(f"{where}: expected a scalar, got {type(value).__name__}")
 
 

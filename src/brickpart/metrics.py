@@ -6,6 +6,9 @@ elementary-cell midpoints attains the global minimum over all flats: a flat
 whose fixed coordinates sit on breakpoints meets a superset of the members
 met by the flat of any adjacent cell, and flats strictly inside a cell meet
 exactly the cell midpoint's members.
+
+The flat counts are the count over rank space that validation makes, over
+a flat's fixed axes instead of all: `cell_counts` on the partition's grid.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadCodimension, DimensionMismatch, QueryOutsideParent
-from .geometry import BreakpointGrid, ScalarLike, as_scalar, build_grid
+from .geometry import BreakpointGrid, ScalarLike, as_scalar, cell_counts
 from .partition import BrickPartition
 
 
@@ -111,33 +114,21 @@ def min_flat_count(P: BrickPartition, free_axis_count: int) -> FlatProfile:
     d = P.dim
     if not 1 <= free_axis_count <= d - 1:
         raise BadCodimension(f"free axis count {free_axis_count} outside 1..{d - 1}")
-    grid = build_grid(P.parent, P.members)
-    ncells = grid.shape
+    grid = P.grid
 
     best: int | None = None
     witness: FlatQuery | None = None
     all_counts: dict[tuple[int, ...], np.ndarray] = {}
     for free in combinations(range(1, d + 1), free_axis_count):
         fixed_axes = tuple(a for a in range(1, d + 1) if a not in free)
-        shape = tuple(ncells[a - 1] for a in fixed_axes)
-        counts = np.zeros(shape, dtype=np.int32)
-        for b in P.members:
-            counts[
-                tuple(slice(*grid.cell_span(a - 1, b.sides[a - 1])) for a in fixed_axes)
-            ] += 1
+        counts = cell_counts(grid, [a - 1 for a in fixed_axes])
         all_counts[free] = counts
         local_min = int(counts.min())
         if best is None or local_min < best:
             best = local_min
-            first = int(np.argmax(counts == local_min))
-            cell = np.unravel_index(first, shape)
-            witness = FlatQuery(
-                free,
-                tuple(
-                    (a, grid.cell_midpoint(a - 1, int(i)))
-                    for a, i in zip(fixed_axes, cell)
-                ),
-            )
+            cell = np.unravel_index(int(np.argmax(counts == local_min)), counts.shape)
+            fixed = tuple((a, grid.cell_midpoint(a - 1, int(i))) for a, i in zip(fixed_axes, cell))
+            witness = FlatQuery(free, fixed)
     assert best is not None and witness is not None
     return FlatProfile(best, witness, all_counts, grid)
 

@@ -4,21 +4,22 @@ incidence statistics used by the slicing lower-bound diagnostics.
 Validation is a complete exact check: over the joint breakpoint grid, every
 elementary cell must contain exactly one member's closed brick at its
 midpoint. A closed brick contains a cell midpoint iff it covers the whole
-cell, because no endpoint falls strictly inside a cell; the midpoint test is
-therefore implemented as a cell-index range accumulation, which counts the
-same thing.
+cell, because no endpoint falls strictly inside a cell; so validation is one
+count over rank space, `cell_counts` over all axes of the partition's grid,
+which is built once per partition and shared with the flat counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Iterable
 
 import numpy as np
 
 from .errors import BadAxis, ConstructionInvalid, DimensionMismatch
-from .geometry import Brick, Interval, Point, build_grid
+from .geometry import BreakpointGrid, Brick, Interval, Point, build_grid, cell_counts
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,8 @@ class BrickPartition:
 
     Construction checks only cheap structural facts (nonempty members,
     uniform dimension); geometric validity is established by `validate`.
-    Labels, when present, travel with the members (one per member).
+    Labels, when present, travel with the members (one per member). The
+    compressed grid is built on first use and kept with the partition.
     """
 
     parent: Brick
@@ -57,8 +59,12 @@ class BrickPartition:
     def __len__(self) -> int:
         return len(self.members)
 
+    @cached_property
+    def grid(self) -> BreakpointGrid:
+        return build_grid(self.parent, self.members)
+
     def validate(self) -> "ValidationReport":
-        return validate(self.parent, self.members)
+        return validate(self)
 
 
 class FailureKind(Enum):
@@ -87,44 +93,35 @@ class ValidationReport:
     failures: tuple[Failure, ...] = ()
 
 
-def validate(parent: Brick, members: Sequence[Brick]) -> ValidationReport:
-    """Exact cover check of members against parent.
+def validate(P: BrickPartition) -> ValidationReport:
+    """Exact cover check of a partition's members against its parent.
 
-    Builds the joint breakpoint grid and counts, per elementary cell, the
-    members containing the cell: exactly 1 everywhere means valid; 0 is a
-    Gap, 2+ an Overlap (first failing cell in lexicographic order reported).
     Members poking outside the parent short-circuit to OutsideParent
-    failures.
+    failures before any grid is built. Otherwise counts, per elementary cell
+    of the partition's grid, the members containing the cell: exactly 1
+    everywhere means valid; 0 is a Gap, 2+ an Overlap (first failing cell in
+    lexicographic order reported, with the members covering it).
     """
-    members = tuple(members)
-    if not members:
-        raise ValueError("a partition needs at least one member")
-    for m in members:
-        if m.dim != parent.dim:
-            raise DimensionMismatch(
-                f"member dimension {m.dim} differs from parent dimension {parent.dim}"
-            )
     outside = tuple(
         Failure(FailureKind.OUTSIDE_PARENT, None, (idx,))
-        for idx, b in enumerate(members)
-        if any(s.lo < p.lo or s.hi > p.hi for s, p in zip(b.sides, parent.sides))
+        for idx, b in enumerate(P.members)
+        if any(s.lo < p.lo or s.hi > p.hi for s, p in zip(b.sides, P.parent.sides))
     )
     if outside:
         return ValidationReport(False, outside)
 
-    grid = build_grid(parent, members)
-    counts = np.zeros(grid.shape, dtype=np.int32)
-    for b in members:
-        counts[tuple(slice(*grid.cell_span(a, s)) for a, s in enumerate(b.sides))] += 1
+    grid = P.grid
+    counts = cell_counts(grid, range(P.dim))
     if bool((counts == 1).all()):
         return ValidationReport(True)
 
     first_bad = int(np.argmax(counts != 1))  # first True in C (lexicographic) order
     cell = tuple(int(i) for i in np.unravel_index(first_bad, counts.shape))
-    point = grid.midpoint(cell)
-    covering = tuple(i for i, b in enumerate(members) if b.contains_point(point))
+    covering = tuple(
+        i for i, box in enumerate(grid.boxes) if all(lo <= c < hi for (lo, hi), c in zip(box, cell))
+    )
     kind = FailureKind.GAP if not covering else FailureKind.OVERLAP
-    return ValidationReport(False, (Failure(kind, point, covering),))
+    return ValidationReport(False, (Failure(kind, grid.midpoint(cell), covering),))
 
 
 def cut(b: Brick, axis: int, n: int) -> list[Brick]:
@@ -149,7 +146,8 @@ def refine(
     """Replace planned members with their cut pieces, keeping member order.
 
     plan entries are (member_index, axis, pieces) with 0-based distinct
-    member indices and 1-based axes. The result is validated before return;
+    member indices and 1-based axes. The result is validated before return
+    (which builds and keeps its grid);
     a failure means a bug in the caller's partition and raises
     ConstructionInvalid. Labeled members pass their label to pieces as
     "label.1", "label.2", ...
@@ -180,16 +178,17 @@ def refine(
             if label is not None:
                 new_labels.append(label)
 
-    report = validate(P.parent, new_members)
-    if not report.valid:
-        raise ConstructionInvalid(
-            f"refinement produced an invalid partition: {report.failures[0]}"
-        )
-    return BrickPartition(
+    refined = BrickPartition(
         P.parent,
         tuple(new_members),
         tuple(new_labels) if P.labels is not None else None,
     )
+    report = validate(refined)
+    if not report.valid:
+        raise ConstructionInvalid(
+            f"refinement produced an invalid partition: {report.failures[0]}"
+        )
+    return refined
 
 
 @dataclass(frozen=True)

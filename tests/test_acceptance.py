@@ -8,6 +8,7 @@ from random import Random
 
 from brickpart import (
     BoundKind,
+    BrickPartition,
     FailureKind,
     Mode,
     SearchProblem,
@@ -63,7 +64,7 @@ def test_criterion_1_piercing_3d_reproduction():
     t0 = time.perf_counter()
     for k in range(3, 51):
         P = piercing_3d(k)
-        assert validate(P.parent, P.members).valid
+        assert validate(P).valid
         assert len(P) == 12 * k - 15
         assert piercing_number(P) == k  # >= k guaranteed; equality is the oracle finding
     _report(1, "12k-15 family, k=3..50", t0, 30.0)
@@ -123,7 +124,7 @@ def test_criterion_5_search_oracle_small_values():
         found = exists_partition(SearchProblem(d, k, mode, m_none + 1, g))
         assert found.status is SearchStatus.FOUND, name
         assert len(found.witness) == proven
-        assert validate(found.witness.parent, found.witness.members).valid
+        assert validate(found.witness).valid
         metric = piercing_number if mode is Mode.PIERCING else slicing_number
         assert metric(found.witness) >= k
         # exhaustion must agree exactly with the proven lower bound
@@ -169,10 +170,11 @@ def test_criterion_7_property_suites(corpus):
             assert min_flat_count(remapped, j).minimum == base_min
     for P in (grid_partition(2, 2), piercing_2d(3), piercing_3d(3), slicing_3d(4)):
         for idx in range(len(P.members)):
-            gap = validate(P.parent, [b for i, b in enumerate(P.members) if i != idx])
+            rest = [b for i, b in enumerate(P.members) if i != idx]
+            gap = validate(BrickPartition(P.parent, rest))
             assert not gap.valid and gap.failures[0].kind is FailureKind.GAP
             assert gap.failures[0].point is not None
-            dup = validate(P.parent, list(P.members) + [P.members[idx]])
+            dup = validate(BrickPartition(P.parent, list(P.members) + [P.members[idx]]))
             assert not dup.valid and dup.failures[0].kind is FailureKind.OVERLAP
             assert len(dup.failures[0].members) >= 2
     _report(7, "randomized property suites", t0, 300.0)

@@ -1,5 +1,9 @@
+import json
+import time
+
 import pytest
 
+from brickpart import geometry, metrics, partition
 from brickpart.io_cli.cli import main
 
 
@@ -126,3 +130,46 @@ def test_usage_error_exits_2():
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "/nonexistent/path.json")
     assert code == 2
+
+
+@pytest.fixture
+def grid_builds(monkeypatch):
+    """Count the grids built, wherever a module looks build_grid up."""
+    calls = []
+    build = geometry.build_grid
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    for module in (geometry, partition, metrics):
+        if hasattr(module, "build_grid"):
+            monkeypatch.setattr(module, "build_grid", counting)
+    return calls
+
+
+def test_verify_builds_one_grid(tmp_path, capsys, grid_builds):
+    doc = tmp_path / "p4.json"
+    code, _, _ = run_cli(capsys, "construct", "--family", "piercing3d", "--k", "4", "--out", str(doc))
+    assert code == 0
+    grid_builds.clear()
+    code, out, _ = run_cli(capsys, "verify", str(doc))
+    assert code == 0 and "slicing_number: 12" in out  # validate and both flat counts ran
+    assert len(grid_builds) == 1
+
+
+def test_construct_piercing2d_builds_one_grid(capsys, grid_builds):
+    # the self-check runs validate and the piercing oracle on one grid
+    assert run_cli(capsys, "construct", "--family", "piercing2d", "--k", "5")[0] == 0
+    assert len(grid_builds) == 1
+
+
+@pytest.mark.parametrize("scalar", ["1e999999999", "1e2", " 3 ", "1_000", "+1"])
+def test_verify_rejects_undocumented_scalars_fast(tmp_path, capsys, scalar):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"dim": 1, "parent": [[0, scalar]], "bricks": [[[0, 2]]]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", str(doc))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "parent[0][1]" in err

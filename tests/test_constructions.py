@@ -34,7 +34,7 @@ def _bound(d, k, kind):
 def test_grid_partition_2_2():
     P = grid_partition(2, 2)
     assert len(P) == 4
-    assert validate(P.parent, P.members).valid
+    assert validate(P).valid
     assert piercing_number(P) == 2
 
 
@@ -47,14 +47,14 @@ def test_grid_partition_realizes_p_d_2():
 def test_grid_partition_1d_structure():
     P = grid_partition(1, 5)
     assert len(P) == 5
-    assert validate(P.parent, P.members).valid
+    assert validate(P).valid
     assert P.parent.as_pairs() == ((0, 5),)
 
 
 def test_piercing_3d_k3():
     P = piercing_3d(3)
     assert len(P) == 21
-    assert validate(P.parent, P.members).valid
+    assert validate(P).valid
     assert piercing_number(P) == 3
 
 
@@ -79,7 +79,7 @@ def test_piercing_3d_rejects_small_k():
 def test_piercing_3d_family_invariants(k):
     P = piercing_3d(k)
     assert len(P) == 12 * k - 15
-    assert validate(P.parent, P.members).valid
+    assert validate(P).valid
     assert piercing_number(P) == k
     assert len(P) == _bound(3, k, BoundKind.ELEMENTARY_PIERCING_LB) + 1
 
@@ -111,7 +111,7 @@ def test_slicing_3d_rejects_small_k():
 def test_slicing_3d_family_invariants(k):
     P = slicing_3d(k)
     assert len(P) == max(4, 2 * k - 1)
-    assert validate(P.parent, P.members).valid
+    assert validate(P).valid
     assert slicing_number(P) == k
     assert boundary_incidence(P).total >= 6 * k
     if k >= 3:

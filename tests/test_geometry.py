@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from brickpart import (
     BrickOutsideParent,
     DegenerateInterval,
     DimensionMismatch,
+    ParseError,
     build_grid,
     format_scalar,
     interiors_disjoint,
@@ -16,6 +18,7 @@ from brickpart import (
     parse_scalar,
 )
 from brickpart.constructions import piercing_3d_base, slicing_3d_base
+from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts
 
 small_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -69,6 +72,27 @@ def test_scalar_round_trips(x):
     assert parse_scalar(format_scalar(x)) == x
 
 
+@given(st.from_regex(r"-?[0-9]{1,30}(\.[0-9]{1,30}|/0*[1-9][0-9]{0,30})?", fullmatch=True))
+def test_parse_scalar_agrees_with_fraction_on_the_grammar(text):
+    assert parse_scalar(text) == Fraction(text)
+
+
+def test_scalar_round_trips_at_the_digit_limit():
+    big = Fraction(-(10**MAX_SCALAR_DIGITS - 1), 10**MAX_SCALAR_DIGITS - 3)
+    for x in (big, Fraction(1, 2**MAX_SCALAR_DIGITS), Fraction(10**MAX_SCALAR_DIGITS - 1)):
+        assert parse_scalar(format_scalar(x)) == x
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e2", " 3 ", "1_000", "+1", "", "-", ".5", "5.", "1/0", "1/-2", "2/ 3", "0x10",
+     "inf", "nan", "1.5e3", "\u0663", "1" * (MAX_SCALAR_DIGITS + 1), "1e999999999"],
+)
+def test_parse_scalar_rejects_undocumented_forms(text):
+    with pytest.raises(ParseError):
+        parse_scalar(text)
+
+
 def test_interiors_disjoint_shared_face():
     x1 = Brick.from_pairs([(0, 2), (3, 6), (0, 4)])
     y1p = Brick.from_pairs([(0, 2), (2, 3), (0, 4)])
@@ -103,6 +127,16 @@ bricks_2d = st.builds(
 @given(bricks_2d, bricks_2d)
 def test_interiors_disjoint_symmetric(a, b):
     assert interiors_disjoint(a, b) == interiors_disjoint(b, a)
+
+
+def hull_parent(bricks):
+    """The bricks' 2D bounding box grown by 1 on every side."""
+    return Brick.from_pairs(
+        [
+            (min(b.sides[a].lo for b in bricks) - 1, max(b.sides[a].hi for b in bricks) + 1)
+            for a in range(2)
+        ]
+    )
 
 
 def test_build_grid_piercing_base_axis1():
@@ -145,27 +179,34 @@ def test_build_grid_rejects_dimension_mismatch():
         build_grid(parent, [Brick.from_pairs([(0, 1)])])
 
 
-def test_cell_span_is_exact():
+def test_index_boxes_are_exact():
     base = piercing_3d_base()
     grid = build_grid(base.parent, base.members)
-    x1 = base.members[3]  # [0,2] x [3,6] x [0,4]
-    assert grid.cell_span(0, x1.sides[0]) == (0, 1)
-    assert grid.cell_span(1, x1.sides[1]) == (2, 4)
-    assert grid.cell_span(2, x1.sides[2]) == (0, 3)
+    # X1 = [0,2] x [3,6] x [0,4]; every axis has breakpoints 0, 2, 3, 4, 6
+    assert grid.boxes[3] == ((0, 1), (2, 4), (0, 3))
+    for b, box in zip(base.members, grid.boxes):
+        for axis, (lo, hi), side in zip(grid.axes, box, b.sides):
+            assert (axis[lo], axis[hi]) == side.as_pair()
+
+
+@given(st.lists(bricks_2d, min_size=1, max_size=6), st.sampled_from([(0,), (1,), (0, 1)]))
+def test_cell_counts_match_midpoint_containment(bricks, axes):
+    parent = hull_parent(bricks)
+    grid = build_grid(parent, bricks)
+    counts = cell_counts(grid, axes)
+    assert counts.shape == tuple(grid.shape[a] for a in axes)
+    # reference: count the closed bricks containing each projected cell midpoint
+    for cell in product(*(range(n) for n in counts.shape)):
+        mids = [grid.cell_midpoint(a, i) for a, i in zip(axes, cell)]
+        expected = sum(
+            1 for b in bricks if all(b.sides[a].contains(m) for a, m in zip(axes, mids))
+        )
+        assert counts[cell] == expected
 
 
 @given(st.lists(bricks_2d, min_size=1, max_size=6))
 def test_no_endpoint_strictly_inside_a_cell(bricks):
-    # hull parent so the set is always inside
-    parent = Brick.from_pairs(
-        [
-            (
-                min(b.sides[a].lo for b in bricks) - 1,
-                max(b.sides[a].hi for b in bricks) + 1,
-            )
-            for a in range(2)
-        ]
-    )
+    parent = hull_parent(bricks)  # so the set is always inside
     grid = build_grid(parent, bricks)
     for a in range(2):
         for lo, hi in zip(grid.axes[a], grid.axes[a][1:]):

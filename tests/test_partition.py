@@ -25,20 +25,20 @@ X1 = Brick.from_pairs([(0, 2), (3, 6), (0, 4)])
 
 def test_validate_piercing_base_is_partition():
     base = piercing_3d_base()
-    report = validate(base.parent, base.members)
+    report = validate(base)
     assert report.valid and report.failures == ()
 
 
 def test_validate_single_brick():
     b = Brick.from_pairs([(0, 2), (0, 2)])
-    assert validate(b, [b]).valid
+    assert validate(BrickPartition(b, [b])).valid
 
 
 def test_validate_detects_gap_with_exact_witness():
     base = piercing_3d_base()
     idx = base.labels.index("X'2")
     members = [b for i, b in enumerate(base.members) if i != idx]
-    report = validate(base.parent, members)
+    report = validate(BrickPartition(base.parent, members))
     assert not report.valid
     (failure,) = report.failures
     assert failure.kind is FailureKind.GAP
@@ -54,7 +54,7 @@ def test_validate_detects_overlap_with_member_pair():
     base = piercing_3d_base()
     idx = base.labels.index("X'2")
     members = list(base.members) + [base.members[idx]]
-    report = validate(base.parent, members)
+    report = validate(BrickPartition(base.parent, members))
     assert not report.valid
     (failure,) = report.failures
     assert failure.kind is FailureKind.OVERLAP
@@ -67,15 +67,16 @@ def test_validate_reports_outside_parent():
     parent = Brick.from_pairs([(0, 2), (0, 2)])
     inside = Brick.from_pairs([(0, 2), (0, 1)])
     stray = Brick.from_pairs([(0, 2), (1, 3)])
-    report = validate(parent, [inside, stray])
+    report = validate(BrickPartition(parent, [inside, stray]))
     assert not report.valid
     assert [f.kind for f in report.failures] == [FailureKind.OUTSIDE_PARENT]
     assert report.failures[0].members == (1,)
 
 
 def test_validate_dimension_mismatch():
+    # validate takes a partition, and one of mixed dimensions cannot be formed
     with pytest.raises(DimensionMismatch):
-        validate(Brick.from_pairs([(0, 1)]), [Brick.from_pairs([(0, 1), (0, 1)])])
+        BrickPartition(Brick.from_pairs([(0, 1)]), [Brick.from_pairs([(0, 1), (0, 1)])])
 
 
 def test_cut_x1_into_two_along_axis_1():
@@ -120,7 +121,7 @@ def test_cut_pieces_tile_the_brick(axis, n):
     pieces = cut(b, axis, n)
     assert len(pieces) == n
     assert len({p.volume for p in pieces}) == 1  # equal volume
-    assert validate(b, pieces).valid
+    assert validate(BrickPartition(b, pieces)).valid
 
 
 def test_refine_piercing_plan_at_k4():
@@ -133,7 +134,7 @@ def test_refine_piercing_plan_at_k4():
              [("X'1", 1), ("X'2", 1), ("Y'1", 2), ("Y'2", 2), ("Z'1", 3), ("Z'2", 3)]]
     refined = refine(base, plan)
     assert len(refined) == 3 + 6 * (k - 1) + 6 * (k - 2) == 33
-    assert validate(refined.parent, refined.members).valid
+    assert validate(refined).valid
 
 
 def test_refine_empty_plan_is_identity():

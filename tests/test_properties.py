@@ -37,7 +37,7 @@ def test_corpus_is_large_and_valid(corpus):
     assert len(corpus) >= 200
     assert {P.dim for P in corpus} == {2, 3}
     for P in corpus:
-        assert validate(P.parent, P.members).valid
+        assert validate(P).valid
 
 
 def test_volume_conservation(corpus):
@@ -72,7 +72,7 @@ def test_reparameterization_invariance(corpus):
     rng = Random(2718)
     for P in corpus:
         remapped = random_monotone_remap(rng, P)
-        assert validate(remapped.parent, remapped.members).valid
+        assert validate(remapped).valid
         for j in range(1, P.dim):
             assert min_flat_count(remapped, j).minimum == min_flat_count(P, j).minimum
 
@@ -127,7 +127,7 @@ MUTATION_TARGETS = [
 def test_validator_catches_every_single_deletion(P):
     for idx in range(len(P.members)):
         members = tuple(b for i, b in enumerate(P.members) if i != idx)
-        report = validate(P.parent, members)
+        report = validate(BrickPartition(P.parent, members))
         assert not report.valid
         (failure,) = report.failures
         assert failure.kind is FailureKind.GAP
@@ -142,7 +142,7 @@ def test_validator_catches_every_single_deletion(P):
 def test_validator_catches_every_single_duplication(P):
     for idx in range(len(P.members)):
         members = tuple(P.members) + (P.members[idx],)
-        report = validate(P.parent, members)
+        report = validate(BrickPartition(P.parent, members))
         assert not report.valid
         (failure,) = report.failures
         assert failure.kind is FailureKind.OVERLAP
@@ -154,4 +154,4 @@ def test_refine_output_always_validates(corpus):
     rng = Random(97)
     for P in corpus[:50]:
         refined = refine(P, random_refine_plan(rng, P))
-        assert validate(refined.parent, refined.members).valid
+        assert validate(refined).valid

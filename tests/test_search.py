@@ -33,7 +33,7 @@ def test_p32_exhausts_then_finds():
     assert _run(3, 2, Mode.PIERCING, 7, 2).status is SearchStatus.EXHAUSTED_NONE
     out = _run(3, 2, Mode.PIERCING, 8, 2)
     assert out.status is SearchStatus.FOUND
-    assert validate(out.witness.parent, out.witness.members).valid
+    assert validate(out.witness).valid
     assert piercing_number(out.witness) >= 2
 
 
@@ -48,7 +48,7 @@ def test_witness_contract():
     out = _run(2, 3, Mode.PIERCING, 8, 4)
     assert out.status is SearchStatus.FOUND
     assert len(out.witness) <= 8
-    assert validate(out.witness.parent, out.witness.members).valid
+    assert validate(out.witness).valid
     assert piercing_number(out.witness) >= 3
 
 
