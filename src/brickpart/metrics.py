@@ -21,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import BadCodimension, DimensionMismatch, QueryOutsideParent
-from .geometry import BreakpointGrid, ScalarLike, as_scalar, cell_counts
+from .geometry import ScalarLike, as_scalar, cell_counts
 from .partition import BrickPartition
 
 
@@ -105,7 +105,6 @@ class FlatProfile:
     minimum: int
     witness: FlatQuery
     counts: dict[tuple[int, ...], np.ndarray]
-    grid: BreakpointGrid
 
 
 def min_flat_count(P: BrickPartition, free_axis_count: int) -> FlatProfile:
@@ -130,7 +129,7 @@ def min_flat_count(P: BrickPartition, free_axis_count: int) -> FlatProfile:
             fixed = tuple((a, grid.cell_midpoint(a - 1, int(i))) for a, i in zip(fixed_axes, cell))
             witness = FlatQuery(free, fixed)
     assert best is not None and witness is not None
-    return FlatProfile(best, witness, all_counts, grid)
+    return FlatProfile(best, witness, all_counts)
 
 
 def piercing_number(P: BrickPartition) -> int:
