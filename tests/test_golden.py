@@ -5,7 +5,8 @@ The expected values were recorded from the implementation that compared
 counting or construction code must reproduce them exactly: the `construct`
 documents (by sha256), the full `verify` stdout with its exit code, the same
 for three seeded random documents corrupted by a gap, an overlap and a member
-outside the parent, and the SVG/OBJ export bytes (by sha256).
+outside the parent, the SVG/OBJ export bytes (by sha256), and the full
+`search` and `bounds` stdout with exit codes.
 """
 
 from __future__ import annotations
@@ -82,6 +83,20 @@ EXPORT_SHA256 = {
 }
 
 
+SEARCH = {
+    (2, 2, 'piercing', 4, 3): (0, 'status: found\nnodes_explored: 30\ngrid_cap: g=3, m_max=4 (relative to this grid)\n{\n  "dim": 2,\n  "parent": [[0, 3], [0, 3]],\n  "bricks": [\n    [[0, 1], [0, 1]],\n    [[0, 1], [1, 3]],\n    [[1, 3], [0, 1]],\n    [[1, 3], [1, 3]]\n  ],\n  "metadata": {"generator": "search", "d": 2, "k": 2, "mode": "piercing", "grid": 3}\n}\n'),
+    (2, 2, 'piercing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 47\ngrid_cap: g=3, m_max=3 (relative to this grid)\n'),
+    (3, 2, 'slicing', 4, 3): (0, 'status: found\nnodes_explored: 2787\ngrid_cap: g=3, m_max=4 (relative to this grid)\n{\n  "dim": 3,\n  "parent": [[0, 3], [0, 3], [0, 3]],\n  "bricks": [\n    [[0, 1], [0, 1], [0, 3]],\n    [[0, 1], [1, 3], [0, 3]],\n    [[1, 3], [0, 1], [0, 3]],\n    [[1, 3], [1, 3], [0, 3]]\n  ],\n  "metadata": {"generator": "search", "d": 3, "k": 2, "mode": "slicing", "grid": 3}\n}\n'),
+}
+
+SEARCH_OVER_BUDGET = (1, 'status: resource_limit (node budget 10 exceeded at 11 placements)\n')
+
+BOUNDS = {
+    (3, 5): (0, 'elementary_piercing_lb(d=3, k=5): 44\ntrivial_grid_ub(d=3, k=5): 125\nslicing_lb_3d(d=3, k=5): 9\n'),
+    (2, 2): (0, 'elementary_piercing_lb(d=2, k=2): 4\ntrivial_grid_ub(d=2, k=2): 4\n'),
+}
+
+
 @pytest.mark.parametrize("family, k", sorted(CONSTRUCT_SHA256))
 def test_construct_and_verify_are_golden(tmp_path, capsys, family, k):
     doc = tmp_path / "doc.json"
@@ -107,3 +122,19 @@ def test_exports_are_golden(tmp_path, capsys, family, k, fmt):
     extra = ("--exploded", "1/4") if fmt == "obj" else ("--labels",)
     assert run_cli(capsys, "export", doc, "--format", fmt, *extra, "--out", fig) == (0, "")
     assert sha256(fig.read_bytes()) == EXPORT_SHA256[family, k, fmt]
+
+
+@pytest.mark.parametrize("d, k, mode, m, g", sorted(SEARCH))
+def test_search_is_golden(capsys, d, k, mode, m, g):
+    args = ("--d", d, "--k", k, "--mode", mode, "--max-bricks", m, "--grid", g)
+    assert run_cli(capsys, "search", *args) == SEARCH[d, k, mode, m, g]
+
+
+def test_search_over_budget_is_golden(capsys):
+    args = ("--d", 2, "--k", 3, "--mode", "piercing", "--max-bricks", 8, "--grid", 4)
+    assert run_cli(capsys, "search", *args, "--node-budget", 10) == SEARCH_OVER_BUDGET
+
+
+@pytest.mark.parametrize("d, k", sorted(BOUNDS))
+def test_bounds_are_golden(capsys, d, k):
+    assert run_cli(capsys, "bounds", "--d", d, "--k", k) == BOUNDS[d, k]
