@@ -33,12 +33,10 @@ from .geometry import (
     BreakpointGrid,
     Brick,
     Interval,
-    Scalar,
     as_scalar,
     build_grid,
     format_scalar,
     interiors_disjoint,
-    make_interval,
     parse_scalar,
 )
 from .io_cli import (

@@ -25,15 +25,16 @@ import numpy as np
 
 from .errors import BrickOutsideParent, DegenerateInterval, DimensionMismatch, ParseError
 
-Scalar = Fraction
 Point = tuple[Fraction, ...]
 ScalarLike = Fraction | int | str
+IndexBox = tuple[tuple[int, int], ...]  # half-open (lo, hi) cell-index range per axis
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
     """Coerce ints, Fractions, and strings ("3", "0.5", "2/7") to exact scalars.
 
-    Floats are rejected: they would silently break exactness.
+    Strings follow the document grammar of `parse_scalar`. Floats are
+    rejected: they would silently break exactness.
     """
     if isinstance(value, Fraction):
         return value
@@ -41,6 +42,8 @@ def as_scalar(value: ScalarLike) -> Fraction:
         raise TypeError(
             "floating-point coordinates are not allowed; pass Fraction, int, or str"
         )
+    if isinstance(value, str):
+        return parse_scalar(value)
     return Fraction(value)
 
 
@@ -127,11 +130,6 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{format_scalar(self.lo)}, {format_scalar(self.hi)}]"
-
-
-def make_interval(lo: ScalarLike, hi: ScalarLike) -> Interval:
-    """Closed interval [lo, hi]; raises DegenerateInterval unless lo < hi."""
-    return Interval(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -222,7 +220,7 @@ class BreakpointGrid:
     """
 
     axes: tuple[tuple[Fraction, ...], ...]
-    boxes: tuple[tuple[tuple[int, int], ...], ...]
+    boxes: tuple[IndexBox, ...]
 
     @property
     def shape(self) -> tuple[int, ...]:

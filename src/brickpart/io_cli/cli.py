@@ -22,7 +22,7 @@ from ..errors import (
     ParseError,
     ResourceLimit,
 )
-from ..geometry import format_scalar
+from ..geometry import format_scalar, parse_scalar
 from ..metrics import FlatQuery, min_flat_count
 from ..partition import boundary_incidence, validate
 from ..search import Mode, SearchProblem, exists_partition
@@ -145,7 +145,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     P = doc.to_partition()
     options = ExportOptions(
         precision=args.precision,
-        exploded=Fraction(args.exploded) if args.exploded else Fraction(0),
+        exploded=parse_scalar(args.exploded) if args.exploded else Fraction(0),
         labels=args.labels,
     )
     fmt = FigureFormat.SVG2D if args.format == "svg" else FigureFormat.OBJ3D

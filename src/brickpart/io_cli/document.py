@@ -1,11 +1,13 @@
 """Self-describing JSON interchange format for brick partitions.
 
-A document carries dim, parent, bricks, and optional labels/metadata, with a
-canonical rendering: stable key order, two-space indentation, newline
-terminated. Scalars are JSON integers when integral; otherwise strings,
-either terminating decimals ("0.5") or "p/q". JSON floats are rejected so a
-parsed document is always exact. Documents are not assumed to be valid
-partitions; validation is a separate explicit step.
+A parsed document is a partition plus metadata: the text carries dim,
+parent, bricks and optional labels/metadata, and `parse_document` builds the
+parent, each member and each side exactly once, straight into a
+`BrickPartition`. The canonical rendering has a stable key order, two-space
+indentation and a final newline. Scalars are JSON integers when integral;
+otherwise strings, either terminating decimals ("0.5") or "p/q". JSON floats
+are rejected so a parsed document is always exact. Documents are not assumed
+to be valid partitions; validation is a separate explicit step.
 """
 
 from __future__ import annotations
@@ -19,49 +21,26 @@ from ..errors import DimensionMismatch, ParseError
 from ..geometry import Brick, Interval, format_scalar, parse_scalar
 from ..partition import BrickPartition
 
-SidePairs = tuple[tuple[Fraction, Fraction], ...]
-
 
 @dataclass(frozen=True)
 class PartitionDocument:
-    dim: int
-    parent: SidePairs
-    bricks: tuple[SidePairs, ...]
-    labels: tuple[str, ...] | None = None
+    partition: BrickPartition
     metadata: dict[str, Any] | None = None
 
-    @classmethod
-    def from_partition(
-        cls,
-        P: BrickPartition,
-        labels: tuple[str, ...] | None = None,
-        metadata: dict[str, Any] | None = None,
-    ) -> "PartitionDocument":
-        return cls(
-            dim=P.dim,
-            parent=P.parent.as_pairs(),
-            bricks=tuple(b.as_pairs() for b in P.members),
-            labels=labels if labels is not None else P.labels,
-            metadata=metadata,
-        )
-
     def to_partition(self) -> BrickPartition:
-        """Materialize geometry; validity is still the validator's business."""
-        parent = Brick(tuple(Interval(lo, hi) for lo, hi in self.parent))
-        members = tuple(
-            Brick(tuple(Interval(lo, hi) for lo, hi in pairs)) for pairs in self.bricks
-        )
-        return BrickPartition(parent, members, self.labels)
+        """The parsed geometry; validity is still the validator's business."""
+        return self.partition
 
     def emit(self) -> str:
         """Canonical text: bricks in document order (one per line), scalars
         canonical, stable key order, newline-terminated."""
-        entries = [f'"dim": {self.dim}']
-        entries.append(f'"parent": {_sides_text(self.parent)}')
-        brick_lines = ",\n".join(f"    {_sides_text(pairs)}" for pairs in self.bricks)
+        P = self.partition
+        entries = [f'"dim": {P.dim}']
+        entries.append(f'"parent": {_sides_text(P.parent)}')
+        brick_lines = ",\n".join(f"    {_sides_text(b)}" for b in P.members)
         entries.append('"bricks": [\n' + brick_lines + "\n  ]")
-        if self.labels is not None:
-            entries.append(f'"labels": {json.dumps(list(self.labels))}')
+        if P.labels is not None:
+            entries.append(f'"labels": {json.dumps(list(P.labels))}')
         if self.metadata is not None:
             entries.append(f'"metadata": {json.dumps(self.metadata)}')
         return "{\n  " + ",\n  ".join(entries) + "\n}\n"
@@ -71,19 +50,15 @@ def _scalar_text(x: Fraction) -> str:
     return json.dumps(int(x) if x.denominator == 1 else format_scalar(x))
 
 
-def _sides_text(pairs: SidePairs) -> str:
+def _sides_text(b: Brick) -> str:
     return "[" + ", ".join(
-        f"[{_scalar_text(lo)}, {_scalar_text(hi)}]" for lo, hi in pairs
+        f"[{_scalar_text(s.lo)}, {_scalar_text(s.hi)}]" for s in b.sides
     ) + "]"
 
 
-def emit_document(
-    P: BrickPartition,
-    labels: tuple[str, ...] | None = None,
-    metadata: dict[str, Any] | None = None,
-) -> str:
-    """Canonical document text for a partition (labels default to P's own)."""
-    return PartitionDocument.from_partition(P, labels, metadata).emit()
+def emit_document(P: BrickPartition, metadata: dict[str, Any] | None = None) -> str:
+    """Canonical document text for a partition, its labels included."""
+    return PartitionDocument(P, metadata).emit()
 
 
 def _parse_scalar_value(value: Any, where: str) -> Fraction:
@@ -103,21 +78,20 @@ def _parse_scalar_value(value: Any, where: str) -> Fraction:
     raise ParseError(f"{where}: expected a scalar, got {type(value).__name__}")
 
 
-def _parse_pair(value: Any, where: str) -> tuple[Fraction, Fraction]:
+def _parse_pair(value: Any, where: str) -> Interval:
     if not isinstance(value, list) or len(value) != 2:
         raise ParseError(f"{where}: expected a [lo, hi] pair")
     lo = _parse_scalar_value(value[0], f"{where}[0]")
     hi = _parse_scalar_value(value[1], f"{where}[1]")
-    Interval(lo, hi)  # raises DegenerateInterval when lo >= hi
-    return (lo, hi)
+    return Interval(lo, hi)  # raises DegenerateInterval when lo >= hi
 
 
-def _parse_sides(value: Any, dim: int, where: str) -> SidePairs:
+def _parse_sides(value: Any, dim: int, where: str) -> Brick:
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of [lo, hi] pairs")
     if len(value) != dim:
         raise DimensionMismatch(f"{where}: {len(value)} sides for dimension {dim}")
-    return tuple(_parse_pair(p, f"{where}[{i}]") for i, p in enumerate(value))
+    return Brick(tuple(_parse_pair(p, f"{where}[{i}]") for i, p in enumerate(value)))
 
 
 _KNOWN_KEYS = {"dim", "parent", "bricks", "labels", "metadata"}
@@ -168,4 +142,4 @@ def parse_document(text: str) -> PartitionDocument:
             raise ParseError("metadata: expected an object")
         metadata = raw["metadata"]
 
-    return PartitionDocument(dim, parent, bricks, labels, metadata)
+    return PartitionDocument(BrickPartition(parent, bricks, labels), metadata)

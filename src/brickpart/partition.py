@@ -93,6 +93,9 @@ class ValidationReport:
     failures: tuple[Failure, ...] = ()
 
 
+_BLOCK_CELLS = 1 << 20
+
+
 def validate(P: BrickPartition) -> ValidationReport:
     """Exact cover check of a partition's members against its parent.
 
@@ -111,12 +114,17 @@ def validate(P: BrickPartition) -> ValidationReport:
         return ValidationReport(False, outside)
 
     grid = P.grid
-    counts = cell_counts(grid, range(P.dim))
-    if bool((counts == 1).all()):
+    counts = cell_counts(grid, range(P.dim)).reshape(-1)  # a view, in C order
+    # min/max over fixed-size blocks: no boolean mask as large as the grid
+    for start in range(0, counts.size, _BLOCK_CELLS):
+        block = counts[start : start + _BLOCK_CELLS]
+        if block.min() != 1 or block.max() != 1:
+            break
+    else:
         return ValidationReport(True)
 
-    first_bad = int(np.argmax(counts != 1))  # first True in C (lexicographic) order
-    cell = tuple(int(i) for i in np.unravel_index(first_bad, counts.shape))
+    first_bad = start + int(np.argmax(block != 1))  # first failing cell in C (lexicographic) order
+    cell = tuple(int(i) for i in np.unravel_index(first_bad, grid.shape))
     covering = tuple(
         i for i, box in enumerate(grid.boxes) if all(lo <= c < hi for (lo, hi), c in zip(box, cell))
     )

@@ -26,13 +26,11 @@ from itertools import product
 from typing import Iterator
 
 from .errors import ResourceLimit
-from .geometry import Brick
+from .geometry import Brick, IndexBox
 from .partition import BrickPartition
 
 NODE_BUDGET_ENV = "BRICKPART_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10**8
-
-Box = tuple[tuple[int, ...], tuple[int, ...]]  # (corner, extents) in cells
 
 
 class Mode(Enum):
@@ -121,26 +119,25 @@ class _Engine:
                     flat_cells.append(g ** (d - 1))
         self.flat_cells = flat_cells
 
-        # Candidate boxes per anchor cell: (corner, extents, bitmask over
-        # cells, [(flat id, cells of the box on that flat)]).
-        self.moves: list[list[tuple[tuple[int, ...], tuple[int, ...], int, list[tuple[int, int]]]]] = [
+        # Candidate boxes per anchor cell: (box, bitmask over cells,
+        # [(flat id, cells of the box on that flat)]).
+        self.moves: list[list[tuple[IndexBox, int, list[tuple[int, int]]]]] = [
             [] for _ in range(self.n_cells)
         ]
+        # spans[lo]: every side (lo, hi) starting at lo, shared by all boxes
+        spans = [[(lo, hi) for hi in range(lo + 1, g + 1)] for lo in range(g)]
         for corner in product(range(g), repeat=d):
             anchor = self._cell_index(corner)
-            for extents in product(*(range(1, g - corner[a] + 1) for a in range(d))):
+            for box in product(*(spans[c] for c in corner)):
+                extents = [hi - lo for lo, hi in box]
                 mask = 0
-                for cell in product(
-                    *(range(corner[a], corner[a] + extents[a]) for a in range(d))
-                ):
+                for cell in product(*(range(lo, hi) for lo, hi in box)):
                     mask |= 1 << self._cell_index(cell)
                 incidences: list[tuple[int, int]] = []
                 if problem.mode is Mode.PIERCING:
                     for a in range(d):
                         others = [b for b in range(d) if b != a]
-                        for combo in product(
-                            *(range(corner[b], corner[b] + extents[b]) for b in others)
-                        ):
+                        for combo in product(*(range(*box[b]) for b in others)):
                             incidences.append((flat_ids[(a, combo)], extents[a]))
                 else:
                     for a in range(d):
@@ -148,9 +145,9 @@ class _Engine:
                         for b in range(d):
                             if b != a:
                                 area *= extents[b]
-                        for i in range(corner[a], corner[a] + extents[a]):
+                        for i in range(*box[a]):
                             incidences.append((flat_ids[(a, i)], area))
-                self.moves[anchor].append((corner, extents, mask, incidences))
+                self.moves[anchor].append((box, mask, incidences))
 
     def _cell_index(self, coords: tuple[int, ...]) -> int:
         idx = 0
@@ -158,19 +155,19 @@ class _Engine:
             idx = idx * self.problem.g + c
         return idx
 
-    def solutions(self) -> Iterator[tuple[list[Box], int]]:
+    def solutions(self) -> Iterator[tuple[list[IndexBox], int]]:
         """Yield (boxes, nodes_so_far) for each complete k-satisfying
         partition, in canonical order. self.nodes stays valid afterwards."""
         self.nodes = 0
         k = self.problem.k
         self.boxes_met = [0] * len(self.flat_cells)
         self.uncovered = list(self.flat_cells)
-        self.stack: list[Box] = []
+        self.stack: list[IndexBox] = []
         if any(c < k for c in self.flat_cells):
             return  # no flat can ever meet k boxes at this grid size
         yield from self._dfs(0, 0)
 
-    def _dfs(self, cover: int, scan_from: int) -> Iterator[tuple[list[Box], int]]:
+    def _dfs(self, cover: int, scan_from: int) -> Iterator[tuple[list[IndexBox], int]]:
         idx = scan_from
         while idx < self.n_cells and (cover >> idx) & 1:
             idx += 1
@@ -183,10 +180,10 @@ class _Engine:
             return  # box budget spent with cells remaining
         k = self.problem.k
         first = not self.stack and self.problem.symmetry_pruning
-        for corner, extents, mask, incidences in self.moves[idx]:
+        for box, mask, incidences in self.moves[idx]:
             if cover & mask:
                 continue
-            if first and any(extents[i] > extents[i + 1] for i in range(len(extents) - 1)):
+            if first and any(a[1] - a[0] > b[1] - b[0] for a, b in zip(box, box[1:])):
                 continue
             self.nodes += 1
             if self.nodes > self.budget:
@@ -202,23 +199,16 @@ class _Engine:
                     feasible = False
                     break
             if feasible:
-                self.stack.append((corner, extents))
+                self.stack.append(box)
                 yield from self._dfs(cover | mask, idx + 1)
                 self.stack.pop()
             for f, covered in incidences:
                 self.boxes_met[f] -= 1
                 self.uncovered[f] += covered
 
-    def witness_partition(self, boxes: list[Box]) -> BrickPartition:
-        g, d = self.problem.g, self.problem.d
-        parent = Brick.from_pairs([(0, g)] * d)
-        members = tuple(
-            Brick.from_pairs(
-                [(corner[a], corner[a] + extents[a]) for a in range(d)]
-            )
-            for corner, extents in boxes
-        )
-        return BrickPartition(parent, members)
+    def witness_partition(self, boxes: list[IndexBox]) -> BrickPartition:
+        parent = Brick.from_pairs([(0, self.problem.g)] * self.problem.d)
+        return BrickPartition(parent, tuple(Brick.from_pairs(box) for box in boxes))
 
 
 def _cap_note(problem: SearchProblem) -> GridCapNote:

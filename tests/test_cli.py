@@ -173,3 +173,13 @@ def test_verify_rejects_undocumented_scalars_fast(tmp_path, capsys, scalar):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert "parent[0][1]" in err
+
+
+def test_export_rejects_undocumented_exploded_fast(tmp_path, capsys):
+    doc = tmp_path / "p3.json"
+    assert run_cli(capsys, "construct", "--family", "piercing3d", "--k", "3", "--out", str(doc))[0] == 0
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "export", str(doc), "--format", "obj", "--exploded", "1e999999999")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "not an integer, decimal or p/q scalar" in err

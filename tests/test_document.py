@@ -7,8 +7,8 @@ from brickpart import (
     BrickPartition,
     DegenerateInterval,
     DimensionMismatch,
+    Interval,
     ParseError,
-    PartitionDocument,
     emit_document,
     parse_document,
 )
@@ -17,11 +17,11 @@ from brickpart.constructions import piercing_3d, slicing_3d
 
 def test_emit_slicing_k2_document():
     text = emit_document(slicing_3d(2))
-    doc = parse_document(text)
-    assert doc.dim == 3
-    assert doc.parent == (((0, 2), (0, 2), (0, 2)))
-    assert len(doc.bricks) == 4
-    assert doc.labels == ("X0", "X1", "Y0", "Y1")
+    P = parse_document(text).to_partition()
+    assert P.dim == 3
+    assert P.parent.as_pairs() == ((0, 2), (0, 2), (0, 2))
+    assert len(P.members) == 4
+    assert P.labels == ("X0", "X1", "Y0", "Y1")
 
 
 def test_emit_is_byte_stable():
@@ -81,7 +81,7 @@ def test_rational_scalars_round_trip():
     text = emit_document(P)
     assert '"1/3"' in text
     doc = parse_document(text)
-    assert doc.bricks[0][0] == (Fraction(0), third)
+    assert doc.to_partition().members[0].sides[0].as_pair() == (Fraction(0), third)
     assert doc.emit() == text
 
 
@@ -139,7 +139,27 @@ def test_document_not_assumed_valid():
     assert not P.validate().valid
 
 
-def test_from_partition_explicit_labels_override():
+def test_labels_survive_emit_and_parse():
     P = slicing_3d(2)
-    doc = PartitionDocument.from_partition(P, labels=("a", "b", "c", "d"))
-    assert doc.labels == ("a", "b", "c", "d")
+    labeled = BrickPartition(P.parent, P.members, ("a", "b", "c", "d"))
+    text = emit_document(labeled)
+    assert '"labels": ["a", "b", "c", "d"]' in text
+    assert parse_document(text).to_partition().labels == ("a", "b", "c", "d")
+
+
+def test_parse_builds_each_interval_once(monkeypatch):
+    P = piercing_3d(3)
+    text = emit_document(P)
+    built = 0
+    post_init = Interval.__post_init__
+
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(Interval, "__post_init__", counting_post_init)
+    Q = parse_document(text).to_partition()
+    assert built == P.dim * (len(P.members) + 1)
+    assert Q.members == P.members
+

@@ -10,11 +10,12 @@ from brickpart import (
     BrickOutsideParent,
     DegenerateInterval,
     DimensionMismatch,
+    Interval,
     ParseError,
+    as_scalar,
     build_grid,
     format_scalar,
     interiors_disjoint,
-    make_interval,
     parse_scalar,
 )
 from brickpart.constructions import piercing_3d_base, slicing_3d_base
@@ -24,29 +25,29 @@ small_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
 
 def test_make_interval_basic():
-    iv = make_interval(0, 6)
+    iv = Interval(0, 6)
     assert (iv.lo, iv.hi) == (0, 6)
     assert iv.length == 6 and iv.midpoint == 3
 
 
 def test_make_interval_rejects_zero_length():
     with pytest.raises(DegenerateInterval):
-        make_interval(Fraction(1, 2), Fraction(1, 2))
+        Interval(Fraction(1, 2), Fraction(1, 2))
 
 
 def test_make_interval_rejects_reversed():
     with pytest.raises(DegenerateInterval):
-        make_interval(3, 1)
+        Interval(3, 1)
 
 
 def test_make_interval_signs():
-    iv = make_interval(-1, Fraction(1, 3))
+    iv = Interval(-1, Fraction(1, 3))
     assert iv.lo == -1 and iv.hi == Fraction(1, 3)
 
 
 def test_interval_rejects_floats():
     with pytest.raises(TypeError):
-        make_interval(0.0, 1.0)
+        Interval(0.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -64,7 +65,7 @@ def test_interval_rejects_floats():
 )
 def test_format_scalar_forms(value, text):
     assert format_scalar(value) == text
-    assert parse_scalar(text) == value
+    assert parse_scalar(text) == value == as_scalar(text)
 
 
 @given(st.fractions())
@@ -91,6 +92,8 @@ def test_scalar_round_trips_at_the_digit_limit():
 def test_parse_scalar_rejects_undocumented_forms(text):
     with pytest.raises(ParseError):
         parse_scalar(text)
+    with pytest.raises(ParseError):
+        as_scalar(text)
 
 
 def test_interiors_disjoint_shared_face():

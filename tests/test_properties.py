@@ -18,6 +18,7 @@ from brickpart import (
     slicing_number,
     validate,
 )
+from brickpart import partition
 from brickpart.constructions import (
     grid_partition,
     piercing_2d,
@@ -148,6 +149,17 @@ def test_validator_catches_every_single_duplication(P):
         assert failure.kind is FailureKind.OVERLAP
         assert len(failure.members) >= 2
         assert sum(1 for b in members if b.contains_point(failure.point)) >= 2
+
+
+@pytest.mark.parametrize("P", MUTATION_TARGETS, ids=lambda P: f"d{P.dim}m{len(P)}")
+def test_validator_witness_does_not_depend_on_block_size(monkeypatch, P):
+    # validate scans the count array in fixed-size blocks; with blocks of 5
+    # cells the first failing cell usually lies past the first block
+    mutants = [tuple(b for i, b in enumerate(P.members) if i != idx) for idx in range(len(P))]
+    mutants += [tuple(P.members) + (b,) for b in P.members]
+    expected = [validate(BrickPartition(P.parent, members)) for members in mutants]
+    monkeypatch.setattr(partition, "_BLOCK_CELLS", 5)
+    assert [validate(BrickPartition(P.parent, members)) for members in mutants] == expected
 
 
 def test_refine_output_always_validates(corpus):
