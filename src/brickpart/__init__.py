@@ -5,15 +5,12 @@ search, and a canonical interchange/export surface.
 
 from .constructions import (
     BoundKind,
-    BoundValue,
     bounds,
     elementary_piercing_lb,
     grid_partition,
     piercing_2d,
     piercing_3d,
-    piercing_3d_base,
     slicing_3d,
-    slicing_3d_base,
 )
 from .errors import (
     BadAxis,
@@ -30,25 +27,21 @@ from .errors import (
     ResourceLimit,
 )
 from .geometry import (
-    BreakpointGrid,
     Brick,
     Interval,
     as_scalar,
     build_grid,
     format_scalar,
-    interiors_disjoint,
     parse_scalar,
 )
 from .io_cli import (
     ExportOptions,
     FigureFormat,
-    PartitionDocument,
     emit_document,
     export_figure,
     parse_document,
 )
 from .metrics import (
-    FlatProfile,
     FlatQuery,
     count_intersections,
     hit_members,
@@ -58,10 +51,7 @@ from .metrics import (
 )
 from .partition import (
     BrickPartition,
-    Failure,
     FailureKind,
-    IncidenceReport,
-    ValidationReport,
     boundary_incidence,
     cut,
     parent_corners_contained,
@@ -70,15 +60,11 @@ from .partition import (
 )
 from .sampling import random_split_partition
 from .search import (
-    GridCapNote,
-    MinSizeResult,
     Mode,
-    SearchOutcome,
     SearchProblem,
     SearchStatus,
     exists_partition,
     iter_solutions,
-    min_partition_size,
 )
 
 __version__ = "0.1.0"

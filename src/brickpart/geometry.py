@@ -196,19 +196,6 @@ class Brick:
         return "x".join(repr(s) for s in self.sides)
 
 
-def interiors_disjoint(a: Brick, b: Brick) -> bool:
-    """True iff the open interiors of a and b do not meet.
-
-    Equivalent test: some axis has overlap length <= 0 between the two
-    closed intervals, so sharing a face still counts as disjoint.
-    """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"dimensions differ: {a.dim} vs {b.dim}")
-    return any(
-        min(sa.hi, sb.hi) <= max(sa.lo, sb.lo) for sa, sb in zip(a.sides, b.sides)
-    )
-
-
 @dataclass(frozen=True)
 class BreakpointGrid:
     """A brick set compressed to rank space.
@@ -234,9 +221,6 @@ class BreakpointGrid:
     def midpoint(self, cell: Sequence[int]) -> Point:
         """Exact midpoint representative of an elementary cell."""
         return tuple(self.cell_midpoint(a, i) for a, i in enumerate(cell))
-
-    def iter_cells(self) -> Iterator[tuple[int, ...]]:
-        yield from product(*(range(n) for n in self.shape))
 
 
 def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:

@@ -1,14 +1,4 @@
 """Interchange format, figure exporters, and the command-line interface."""
 
 from .document import PartitionDocument, emit_document, parse_document
-from .export import ExportOptions, FigureFormat, export_figure, render_decimal
-
-__all__ = [
-    "PartitionDocument",
-    "emit_document",
-    "parse_document",
-    "ExportOptions",
-    "FigureFormat",
-    "export_figure",
-    "render_decimal",
-]
+from .export import ExportOptions, FigureFormat, export_figure

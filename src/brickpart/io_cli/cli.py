@@ -132,20 +132,20 @@ def _cmd_search(args: argparse.Namespace) -> int:
             "mode": args.mode,
             "grid": args.grid,
         }
-        text = emit_document(outcome.witness, metadata=metadata)
-        if args.out is not None:
-            _write_text(text, args.out)
-        else:
-            sys.stdout.write(text)
+        _write_text(emit_document(outcome.witness, metadata=metadata), args.out)
     return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
     doc = parse_document(Path(args.file).read_text())
     P = doc.to_partition()
+    try:
+        exploded = parse_scalar(args.exploded) if args.exploded else Fraction(0)
+    except ParseError as e:
+        raise ParseError(f"--exploded: {e}") from e
     options = ExportOptions(
         precision=args.precision,
-        exploded=parse_scalar(args.exploded) if args.exploded else Fraction(0),
+        exploded=exploded,
         labels=args.labels,
     )
     fmt = FigureFormat.SVG2D if args.format == "svg" else FigureFormat.OBJ3D

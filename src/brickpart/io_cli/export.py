@@ -26,8 +26,10 @@ class FigureFormat(Enum):
 class ExportOptions:
     precision: int = 6  # decimal places for rendered coordinates
     exploded: Fraction = Fraction(0)  # OBJ: outward translation factor
-    scale: Fraction = Fraction(48)  # SVG: pixels per geometry unit
     labels: bool = False  # SVG: draw member labels at brick centers
+
+
+SVG_SCALE = Fraction(48)  # SVG pixels per geometry unit
 
 
 def render_decimal(x: Fraction, places: int) -> str:
@@ -72,7 +74,7 @@ def export_figure(
 
 def _export_svg(P: BrickPartition, options: ExportOptions) -> bytes:
     px, py = P.parent.sides
-    scale = options.scale
+    scale = SVG_SCALE
     num = lambda x: _svg_number(x, options.precision)  # noqa: E731
     width = (px.hi - px.lo) * scale
     height = (py.hi - py.lo) * scale

@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Mapping
 
 import numpy as np
 
 from .errors import BadCodimension, DimensionMismatch, QueryOutsideParent
-from .geometry import ScalarLike, as_scalar, cell_counts
+from .geometry import as_scalar, cell_counts
 from .partition import BrickPartition
 
 
@@ -30,8 +29,9 @@ class FlatQuery:
     """An axis-parallel flat: free axes plus exact coordinates on the rest.
 
     Axes are 1-based; free and fixed axes must partition 1..d. One free axis
-    is a line, d-1 free axes an axis-parallel hyperplane. fixed_coords may be
-    given as a mapping {axis: coord} or as (axis, coord) pairs.
+    is a line, d-1 free axes an axis-parallel hyperplane. fixed_coords takes
+    (axis, coord) pairs in any order and keeps them sorted by axis, each coord
+    coerced by as_scalar.
     """
 
     free_axes: tuple[int, ...]
@@ -39,9 +39,7 @@ class FlatQuery:
 
     def __post_init__(self) -> None:
         free = tuple(sorted({int(a) for a in self.free_axes}))
-        raw = self.fixed_coords
-        items = raw.items() if isinstance(raw, Mapping) else raw
-        fixed = tuple(sorted((int(a), as_scalar(c)) for a, c in items))
+        fixed = tuple(sorted((int(a), as_scalar(c)) for a, c in self.fixed_coords))
         if not free:
             raise ValueError("a flat needs at least one free axis")
         if not fixed:
@@ -55,19 +53,6 @@ class FlatQuery:
     @property
     def dim(self) -> int:
         return len(self.free_axes) + len(self.fixed_coords)
-
-    @property
-    def fixed(self) -> dict[int, Fraction]:
-        return dict(self.fixed_coords)
-
-    @classmethod
-    def line(cls, free_axis: int, fixed: Mapping[int, ScalarLike]) -> "FlatQuery":
-        return cls((free_axis,), tuple(fixed.items()))
-
-    @classmethod
-    def hyperplane(cls, normal_axis: int, coord: ScalarLike, dim: int) -> "FlatQuery":
-        free = tuple(a for a in range(1, dim + 1) if a != normal_axis)
-        return cls(free, ((normal_axis, coord),))
 
 
 def hit_members(P: BrickPartition, q: FlatQuery) -> tuple[int, ...]:

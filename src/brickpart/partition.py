@@ -63,9 +63,6 @@ class BrickPartition:
     def grid(self) -> BreakpointGrid:
         return build_grid(self.parent, self.members)
 
-    def validate(self) -> "ValidationReport":
-        return validate(self)
-
 
 class FailureKind(Enum):
     OVERLAP = "overlap"

@@ -1,8 +1,10 @@
-"""Random valid partitions for property testing.
+"""Seeded random valid partitions of [0, 8]^d.
 
 Recursive axis splits keep every intermediate state a valid partition, so
 the samples exercise the validator and the metrics without ever needing a
-repair step. Split coordinates are exact rationals with small denominators.
+repair step. Split coordinates are exact rationals with power-of-two
+denominators. The property-test corpus, the golden documents and the
+benchmark's random documents all come from here.
 """
 
 from __future__ import annotations
@@ -14,20 +16,13 @@ from .geometry import Brick, Interval
 from .partition import BrickPartition
 
 
-def random_split_partition(
-    rng: Random,
-    d: int,
-    members: int,
-    side: int = 8,
-    parent: Brick | None = None,
-) -> BrickPartition:
-    """Valid d-dimensional partition with the given member count.
+def random_split_partition(rng: Random, d: int, members: int) -> BrickPartition:
+    """Valid d-dimensional partition of [0, 8]^d with the given member count.
 
-    Starts from parent (default [0, side]^d) and repeatedly splits a random
-    member along a random axis at a random eighth of its extent.
+    Repeatedly splits a random member along a random axis at a random eighth
+    of its extent.
     """
-    if parent is None:
-        parent = Brick.from_pairs([(0, side)] * d)
+    parent = Brick.from_pairs([(0, 8)] * d)
     pieces = [parent]
     while len(pieces) < members:
         i = rng.randrange(len(pieces))

@@ -238,39 +238,3 @@ def iter_solutions(problem: SearchProblem) -> Iterator[BrickPartition]:
     engine = _Engine(problem)
     for boxes, _ in engine.solutions():
         yield engine.witness_partition(boxes)
-
-
-@dataclass
-class MinSizeResult:
-    """Least member count with a witness, or exhaustion up to m_hi.
-
-    value None means every m <= m_hi exhausted at grid g, i.e. the true
-    minimum exceeds m_hi as far as this grid can tell.
-    """
-
-    value: int | None
-    m_hi: int
-    g: int
-    nodes_total: int
-    witness: BrickPartition | None
-
-
-def min_partition_size(
-    d: int,
-    k: int,
-    mode: Mode,
-    m_hi: int,
-    g: int,
-    symmetry_pruning: bool = True,
-    node_budget: int | None = None,
-) -> MinSizeResult:
-    """Scan m = 1..m_hi with exists_partition and report the least Found."""
-    total = 0
-    for m in range(1, m_hi + 1):
-        outcome = exists_partition(
-            SearchProblem(d, k, mode, m, g, symmetry_pruning, node_budget)
-        )
-        total += outcome.nodes_explored
-        if outcome.status is SearchStatus.FOUND:
-            return MinSizeResult(m, m_hi, g, total, outcome.witness)
-    return MinSizeResult(None, m_hi, g, total, None)

@@ -183,3 +183,4 @@ def test_export_rejects_undocumented_exploded_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert "not an integer, decimal or p/q scalar" in err
+    assert "--exploded" in err

@@ -3,6 +3,7 @@ import pytest
 from brickpart import (
     BadK,
     BoundKind,
+    ConstructionInvalid,
     bounds,
     boundary_incidence,
     elementary_piercing_lb,
@@ -14,6 +15,7 @@ from brickpart import (
     slicing_number,
     validate,
 )
+from brickpart import constructions
 
 ANCHOR_2D_K3 = {
     ((0, 2), (0, 1)),
@@ -141,6 +143,20 @@ def test_piercing_2d_k6_count():
 def test_piercing_2d_rejects_small_k():
     with pytest.raises(BadK):
         piercing_2d(1)
+
+
+def test_piercing_2d_self_check_finds_a_gap(monkeypatch):
+    grow = constructions._pinwheel_grow
+
+    def drop_last_brick_of_final_step(members, size):
+        grown = grow(members, size)
+        # only the last step of k = 4, from [0, 4]^2 to [0, 6]^2: a step fed
+        # a gapped tiling fails its own corner check before validate runs
+        return grown[:-1] if size == 4 else grown
+
+    monkeypatch.setattr(constructions, "_pinwheel_grow", drop_last_brick_of_final_step)
+    with pytest.raises(ConstructionInvalid, match=r"piercing_2d\(4\) does not tile.*GAP"):
+        piercing_2d(4)
 
 
 @pytest.mark.parametrize("k", range(2, 13))

@@ -11,6 +11,7 @@ from brickpart import (
     ParseError,
     emit_document,
     parse_document,
+    validate,
 )
 from brickpart.constructions import piercing_3d, slicing_3d
 
@@ -136,7 +137,7 @@ def test_document_not_assumed_valid():
     text = '{"dim": 1, "parent": [[0, 2]], "bricks": [[[0, 2]], [[0, 2]]]}'
     doc = parse_document(text)
     P = doc.to_partition()
-    assert not P.validate().valid
+    assert not validate(P).valid
 
 
 def test_labels_survive_emit_and_parse():

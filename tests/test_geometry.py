@@ -15,7 +15,6 @@ from brickpart import (
     as_scalar,
     build_grid,
     format_scalar,
-    interiors_disjoint,
     parse_scalar,
 )
 from brickpart.constructions import piercing_3d_base, slicing_3d_base
@@ -96,28 +95,6 @@ def test_parse_scalar_rejects_undocumented_forms(text):
         as_scalar(text)
 
 
-def test_interiors_disjoint_shared_face():
-    x1 = Brick.from_pairs([(0, 2), (3, 6), (0, 4)])
-    y1p = Brick.from_pairs([(0, 2), (2, 3), (0, 4)])
-    assert interiors_disjoint(x1, y1p)  # share the face y = 3
-
-
-def test_interiors_disjoint_self_overlap():
-    b = Brick.from_pairs([(0, 2), (0, 2)])
-    assert not interiors_disjoint(b, b)
-
-
-def test_interiors_disjoint_overlapping_squares():
-    a = Brick.from_pairs([(0, 2), (0, 2)])
-    b = Brick.from_pairs([(1, 3), (1, 3)])
-    assert not interiors_disjoint(a, b)
-
-
-def test_interiors_disjoint_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        interiors_disjoint(Brick.from_pairs([(0, 1)]), Brick.from_pairs([(0, 1), (0, 1)]))
-
-
 bricks_2d = st.builds(
     lambda pairs: Brick.from_pairs(pairs),
     st.tuples(
@@ -125,11 +102,6 @@ bricks_2d = st.builds(
         st.tuples(small_scalars, small_scalars).map(sorted).filter(lambda p: p[0] < p[1]),
     ),
 )
-
-
-@given(bricks_2d, bricks_2d)
-def test_interiors_disjoint_symmetric(a, b):
-    assert interiors_disjoint(a, b) == interiors_disjoint(b, a)
 
 
 def hull_parent(bricks):
@@ -159,7 +131,6 @@ def test_build_grid_single_brick():
     grid = build_grid(parent, [parent])
     assert grid.axes == ((Fraction(0), Fraction(2)),)
     assert grid.shape == (1,)
-    assert list(grid.iter_cells()) == [(0,)]
     assert grid.midpoint((0,)) == (Fraction(1),)
 
 

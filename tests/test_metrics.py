@@ -36,15 +36,15 @@ def test_flat_query_validates_axes():
 
 
 def test_flat_query_accepts_mapping():
-    q = FlatQuery.line(1, {2: 4, 3: 2})
+    q = FlatQuery((1,), ((2, 4), (3, 2)))
     assert q.free_axes == (1,)
-    assert q.fixed == {2: Fraction(4), 3: Fraction(2)}
+    assert dict(q.fixed_coords) == {2: Fraction(4), 3: Fraction(2)}
     assert q.dim == 3
 
 
 def test_count_line_through_base_x1():
     base = piercing_3d_base()
-    hits = hit_members(base, FlatQuery.line(1, {2: 4, 3: 2}))
+    hits = hit_members(base, FlatQuery((1,), ((2, 4), (3, 2))))
     assert base.labels.index("X1") in hits
     assert len(hits) >= 2
 
@@ -52,14 +52,14 @@ def test_count_line_through_base_x1():
 def test_count_single_brick_partition():
     b = Brick.from_pairs([(0, 2), (0, 3)])
     P = BrickPartition(b, (b,))
-    assert count_intersections(P, FlatQuery.line(1, {2: 1})) == 1
+    assert count_intersections(P, FlatQuery((1,), ((2, 1),))) == 1
 
 
 def test_count_line_on_cut_plane_of_refined_partition():
     # x=1, y=1 lies on the Y1 cut plane of the k=3 refinement: closed-set
     # semantics meets W1, Z'1, and both Y1 pieces (oracle-frozen value).
     P = piercing_3d(3)
-    hits = hit_members(P, FlatQuery.line(3, {1: 1, 2: 1}))
+    hits = hit_members(P, FlatQuery((3,), ((1, 1), (2, 1))))
     assert len(hits) == 4
     assert {P.labels[i] for i in hits} == {"W1", "Y1.1", "Y1.2", "Z'1"}
 
@@ -67,13 +67,13 @@ def test_count_line_on_cut_plane_of_refined_partition():
 def test_count_rejects_query_outside_parent():
     P = grid_partition(2, 2)
     with pytest.raises(QueryOutsideParent):
-        count_intersections(P, FlatQuery.line(1, {2: 5}))
+        count_intersections(P, FlatQuery((1,), ((2, 5),)))
 
 
 def test_count_rejects_dimension_mismatch():
     P = grid_partition(2, 2)
     with pytest.raises(DimensionMismatch):
-        count_intersections(P, FlatQuery.line(1, {2: 1, 3: 1}))
+        count_intersections(P, FlatQuery((1,), ((2, 1), (3, 1))))
 
 
 def test_min_flat_count_grid_2_3():
@@ -92,7 +92,7 @@ def test_min_flat_count_piercing_k3_with_witness():
     assert profile.minimum == 3
     # oracle-frozen witness: first minimizing flat in enumeration order
     assert profile.witness.free_axes == (1,)
-    assert profile.witness.fixed == {2: Fraction(1, 2), 3: Fraction(1, 2)}
+    assert dict(profile.witness.fixed_coords) == {2: Fraction(1, 2), 3: Fraction(1, 2)}
     assert count_intersections(P, profile.witness) == profile.minimum
 
 

@@ -8,6 +8,7 @@ from brickpart import (
     BadAxis,
     Brick,
     BrickPartition,
+    ConstructionInvalid,
     DimensionMismatch,
     FailureKind,
     boundary_incidence,
@@ -153,6 +154,13 @@ def test_refine_rejects_duplicate_indices():
     base = slicing_3d_base(3)
     with pytest.raises(ValueError):
         refine(base, [(0, 1, 2), (0, 2, 2)])
+
+
+def test_refine_rejects_overlapping_members():
+    square = Brick.from_pairs([(0, 2), (0, 2)])
+    P = BrickPartition(square, (square, Brick.from_pairs([(0, 1), (0, 2)])))
+    with pytest.raises(ConstructionInvalid, match="invalid partition.*OVERLAP"):
+        refine(P, [(0, 1, 2)])
 
 
 def test_refine_labels_pieces():

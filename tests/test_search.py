@@ -8,7 +8,6 @@ from brickpart import (
     elementary_piercing_lb,
     exists_partition,
     iter_solutions,
-    min_partition_size,
     piercing_number,
     slicing_number,
     validate,
@@ -114,20 +113,6 @@ def test_node_budget_env_override(monkeypatch):
         _run(2, 3, Mode.PIERCING, 7, 4)
     monkeypatch.delenv("BRICKPART_NODE_BUDGET")
     assert _run(2, 3, Mode.PIERCING, 7, 4).status is SearchStatus.EXHAUSTED_NONE
-
-
-def test_min_partition_size_examples():
-    assert min_partition_size(3, 2, Mode.PIERCING, 8, 2).value == 8
-    assert min_partition_size(2, 2, Mode.PIERCING, 4, 2).value == 4
-    result = min_partition_size(3, 3, Mode.SLICING, 5, 4)
-    assert result.value == 5
-    assert slicing_number(result.witness) >= 3
-
-
-def test_min_partition_size_exhausted_interval():
-    result = min_partition_size(2, 2, Mode.PIERCING, 3, 3)
-    assert result.value is None
-    assert result.m_hi == 3 and result.g == 3
 
 
 def test_problem_validation():
