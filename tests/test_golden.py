@@ -5,8 +5,9 @@ The expected values were recorded from the implementation that compared
 counting or construction code must reproduce them exactly: the `construct`
 documents (by sha256), the full `verify` stdout with its exit code, the same
 for three seeded random documents corrupted by a gap, an overlap and a member
-outside the parent, the SVG/OBJ export bytes (by sha256), and the full
-`search` and `bounds` stdout with exit codes.
+outside the parent, the SVG/OBJ export bytes (by sha256), the full
+`search` and `bounds` stdout with exit codes, and one sha256 over the
+concatenated documents of each explicit family across its range of k.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from random import Random
 import pytest
 
 from brickpart import Interval, emit_document, random_split_partition
+from brickpart.constructions import piercing_2d, piercing_3d
 from brickpart.io_cli.cli import main
 from brickpart.partition import BrickPartition
 
@@ -96,6 +98,12 @@ BOUNDS = {
     (2, 2): (0, 'elementary_piercing_lb(d=2, k=2): 4\ntrivial_grid_ub(d=2, k=2): 4\n'),
 }
 
+# sha256 over emit_document(family(k)) concatenated in order of k.
+FAMILY_SHA256 = {
+    'piercing_2d': (piercing_2d, range(2, 51), 'f0ed634f042204a336c0e6e42ad238d1ac6897f736271c0d84e340a42ab67135'),
+    'piercing_3d': (piercing_3d, range(3, 51), '7ab7518c573d1173816da3cbba9afd24b4461bcd45580d7ae1b524e598fa78ea'),
+}
+
 
 @pytest.mark.parametrize("family, k", sorted(CONSTRUCT_SHA256))
 def test_construct_and_verify_are_golden(tmp_path, capsys, family, k):
@@ -138,3 +146,10 @@ def test_search_over_budget_is_golden(capsys):
 @pytest.mark.parametrize("d, k", sorted(BOUNDS))
 def test_bounds_are_golden(capsys, d, k):
     assert run_cli(capsys, "bounds", "--d", d, "--k", k) == BOUNDS[d, k]
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_SHA256))
+def test_family_documents_are_golden(name):
+    family, ks, expected = FAMILY_SHA256[name]
+    text = "".join(emit_document(family(k)) for k in ks)
+    assert sha256(text.encode()) == expected
