@@ -23,11 +23,11 @@ def bound_value(d, k, kind):
     return next(b.value for b in bounds(d, k) if b.kind is kind)
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k-min", type=int, default=3)
     parser.add_argument("--k-max", type=int, default=12)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     print("3D piercing family: 12k-15 members vs lower bound 12k-16")
     print(f"{'k':>4} {'members':>8} {'lb':>6} {'piercing':>9} {'valid':>6}")

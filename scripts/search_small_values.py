@@ -27,10 +27,10 @@ CASES = [
 ]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--no-symmetry", action="store_true")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     symmetry = not args.no_symmetry
 
     for name, d, k, mode, m_none, g in CASES:

@@ -4,10 +4,10 @@ Families:
   * grid_partition(d, k): the trivial k^d grid, k-piercing.
   * piercing_3d(k):       12k-15 bricks in [0,6]^3, k-piercing (k >= 3).
   * slicing_3d(k):        max(4, 2k-1) bricks in [0,2]^3, k-slicing (k >= 2).
-  * piercing_2d(k):       4(k-1) bricks in [0,2(k-1)]^2, k-piercing (k >= 2),
-                          built by a recursive pinwheel extension and
-                          self-verified against the validator and the
-                          piercing oracle on every call.
+  * piercing_2d(k):       4(k-1) bricks in [0,2(k-1)]^2, k-piercing (k >= 2):
+                          four quadrants of k-1 unit strips each, turning
+                          like a pinwheel (proof at _pinwheel); self-verified
+                          against the validator and the piercing oracle.
 """
 
 from __future__ import annotations
@@ -75,47 +75,33 @@ def grid_partition(d: int, k: int) -> BrickPartition:
     return BrickPartition(parent, members)
 
 
-# 15-brick base of the 12k-15 family, in [0,6]^3.
-_PIERCING_3D_BASE: tuple[tuple[str, tuple[tuple[int, int], ...]], ...] = (
-    ("W1", ((0, 2), (0, 2), (0, 2))),
-    ("W2", ((2, 4), (2, 4), (2, 4))),
-    ("W3", ((4, 6), (4, 6), (4, 6))),
-    ("X1", ((0, 2), (3, 6), (0, 4))),
-    ("X2", ((4, 6), (0, 3), (2, 6))),
-    ("X'1", ((3, 4), (2, 6), (4, 6))),
-    ("X'2", ((2, 3), (0, 4), (0, 2))),
-    ("Y1", ((0, 4), (0, 2), (3, 6))),
-    ("Y2", ((2, 6), (4, 6), (0, 3))),
-    ("Y'1", ((0, 2), (2, 3), (0, 4))),
-    ("Y'2", ((4, 6), (3, 4), (2, 6))),
-    ("Z1", ((0, 3), (2, 6), (4, 6))),
-    ("Z2", ((3, 6), (0, 4), (0, 2))),
-    ("Z'1", ((0, 4), (0, 2), (2, 3))),
-    ("Z'2", ((2, 6), (4, 6), (3, 4))),
-)
-
-# Refinement plan: (label, cut axis, piece count as function of k). Unprimed
-# bricks split into k-1 pieces, primed ones into k-2, along their own axis.
-_PIERCING_3D_PLAN: tuple[tuple[str, int, int], ...] = (
-    ("X1", 1, 1),
-    ("X2", 1, 1),
-    ("X'1", 1, 2),
-    ("X'2", 1, 2),
-    ("Y1", 2, 1),
-    ("Y2", 2, 1),
-    ("Y'1", 2, 2),
-    ("Y'2", 2, 2),
-    ("Z1", 3, 1),
-    ("Z2", 3, 1),
-    ("Z'1", 3, 2),
-    ("Z'2", 3, 2),
+# 15-brick base of the 12k-15 family in [0,6]^3, one row per brick: label,
+# sides, cut axis, and how many pieces fewer than k the cut makes. Unprimed
+# X/Y/Z bricks split into k-1 pieces, primed ones into k-2, along their own
+# axis; the W diagonal is never cut.
+_PIERCING_3D_BASE: tuple[tuple[str, tuple[tuple[int, int], ...], int | None, int | None], ...] = (
+    ("W1", ((0, 2), (0, 2), (0, 2)), None, None),
+    ("W2", ((2, 4), (2, 4), (2, 4)), None, None),
+    ("W3", ((4, 6), (4, 6), (4, 6)), None, None),
+    ("X1", ((0, 2), (3, 6), (0, 4)), 1, 1),
+    ("X2", ((4, 6), (0, 3), (2, 6)), 1, 1),
+    ("X'1", ((3, 4), (2, 6), (4, 6)), 1, 2),
+    ("X'2", ((2, 3), (0, 4), (0, 2)), 1, 2),
+    ("Y1", ((0, 4), (0, 2), (3, 6)), 2, 1),
+    ("Y2", ((2, 6), (4, 6), (0, 3)), 2, 1),
+    ("Y'1", ((0, 2), (2, 3), (0, 4)), 2, 2),
+    ("Y'2", ((4, 6), (3, 4), (2, 6)), 2, 2),
+    ("Z1", ((0, 3), (2, 6), (4, 6)), 3, 1),
+    ("Z2", ((3, 6), (0, 4), (0, 2)), 3, 1),
+    ("Z'1", ((0, 4), (0, 2), (2, 3)), 3, 2),
+    ("Z'2", ((2, 6), (4, 6), (3, 4)), 3, 2),
 )
 
 
 def piercing_3d_base() -> BrickPartition:
     """The 15-brick base partition of [0,6]^3 that piercing_3d refines."""
-    labels = tuple(name for name, _ in _PIERCING_3D_BASE)
-    members = tuple(Brick.from_pairs(pairs) for _, pairs in _PIERCING_3D_BASE)
+    labels = tuple(label for label, _, _, _ in _PIERCING_3D_BASE)
+    members = tuple(Brick.from_pairs(sides) for _, sides, _, _ in _PIERCING_3D_BASE)
     parent = Brick.from_pairs([(0, 6)] * 3)
     return BrickPartition(parent, members, labels)
 
@@ -124,10 +110,12 @@ def piercing_3d(k: int) -> BrickPartition:
     """k-piercing partition of [0,6]^3 with exactly 12k-15 members (k >= 3)."""
     if k < 3:
         raise BadK("piercing_3d needs k >= 3")
-    base = piercing_3d_base()
-    index = {label: i for i, label in enumerate(base.labels or ())}
-    plan = [(index[name], axis, k - drop) for name, axis, drop in _PIERCING_3D_PLAN]
-    return refine(base, plan)
+    plan = [
+        (i, axis, k - fewer)
+        for i, (_, _, axis, fewer) in enumerate(_PIERCING_3D_BASE)
+        if axis is not None
+    ]
+    return refine(piercing_3d_base(), plan)
 
 
 def slicing_3d_base(k: int) -> BrickPartition:
@@ -168,89 +156,43 @@ def slicing_3d(k: int) -> BrickPartition:
     return refine(base, [(index["X1"], 2, k - 2), (index["Y1"], 1, k - 2)])
 
 
-# Cyclic counterclockwise order of the square's sides; a member touching two
-# adjacent inner sides extends through the one that precedes the other.
-_NEXT_SIDE = {"bottom": "right", "right": "top", "top": "left", "left": "bottom"}
+def _pinwheel(k: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The 4(k-1) members of piercing_2d(k), each ((x_lo, x_hi), (y_lo, y_hi)).
 
-
-def _extension_side(touched: set[str]) -> str | None:
-    if not touched:
-        return None
-    if len(touched) == 1:
-        return next(iter(touched))
-    if len(touched) == 2:
-        s, t = touched
-        if _NEXT_SIDE[s] == t:
-            return s
-        if _NEXT_SIDE[t] == s:
-            return t
-    raise ConstructionInvalid(f"member touches incompatible side set {touched}")
-
-
-Rect = tuple[tuple[int, int], tuple[int, int]]  # ((x_lo, x_hi), (y_lo, y_hi))
-
-
-def _pinwheel_grow(members: list[Rect], size: int) -> list[Rect]:
-    """One pinwheel step: members tile [0,size]^2, result tiles [0,size+2]^2.
-
-    The old square is re-centered to [1, size+1]^2; members touching its
-    boundary extend through one parent side (counterclockwise pinwheel), and
-    four corner bricks fill the rest of the unit ring. Every coordinate of
-    the family is an integer, so the steps run on integer pairs.
+    With n = k-1, each quadrant of [0,2n]^2 is a stack of n unit strips:
+    rows in the lower-left and upper-right quadrants, columns in the other
+    two, so the four stacks turn like a pinwheel. An axis-parallel line
+    through an open cell runs through two quadrants side by side, one made
+    of strips along the line and one of strips across it: it crosses all n
+    strips of the second and exactly one strip of the first, so it meets
+    exactly k members. Ring j holds the j-th strip of each quadrant counted
+    from the centre. Rings are listed from the centre out, as a recursive
+    pinwheel adds them one per k; the first ring keeps the row-major order
+    of the four unit squares of [0,2]^2.
     """
-    lo, hi = 1, size + 1
-
-    # hi_x of the member holding inner corner (lo,lo), hi_y of the one at
-    # (hi,lo), lo_x at (hi,hi), lo_y at (lo,hi): these close the ring.
-    bx = cy = dx = ey = None
-    grown: list[Rect] = []
-    for (x0, x1), (y0, y1) in members:
-        x0, x1, y0, y1 = x0 + 1, x1 + 1, y0 + 1, y1 + 1
-        hits = (y0 == lo, x1 == hi, y1 == hi, x0 == lo)  # bottom, right, top, left
-        touched = {side for side, hit in zip(_NEXT_SIDE, hits) if hit}
-        if {"left", "bottom"} <= touched:
-            bx = x1
-        if {"bottom", "right"} <= touched:
-            cy = y1
-        if {"right", "top"} <= touched:
-            dx = x0
-        if {"top", "left"} <= touched:
-            ey = y0
-        side = _extension_side(touched)
-        if side == "bottom":
-            y0 = 0
-        elif side == "right":
-            x1 = hi + 1
-        elif side == "top":
-            y1 = hi + 1
-        elif side == "left":
-            x0 = 0
-        grown.append(((x0, x1), (y0, y1)))
-
-    if None in (bx, cy, dx, ey):
-        raise ConstructionInvalid("inner square corners not all covered")
-    grown.append(((0, bx), (0, 1)))
-    grown.append(((hi, hi + 1), (0, cy)))
-    grown.append(((dx, hi + 1), (hi, hi + 1)))
-    grown.append(((0, 1), (ey, hi + 1)))
-    return grown
+    n = k - 1
+    members = []
+    for j in range(n):
+        left = ((0, n), (n - 1 - j, n - j))
+        bottom = ((n + j, n + j + 1), (0, n))
+        top = ((n - 1 - j, n - j), (n, 2 * n))
+        right = ((n, 2 * n), (n + j, n + j + 1))
+        members += (left, bottom, top, right) if j == 0 else (left, bottom, right, top)
+    return members
 
 
 def piercing_2d(k: int) -> BrickPartition:
     """k-piercing partition of [0,2(k-1)]^2 with exactly 4(k-1) members.
 
-    Built recursively from the four quadrants of [0,2]^2 by pinwheel
-    extension. The geometry is this module's own reconstruction, so every
-    output is self-verified (validate + piercing oracle) and the generator
-    raises ConstructionInvalid rather than return unverified bricks.
+    The four quadrants are stacks of unit strips (see _pinwheel). The
+    geometry is this module's own reconstruction, so every output is
+    self-verified (validate + piercing oracle) and the generator raises
+    ConstructionInvalid rather than return unverified bricks.
     """
     if k < 2:
         raise BadK("piercing_2d needs k >= 2")
-    members: list[Rect] = [((x, x + 1), (y, y + 1)) for y in (0, 1) for x in (0, 1)]
-    for level in range(3, k + 1):
-        members = _pinwheel_grow(members, 2 * (level - 2))
     parent = Brick.from_pairs([(0, 2 * (k - 1))] * 2)
-    P = BrickPartition(parent, tuple(Brick.from_pairs(m) for m in members))
+    P = BrickPartition(parent, tuple(Brick.from_pairs(m) for m in _pinwheel(k)))
     report = validate(P)
     if not report.valid:
         raise ConstructionInvalid(f"piercing_2d({k}) does not tile: {report.failures[0]}")

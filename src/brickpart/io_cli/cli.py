@@ -143,11 +143,14 @@ def _cmd_export(args: argparse.Namespace) -> int:
         exploded = parse_scalar(args.exploded) if args.exploded else Fraction(0)
     except ParseError as e:
         raise ParseError(f"--exploded: {e}") from e
-    options = ExportOptions(
-        precision=args.precision,
-        exploded=exploded,
-        labels=args.labels,
-    )
+    try:
+        options = ExportOptions(
+            precision=args.precision,
+            exploded=exploded,
+            labels=args.labels,
+        )
+    except ValueError as e:
+        raise ValueError(f"--precision: {e}") from e
     fmt = FigureFormat.SVG2D if args.format == "svg" else FigureFormat.OBJ3D
     _write_bytes(export_figure(P, fmt, options), args.out)
     return 0

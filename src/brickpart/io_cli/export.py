@@ -28,6 +28,10 @@ class ExportOptions:
     exploded: Fraction = Fraction(0)  # OBJ: outward translation factor
     labels: bool = False  # SVG: draw member labels at brick centers
 
+    def __post_init__(self) -> None:
+        if self.precision < 0:
+            raise ValueError(f"decimal places must be >= 0, got {self.precision}")
+
 
 SVG_SCALE = Fraction(48)  # SVG pixels per geometry unit
 

@@ -95,7 +95,7 @@ class SearchOutcome:
 
 
 class _Engine:
-    """Precomputed move tables plus the DFS state for one problem."""
+    """Move tables, built per anchor on demand, plus the DFS state for one problem."""
 
     def __init__(self, problem: SearchProblem):
         self.problem = problem
@@ -118,36 +118,41 @@ class _Engine:
                     flat_ids[(a, i)] = len(flat_cells)
                     flat_cells.append(g ** (d - 1))
         self.flat_cells = flat_cells
-
-        # Candidate boxes per anchor cell: (box, bitmask over cells,
-        # [(flat id, cells of the box on that flat)]).
-        self.moves: list[list[tuple[IndexBox, int, list[tuple[int, int]]]]] = [
-            [] for _ in range(self.n_cells)
-        ]
+        self.flat_ids = flat_ids
         # spans[lo]: every side (lo, hi) starting at lo, shared by all boxes
-        spans = [[(lo, hi) for hi in range(lo + 1, g + 1)] for lo in range(g)]
-        for corner in product(range(g), repeat=d):
-            anchor = self._cell_index(corner)
-            for box in product(*(spans[c] for c in corner)):
-                extents = [hi - lo for lo, hi in box]
-                mask = 0
-                for cell in product(*(range(lo, hi) for lo, hi in box)):
-                    mask |= 1 << self._cell_index(cell)
-                incidences: list[tuple[int, int]] = []
-                if problem.mode is Mode.PIERCING:
-                    for a in range(d):
-                        others = [b for b in range(d) if b != a]
-                        for combo in product(*(range(*box[b]) for b in others)):
-                            incidences.append((flat_ids[(a, combo)], extents[a]))
-                else:
-                    for a in range(d):
-                        area = 1
-                        for b in range(d):
-                            if b != a:
-                                area *= extents[b]
-                        for i in range(*box[a]):
-                            incidences.append((flat_ids[(a, i)], area))
-                self.moves[anchor].append((box, mask, incidences))
+        self.spans = [[(lo, hi) for hi in range(lo + 1, g + 1)] for lo in range(g)]
+        # Candidate boxes per anchor cell: (box, bitmask over cells,
+        # [(flat id, cells of the box on that flat)]). Each anchor's list is
+        # built on its first visit, so the node budget also bounds the table.
+        self.moves: dict[int, list[tuple[IndexBox, int, list[tuple[int, int]]]]] = {}
+
+    def _anchor_moves(self, anchor: int) -> list[tuple[IndexBox, int, list[tuple[int, int]]]]:
+        if anchor in self.moves:
+            return self.moves[anchor]
+        d, g, flat_ids = self.problem.d, self.problem.g, self.flat_ids
+        corner = [anchor // g ** (d - 1 - a) % g for a in range(d)]  # base-g digits
+        moves = self.moves[anchor] = []
+        for box in product(*(self.spans[c] for c in corner)):
+            extents = [hi - lo for lo, hi in box]
+            mask = 0
+            for cell in product(*(range(lo, hi) for lo, hi in box)):
+                mask |= 1 << self._cell_index(cell)
+            incidences: list[tuple[int, int]] = []
+            if self.problem.mode is Mode.PIERCING:
+                for a in range(d):
+                    others = [b for b in range(d) if b != a]
+                    for combo in product(*(range(*box[b]) for b in others)):
+                        incidences.append((flat_ids[(a, combo)], extents[a]))
+            else:
+                for a in range(d):
+                    area = 1
+                    for b in range(d):
+                        if b != a:
+                            area *= extents[b]
+                    for i in range(*box[a]):
+                        incidences.append((flat_ids[(a, i)], area))
+            moves.append((box, mask, incidences))
+        return moves
 
     def _cell_index(self, coords: tuple[int, ...]) -> int:
         idx = 0
@@ -180,7 +185,7 @@ class _Engine:
             return  # box budget spent with cells remaining
         k = self.problem.k
         first = not self.stack and self.problem.symmetry_pruning
-        for box, mask, incidences in self.moves[idx]:
+        for box, mask, incidences in self._anchor_moves(idx):
             if cover & mask:
                 continue
             if first and any(a[1] - a[0] > b[1] - b[0] for a, b in zip(box, box[1:])):

@@ -184,3 +184,11 @@ def test_export_rejects_undocumented_exploded_fast(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert "not an integer, decimal or p/q scalar" in err
     assert "--exploded" in err
+
+
+def test_export_rejects_negative_precision(tmp_path, capsys):
+    doc = tmp_path / "p2.json"
+    assert run_cli(capsys, "construct", "--family", "piercing2d", "--k", "3", "--out", str(doc))[0] == 0
+    code, out, err = run_cli(capsys, "export", str(doc), "--format", "svg", "--precision", "-1")
+    assert (code, out) == (2, "")
+    assert "--precision" in err

@@ -146,16 +146,21 @@ def test_piercing_2d_rejects_small_k():
 
 
 def test_piercing_2d_self_check_finds_a_gap(monkeypatch):
-    grow = constructions._pinwheel_grow
+    pinwheel = constructions._pinwheel
 
-    def drop_last_brick_of_final_step(members, size):
-        grown = grow(members, size)
-        # only the last step of k = 4, from [0, 4]^2 to [0, 6]^2: a step fed
-        # a gapped tiling fails its own corner check before validate runs
-        return grown[:-1] if size == 4 else grown
+    def drop_last_brick(k):
+        return pinwheel(k)[:-1]
 
-    monkeypatch.setattr(constructions, "_pinwheel_grow", drop_last_brick_of_final_step)
+    monkeypatch.setattr(constructions, "_pinwheel", drop_last_brick)
     with pytest.raises(ConstructionInvalid, match=r"piercing_2d\(4\) does not tile.*GAP"):
+        piercing_2d(4)
+
+
+def test_piercing_2d_self_check_finds_a_wrong_piercing_number(monkeypatch):
+    # a valid tiling of [0,6]^2 in two halves: a horizontal line meets one
+    halves = [((0, 6), (0, 3)), ((0, 6), (3, 6))]
+    monkeypatch.setattr(constructions, "_pinwheel", lambda k: halves)
+    with pytest.raises(ConstructionInvalid, match=r"piercing_2d\(4\) has piercing number 1"):
         piercing_2d(4)
 
 

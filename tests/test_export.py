@@ -36,6 +36,12 @@ def test_dimension_checks():
         export_figure(piercing_2d(3), FigureFormat.OBJ3D)
 
 
+def test_export_options_reject_negative_precision():
+    with pytest.raises(ValueError, match="decimal places must be >= 0"):
+        ExportOptions(precision=-1)
+    assert ExportOptions(precision=0).precision == 0
+
+
 def test_exports_are_deterministic():
     P2, P3 = piercing_2d(4), piercing_3d(4)
     assert export_figure(P2, FigureFormat.SVG2D) == export_figure(P2, FigureFormat.SVG2D)

@@ -13,6 +13,7 @@ concatenated documents of each explicit family across its range of k.
 from __future__ import annotations
 
 import hashlib
+import time
 from random import Random
 
 import pytest
@@ -141,6 +142,14 @@ def test_search_is_golden(capsys, d, k, mode, m, g):
 def test_search_over_budget_is_golden(capsys):
     args = ("--d", 2, "--k", 3, "--mode", "piercing", "--max-bricks", 8, "--grid", 4)
     assert run_cli(capsys, "search", *args, "--node-budget", 10) == SEARCH_OVER_BUDGET
+
+
+def test_search_over_budget_on_a_large_grid_stops_fast(capsys):
+    # the budget must bound the move table too, not only the placements
+    args = ("--d", 3, "--k", 2, "--mode", "piercing", "--max-bricks", 2, "--grid", 12)
+    start = time.perf_counter()
+    assert run_cli(capsys, "search", *args, "--node-budget", 10) == SEARCH_OVER_BUDGET
+    assert time.perf_counter() - start < 2.0
 
 
 @pytest.mark.parametrize("d, k", sorted(BOUNDS))
