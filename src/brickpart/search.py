@@ -94,6 +94,10 @@ class SearchOutcome:
     grid_cap_note: GridCapNote
 
 
+# A candidate box: (box, bitmask over cells, [(flat id, cells of the box on that flat)]).
+_Move = tuple[IndexBox, int, list[tuple[int, int]]]
+
+
 class _Engine:
     """Move tables, built per anchor on demand, plus the DFS state for one problem."""
 
@@ -121,17 +125,16 @@ class _Engine:
         self.flat_ids = flat_ids
         # spans[lo]: every side (lo, hi) starting at lo, shared by all boxes
         self.spans = [[(lo, hi) for hi in range(lo + 1, g + 1)] for lo in range(g)]
-        # Candidate boxes per anchor cell: (box, bitmask over cells,
-        # [(flat id, cells of the box on that flat)]). Each anchor's list is
-        # built on its first visit, so the node budget also bounds the table.
-        self.moves: dict[int, list[tuple[IndexBox, int, list[tuple[int, int]]]]] = {}
+        # Candidate boxes per anchor cell. Each anchor's list is built on its
+        # first visit, so the node budget also bounds the table.
+        self.moves: list[list[_Move] | None] = [None] * self.n_cells
 
-    def _anchor_moves(self, anchor: int) -> list[tuple[IndexBox, int, list[tuple[int, int]]]]:
-        if anchor in self.moves:
-            return self.moves[anchor]
+    def _build_moves(self, anchor: int) -> list[_Move]:
+        """Build and keep the anchor's moves. The list is never empty (the unit
+        cell is a move), so `self.moves[idx] or` builds each anchor once."""
         d, g, flat_ids = self.problem.d, self.problem.g, self.flat_ids
         corner = [anchor // g ** (d - 1 - a) % g for a in range(d)]  # base-g digits
-        moves = self.moves[anchor] = []
+        moves: list[_Move] = []
         for box in product(*(self.spans[c] for c in corner)):
             extents = [hi - lo for lo, hi in box]
             mask = 0
@@ -152,6 +155,7 @@ class _Engine:
                     for i in range(*box[a]):
                         incidences.append((flat_ids[(a, i)], area))
             moves.append((box, mask, incidences))
+        self.moves[anchor] = moves
         return moves
 
     def _cell_index(self, coords: tuple[int, ...]) -> int:
@@ -185,7 +189,7 @@ class _Engine:
             return  # box budget spent with cells remaining
         k = self.problem.k
         first = not self.stack and self.problem.symmetry_pruning
-        for box, mask, incidences in self._anchor_moves(idx):
+        for box, mask, incidences in self.moves[idx] or self._build_moves(idx):
             if cover & mask:
                 continue
             if first and any(a[1] - a[0] > b[1] - b[0] for a, b in zip(box, box[1:])):
