@@ -28,6 +28,40 @@ def test_family_tables_runs(scripts_on_path, capsys):
     assert "2D pinwheel family: 4(k-1) members, matching the lower bound exactly" in out
 
 
+# Full stdout of `family_tables.py --k-min 3 --k-max 6`, recorded before the
+# bounds became a map; it must stay byte-identical.
+FAMILY_TABLES_3_6 = """\
+3D piercing family: 12k-15 members vs lower bound 12k-16
+   k  members     lb  piercing  valid
+   3       21     20         3   True
+   4       33     32         4   True
+   5       45     44         5   True
+   6       57     56         6   True
+
+3D slicing family: 2k-1 members, matching the lower bound exactly
+   k  members     lb  slicing      F  alpha
+   2        4      3        2     16      4
+   3        5      5        3     18      3
+   4        7      7        4     24      3
+   5        9      9        5     30      3
+   6       11     11        6     36      3
+
+2D pinwheel family: 4(k-1) members, matching the lower bound exactly
+   k  members     lb  piercing
+   2        4      4         2
+   3        8      8         3
+   4       12     12         4
+   5       16     16         5
+   6       20     20         6
+"""
+
+
+def test_family_tables_output_is_golden(scripts_on_path, capsys):
+    family_tables = importlib.import_module("family_tables")
+    assert family_tables.main(["--k-min", "3", "--k-max", "6"]) == 0
+    assert capsys.readouterr().out == FAMILY_TABLES_3_6
+
+
 def test_search_small_values_runs(scripts_on_path, capsys):
     search_small_values = importlib.import_module("search_small_values")
     assert search_small_values.main([]) == 0
