@@ -19,10 +19,6 @@ from brickpart import (
 )
 
 
-def bound_value(d, k, kind):
-    return next(b.value for b in bounds(d, k) if b.kind is kind)
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--k-min", type=int, default=3)
@@ -33,7 +29,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'k':>4} {'members':>8} {'lb':>6} {'piercing':>9} {'valid':>6}")
     for k in range(max(3, args.k_min), args.k_max + 1):
         P = piercing_3d(k)
-        lb = bound_value(3, k, BoundKind.ELEMENTARY_PIERCING_LB)
+        lb = bounds(3, k)[BoundKind.ELEMENTARY_PIERCING_LB]
         ok = validate(P).valid
         print(f"{k:>4} {len(P):>8} {lb:>6} {piercing_number(P):>9} {str(ok):>6}")
 
@@ -42,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'k':>4} {'members':>8} {'lb':>6} {'slicing':>8} {'F':>6} {'alpha':>6}")
     for k in range(max(2, args.k_min - 1), args.k_max + 1):
         P = slicing_3d(k)
-        lb = bound_value(3, k, BoundKind.SLICING_LB_3D)
+        lb = bounds(3, k)[BoundKind.SLICING_LB_3D]
         inc = boundary_incidence(P)
         print(
             f"{k:>4} {len(P):>8} {lb:>6} {slicing_number(P):>8} "
@@ -54,7 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'k':>4} {'members':>8} {'lb':>6} {'piercing':>9}")
     for k in range(max(2, args.k_min - 1), args.k_max + 1):
         P = piercing_2d(k)
-        lb = bound_value(2, k, BoundKind.ELEMENTARY_PIERCING_LB)
+        lb = bounds(2, k)[BoundKind.ELEMENTARY_PIERCING_LB]
         print(f"{k:>4} {len(P):>8} {lb:>6} {piercing_number(P):>9}")
     return 0
 

@@ -8,11 +8,14 @@ Families:
                           four quadrants of k-1 unit strips each, turning
                           like a pinwheel (proof at _pinwheel); self-verified
                           against the validator and the piercing oracle.
+
+The 3D families are row tables, one row per base brick: label, sides, cut
+axis or None, and pieces fewer than k. _refined cuts a table's base by its
+own rows, and refine validates the result, k = 2 included.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
@@ -28,36 +31,26 @@ class BoundKind(Enum):
     SLICING_LB_3D = "slicing_lb_3d"
 
 
-@dataclass(frozen=True)
-class BoundValue:
-    kind: BoundKind
-    d: int
-    k: int
-    value: int
-
-
 def elementary_piercing_lb(d: int, k: int) -> int:
     """d * 2^(d-1) * (k-2) + 2^d: edge/corner counting lower bound on the
     size of a k-piercing partition."""
     return d * 2 ** (d - 1) * (k - 2) + 2**d
 
 
-def bounds(d: int, k: int) -> list[BoundValue]:
-    """Closed-form bounds for dimension d and target k (k >= 2).
+def bounds(d: int, k: int) -> dict[BoundKind, int]:
+    """Closed-form bounds for dimension d and target k (k >= 2), in print order.
 
-    Always returns the elementary piercing lower bound and the k^d grid
-    upper bound; in dimension 3 additionally the 2k-1 slicing lower bound.
+    Always holds the elementary piercing lower bound and the k^d grid upper
+    bound; in dimension 3 additionally the 2k-1 slicing lower bound.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if k < 2:
         raise BadK("bounds are defined for k >= 2")
-    out = [
-        BoundValue(BoundKind.ELEMENTARY_PIERCING_LB, d, k, elementary_piercing_lb(d, k)),
-        BoundValue(BoundKind.TRIVIAL_GRID_UB, d, k, k**d),
-    ]
+    out = {BoundKind.ELEMENTARY_PIERCING_LB: elementary_piercing_lb(d, k)}
+    out[BoundKind.TRIVIAL_GRID_UB] = k**d
     if d == 3:
-        out.append(BoundValue(BoundKind.SLICING_LB_3D, d, k, 2 * k - 1))
+        out[BoundKind.SLICING_LB_3D] = 2 * k - 1
     return out
 
 
@@ -75,11 +68,13 @@ def grid_partition(d: int, k: int) -> BrickPartition:
     return BrickPartition(parent, members)
 
 
-# 15-brick base of the 12k-15 family in [0,6]^3, one row per brick: label,
-# sides, cut axis, and how many pieces fewer than k the cut makes. Unprimed
-# X/Y/Z bricks split into k-1 pieces, primed ones into k-2, along their own
-# axis; the W diagonal is never cut.
-_PIERCING_3D_BASE: tuple[tuple[str, tuple[tuple[int, int], ...], int | None, int | None], ...] = (
+# One row per base brick: label, sides, cut axis, pieces fewer than k.
+_Row = tuple[str, tuple[tuple[int, int], ...], int | None, int | None]
+
+# 15-brick base of the 12k-15 family in [0,6]^3. Unprimed X/Y/Z bricks split
+# into k-1 pieces, primed ones into k-2, along their own axis; the W diagonal
+# is never cut.
+_PIERCING_3D_BASE: tuple[_Row, ...] = (
     ("W1", ((0, 2), (0, 2), (0, 2)), None, None),
     ("W2", ((2, 4), (2, 4), (2, 4)), None, None),
     ("W3", ((4, 6), (4, 6), (4, 6)), None, None),
@@ -97,63 +92,52 @@ _PIERCING_3D_BASE: tuple[tuple[str, tuple[tuple[int, int], ...], int | None, int
     ("Z'2", ((2, 6), (4, 6), (3, 4)), 3, 2),
 )
 
+# The slicing family in [0,2]^3: 4 uncut bricks at k = 2, 5 for k >= 3.
+_SLICING_3D_K2: tuple[_Row, ...] = (
+    ("X0", ((0, 2), (0, 1), (0, 1)), None, None),
+    ("X1", ((0, 2), (1, 2), (0, 1)), None, None),
+    ("Y0", ((0, 1), (0, 2), (1, 2)), None, None),
+    ("Y1", ((1, 2), (0, 2), (1, 2)), None, None),
+)
+_SLICING_3D_BASE: tuple[_Row, ...] = (
+    ("W0", ((0, 1), (0, 1), (0, 2)), None, None),
+    ("X0", ((1, 2), (0, 1), (0, 1)), None, None),
+    ("X1", ((0, 2), (1, 2), (0, 1)), 2, 2),
+    ("Y0", ((0, 1), (1, 2), (1, 2)), None, None),
+    ("Y1", ((1, 2), (0, 2), (1, 2)), 1, 2),
+)
+
+
+def _base(rows: tuple[_Row, ...], side: int) -> BrickPartition:
+    """The rows' uncut bricks as a labelled partition of [0,side]^3."""
+    parent = Brick.from_pairs([(0, side)] * 3)
+    members = tuple(Brick.from_pairs(sides) for _, sides, _, _ in rows)
+    return BrickPartition(parent, members, tuple(label for label, _, _, _ in rows))
+
+
+def _refined(rows: tuple[_Row, ...], side: int, k: int) -> BrickPartition:
+    """The rows' base with every cut row split along its axis into k-fewer pieces."""
+    plan = [(i, axis, k - fewer) for i, (_, _, axis, fewer) in enumerate(rows) if axis is not None]
+    return refine(_base(rows, side), plan)
+
 
 def piercing_3d_base() -> BrickPartition:
     """The 15-brick base partition of [0,6]^3 that piercing_3d refines."""
-    labels = tuple(label for label, _, _, _ in _PIERCING_3D_BASE)
-    members = tuple(Brick.from_pairs(sides) for _, sides, _, _ in _PIERCING_3D_BASE)
-    parent = Brick.from_pairs([(0, 6)] * 3)
-    return BrickPartition(parent, members, labels)
+    return _base(_PIERCING_3D_BASE, 6)
 
 
 def piercing_3d(k: int) -> BrickPartition:
     """k-piercing partition of [0,6]^3 with exactly 12k-15 members (k >= 3)."""
     if k < 3:
         raise BadK("piercing_3d needs k >= 3")
-    plan = [
-        (i, axis, k - fewer)
-        for i, (_, _, axis, fewer) in enumerate(_PIERCING_3D_BASE)
-        if axis is not None
-    ]
-    return refine(piercing_3d_base(), plan)
-
-
-def slicing_3d_base(k: int) -> BrickPartition:
-    """Unrefined slicing partition of [0,2]^3: 4 bricks for k = 2, 5 for k >= 3."""
-    if k < 2:
-        raise BadK("slicing_3d needs k >= 2")
-    parent = Brick.from_pairs([(0, 2)] * 3)
-    if k == 2:
-        named = (
-            ("X0", ((0, 2), (0, 1), (0, 1))),
-            ("X1", ((0, 2), (1, 2), (0, 1))),
-            ("Y0", ((0, 1), (0, 2), (1, 2))),
-            ("Y1", ((1, 2), (0, 2), (1, 2))),
-        )
-    else:
-        named = (
-            ("W0", ((0, 1), (0, 1), (0, 2))),
-            ("X0", ((1, 2), (0, 1), (0, 1))),
-            ("X1", ((0, 2), (1, 2), (0, 1))),
-            ("Y0", ((0, 1), (1, 2), (1, 2))),
-            ("Y1", ((1, 2), (0, 2), (1, 2))),
-        )
-    labels = tuple(name for name, _ in named)
-    members = tuple(Brick.from_pairs(pairs) for _, pairs in named)
-    return BrickPartition(parent, members, labels)
+    return _refined(_PIERCING_3D_BASE, 6, k)
 
 
 def slicing_3d(k: int) -> BrickPartition:
-    """k-slicing partition of [0,2]^3: 4 members at k = 2, 2k-1 for k >= 3.
-
-    For k >= 3 the base X1 is cut into k-2 pieces along axis 2 and Y1 into
-    k-2 pieces along axis 1.
-    """
-    base = slicing_3d_base(k)
-    if k == 2:
-        return base
-    index = {label: i for i, label in enumerate(base.labels or ())}
-    return refine(base, [(index["X1"], 2, k - 2), (index["Y1"], 1, k - 2)])
+    """k-slicing partition of [0,2]^3: 4 members at k = 2, 2k-1 for k >= 3."""
+    if k < 2:
+        raise BadK("slicing_3d needs k >= 2")
+    return _refined(_SLICING_3D_K2 if k == 2 else _SLICING_3D_BASE, 2, k)
 
 
 def _pinwheel(k: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:

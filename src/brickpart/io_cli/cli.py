@@ -101,12 +101,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    for bound in bounds(args.d, args.k):
-        print(f"{bound.kind.value}(d={bound.d}, k={bound.k}): {bound.value}")
+    for kind, value in bounds(args.d, args.k).items():
+        print(f"{kind.value}(d={args.d}, k={args.k}): {value}")
     return 0
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    if args.node_budget is not None and args.node_budget < 0:
+        raise ValueError(f"--node-budget: must be >= 0, got {args.node_budget}")
     problem = SearchProblem(
         d=args.d,
         k=args.k,

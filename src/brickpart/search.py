@@ -23,6 +23,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from math import prod
 from typing import Iterator
 
 from .errors import ResourceLimit
@@ -66,11 +67,16 @@ class SearchProblem:
             raise ValueError("d, k, m_max, and g must all be >= 1")
         if self.mode is Mode.SLICING and self.d < 2:
             raise ValueError("slicing mode needs d >= 2")
+        if self.node_budget is not None and self.node_budget < 0:
+            raise ValueError(f"node budget must be >= 0, got {self.node_budget}")
 
     def effective_node_budget(self) -> int:
         if self.node_budget is not None:
             return self.node_budget
-        return int(os.environ.get(NODE_BUDGET_ENV, DEFAULT_NODE_BUDGET))
+        raw = os.environ.get(NODE_BUDGET_ENV, str(DEFAULT_NODE_BUDGET))
+        if not raw.isdecimal():
+            raise ValueError(f"{NODE_BUDGET_ENV} must be an integer >= 0, got {raw!r}")
+        return int(raw)
 
 
 @dataclass(frozen=True)
@@ -125,6 +131,13 @@ class _Engine:
         self.flat_ids = flat_ids
         # spans[lo]: every side (lo, hi) starting at lo, shared by all boxes
         self.spans = [[(lo, hi) for hi in range(lo + 1, g + 1)] for lo in range(g)]
+        # bit_rows[a][c]: the bits of the cells whose axis-a index is below c.
+        # A box's mask is the product over axes of row[hi] - row[lo]; every
+        # cell has its own exponent, so the product has no carries.
+        self.bit_rows = [
+            [sum(1 << i * g ** (d - 1 - a) for i in range(c)) for c in range(g + 1)]
+            for a in range(d)
+        ]
         # Candidate boxes per anchor cell. Each anchor's list is built on its
         # first visit, so the node budget also bounds the table.
         self.moves: list[list[_Move] | None] = [None] * self.n_cells
@@ -137,9 +150,7 @@ class _Engine:
         moves: list[_Move] = []
         for box in product(*(self.spans[c] for c in corner)):
             extents = [hi - lo for lo, hi in box]
-            mask = 0
-            for cell in product(*(range(lo, hi) for lo, hi in box)):
-                mask |= 1 << self._cell_index(cell)
+            mask = prod(row[hi] - row[lo] for row, (lo, hi) in zip(self.bit_rows, box))
             incidences: list[tuple[int, int]] = []
             if self.problem.mode is Mode.PIERCING:
                 for a in range(d):
@@ -157,12 +168,6 @@ class _Engine:
             moves.append((box, mask, incidences))
         self.moves[anchor] = moves
         return moves
-
-    def _cell_index(self, coords: tuple[int, ...]) -> int:
-        idx = 0
-        for c in coords:
-            idx = idx * self.problem.g + c
-        return idx
 
     def solutions(self) -> Iterator[tuple[list[IndexBox], int]]:
         """Yield (boxes, nodes_so_far) for each complete k-satisfying

@@ -50,10 +50,6 @@ ANCHOR_2D_K3 = {
 }
 
 
-def _bound(d, k, kind):
-    return next(b.value for b in bounds(d, k) if b.kind is kind)
-
-
 def _report(n, label, t0, limit):
     elapsed = time.perf_counter() - t0
     print(f"ACCEPTANCE {n} ({label}): PASS in {elapsed:.1f}s (limit {limit:.0f}s)")
@@ -84,15 +80,15 @@ def test_criterion_2_slicing_3d_reproduction():
 def test_criterion_3_bounds_conformance():
     t0 = time.perf_counter()
     for k in range(3, 51):
-        lb = _bound(3, k, BoundKind.ELEMENTARY_PIERCING_LB)
+        lb = bounds(3, k)[BoundKind.ELEMENTARY_PIERCING_LB]
         assert lb == 12 * k - 16
         assert len(piercing_3d(k)) == lb + 1
     for k in range(2, 51):
-        assert _bound(2, k, BoundKind.ELEMENTARY_PIERCING_LB) == 4 * (k - 1)
+        assert bounds(2, k)[BoundKind.ELEMENTARY_PIERCING_LB] == 4 * (k - 1)
         assert len(piercing_2d(k)) == 4 * (k - 1)
     for d in range(1, 7):
-        lb = _bound(d, 2, BoundKind.ELEMENTARY_PIERCING_LB)
-        ub = _bound(d, 2, BoundKind.TRIVIAL_GRID_UB)
+        lb = bounds(d, 2)[BoundKind.ELEMENTARY_PIERCING_LB]
+        ub = bounds(d, 2)[BoundKind.TRIVIAL_GRID_UB]
         assert lb == ub == 2**d
     _report(3, "closed-form bounds", t0, 120.0)
 
@@ -131,11 +127,11 @@ def test_criterion_5_search_oracle_small_values():
         if mode is Mode.PIERCING:
             assert elementary_piercing_lb(d, k) == proven == m_none + 1
         elif k >= 3:
-            assert _bound(3, k, BoundKind.SLICING_LB_3D) == proven == m_none + 1
+            assert bounds(3, k)[BoundKind.SLICING_LB_3D] == proven == m_none + 1
         else:
             # s(3,2) = 4 rests on the corner argument; the 2k-1 formula only
             # gives 3 and must stay consistent with the search result
-            assert _bound(3, 2, BoundKind.SLICING_LB_3D) <= proven == m_none + 1
+            assert bounds(3, 2)[BoundKind.SLICING_LB_3D] <= proven == m_none + 1
         assert time.perf_counter() - run_start < 300.0, name
     _report(5, "exact small values by search", t0, 1500.0)
 

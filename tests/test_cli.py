@@ -98,6 +98,24 @@ def test_search_node_budget_exit_code(capsys):
     assert "resource_limit" in out
 
 
+SEARCH_ARGS = ("search", "--d", "2", "--k", "2", "--mode", "piercing", "--max-bricks", "4",
+               "--grid", "3")
+
+
+def test_search_rejects_negative_node_budget(capsys):
+    code, out, err = run_cli(capsys, *SEARCH_ARGS, "--node-budget", "-5")
+    assert (code, out) == (2, "")
+    assert "--node-budget" in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e9", "-3"])
+def test_search_rejects_bad_node_budget_env(monkeypatch, capsys, raw):
+    monkeypatch.setenv("BRICKPART_NODE_BUDGET", raw)
+    code, out, err = run_cli(capsys, *SEARCH_ARGS)
+    assert (code, out) == (2, "")
+    assert "BRICKPART_NODE_BUDGET" in err and repr(raw) in err
+
+
 def test_export_svg(tmp_path, capsys):
     doc = tmp_path / "p2.json"
     run_cli(capsys, "construct", "--family", "piercing2d", "--k", "3", "--out", str(doc))

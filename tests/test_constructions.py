@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 
 from brickpart import (
@@ -8,6 +10,7 @@ from brickpart import (
     boundary_incidence,
     elementary_piercing_lb,
     grid_partition,
+    min_flat_count,
     piercing_2d,
     piercing_3d,
     piercing_number,
@@ -29,10 +32,6 @@ ANCHOR_2D_K3 = {
 }
 
 
-def _bound(d, k, kind):
-    return next(b.value for b in bounds(d, k) if b.kind is kind)
-
-
 def test_grid_partition_2_2():
     P = grid_partition(2, 2)
     assert len(P) == 4
@@ -42,7 +41,7 @@ def test_grid_partition_2_2():
 
 def test_grid_partition_realizes_p_d_2():
     P = grid_partition(3, 2)
-    assert len(P) == 8 == _bound(3, 2, BoundKind.ELEMENTARY_PIERCING_LB)
+    assert len(P) == 8 == bounds(3, 2)[BoundKind.ELEMENTARY_PIERCING_LB]
     assert piercing_number(P) == 2
 
 
@@ -83,7 +82,7 @@ def test_piercing_3d_family_invariants(k):
     assert len(P) == 12 * k - 15
     assert validate(P).valid
     assert piercing_number(P) == k
-    assert len(P) == _bound(3, k, BoundKind.ELEMENTARY_PIERCING_LB) + 1
+    assert len(P) == bounds(3, k)[BoundKind.ELEMENTARY_PIERCING_LB] + 1
 
 
 def test_slicing_3d_k2():
@@ -96,6 +95,12 @@ def test_slicing_3d_k3_cuts_are_identity():
     P = slicing_3d(3)
     assert len(P) == 5
     assert P.labels == ("W0", "X0", "X1", "Y0", "Y1")
+
+
+def test_slicing_3d_k2_is_validated(monkeypatch):
+    monkeypatch.setattr(constructions, "_SLICING_3D_K2", constructions._SLICING_3D_K2[:-1])
+    with pytest.raises(ConstructionInvalid, match="GAP"):
+        slicing_3d(2)
 
 
 def test_slicing_3d_k7():
@@ -117,7 +122,7 @@ def test_slicing_3d_family_invariants(k):
     assert slicing_number(P) == k
     assert boundary_incidence(P).total >= 6 * k
     if k >= 3:
-        assert len(P) == _bound(3, k, BoundKind.SLICING_LB_3D)
+        assert len(P) == bounds(3, k)[BoundKind.SLICING_LB_3D]
 
 
 def test_piercing_2d_k2_quadrants():
@@ -174,27 +179,69 @@ def test_piercing_2d_family_invariants(k):
 
 def test_bounds_3d():
     for k in (2, 3, 5, 9):
-        assert _bound(3, k, BoundKind.ELEMENTARY_PIERCING_LB) == 12 * k - 16
-        assert _bound(3, k, BoundKind.TRIVIAL_GRID_UB) == k**3
-        assert _bound(3, k, BoundKind.SLICING_LB_3D) == 2 * k - 1
+        assert bounds(3, k)[BoundKind.ELEMENTARY_PIERCING_LB] == 12 * k - 16
+        assert bounds(3, k)[BoundKind.TRIVIAL_GRID_UB] == k**3
+        assert bounds(3, k)[BoundKind.SLICING_LB_3D] == 2 * k - 1
 
 
 def test_bounds_2d_matches_2d_family():
     for k in (2, 3, 7):
-        assert _bound(2, k, BoundKind.ELEMENTARY_PIERCING_LB) == 4 * (k - 1)
+        assert bounds(2, k)[BoundKind.ELEMENTARY_PIERCING_LB] == 4 * (k - 1)
 
 
 def test_bounds_k2_lower_equals_upper():
     for d in range(1, 7):
-        assert _bound(d, 2, BoundKind.ELEMENTARY_PIERCING_LB) == 2**d
-        assert _bound(d, 2, BoundKind.TRIVIAL_GRID_UB) == 2**d
+        assert bounds(d, 2)[BoundKind.ELEMENTARY_PIERCING_LB] == 2**d
+        assert bounds(d, 2)[BoundKind.TRIVIAL_GRID_UB] == 2**d
 
 
 def test_bounds_slicing_only_in_3d():
-    kinds = {b.kind for b in bounds(2, 4)}
-    assert BoundKind.SLICING_LB_3D not in kinds
+    assert BoundKind.SLICING_LB_3D not in bounds(2, 4)
 
 
 def test_bounds_rejects_small_k():
     with pytest.raises(BadK):
         bounds(3, 1)
+
+
+def _linear_forms(rows, side, free_count):
+    """The count of every flat class of a row table's base, as (alpha, beta)
+    with count alpha*k + beta: a member cut along a free axis adds k - fewer,
+    any other member the flat meets adds 1. Every base coordinate is an
+    integer, so unit cells of [0,side]^3 refine the base grid's classes, and
+    a flat through a cell midpoint meets one piece of a member cut along a
+    fixed axis."""
+    forms = set()
+    for free in combinations(range(1, 4), free_count):
+        fixed = [a for a in range(1, 4) if a not in free]
+        for cell in product(range(side), repeat=len(fixed)):
+            alpha = beta = 0
+            for _, sides, axis, fewer in rows:
+                if all(sides[a - 1][0] <= c < sides[a - 1][1] for a, c in zip(fixed, cell)):
+                    if axis in free:
+                        alpha, beta = alpha + 1, beta - fewer
+                    else:
+                        beta += 1
+            forms.add((alpha, beta))
+    return forms
+
+
+@pytest.mark.parametrize(
+    "rows, side, family, free_count, expected",
+    [
+        (constructions._PIERCING_3D_BASE, 6, piercing_3d, 1, {(1, 0), (1, 1), (2, -2)}),
+        (constructions._SLICING_3D_BASE, 2, slicing_3d, 2, {(1, 0)}),
+    ],
+    ids=["piercing_3d", "slicing_3d"],
+)
+def test_row_table_certifies_min_count_k_for_every_k(rows, side, family, free_count, expected):
+    k_min = 3
+    forms = _linear_forms(rows, side, free_count)
+    assert forms == expected
+    # min over forms is k for every k >= k_min: one form is exactly k, and
+    # none falls below k at k_min or grows slower than k after it
+    assert (1, 0) in forms
+    assert all(alpha >= 1 and (alpha - 1) * k_min + beta >= 0 for alpha, beta in forms)
+    for k in range(k_min, 12):
+        got = min_flat_count(family(k), free_count).minimum
+        assert got == min(alpha * k + beta for alpha, beta in forms) == k

@@ -17,7 +17,7 @@ from brickpart import (
     format_scalar,
     parse_scalar,
 )
-from brickpart.constructions import piercing_3d_base, slicing_3d_base
+from brickpart.constructions import piercing_3d_base, slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts
 
 small_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -135,7 +135,7 @@ def test_build_grid_single_brick():
 
 
 def test_build_grid_slicing_base():
-    base = slicing_3d_base(3)
+    base = slicing_3d(3)
     grid = build_grid(base.parent, base.members)
     assert all(list(axis) == [0, 1, 2] for axis in grid.axes)
 

@@ -17,7 +17,7 @@ from brickpart import (
     refine,
     validate,
 )
-from brickpart.constructions import piercing_3d_base, slicing_3d, slicing_3d_base
+from brickpart.constructions import piercing_3d_base, slicing_3d
 
 from helpers import first_bad_cell_midpoint
 
@@ -139,19 +139,18 @@ def test_refine_piercing_plan_at_k4():
 
 
 def test_refine_empty_plan_is_identity():
-    base = slicing_3d_base(3)
+    base = slicing_3d(3)
     assert refine(base, []).members == base.members
 
 
 def test_refine_slicing_plan_at_k5():
-    base = slicing_3d_base(5)
-    index = {label: i for i, label in enumerate(base.labels)}
-    refined = refine(base, [(index["X1"], 2, 3), (index["Y1"], 1, 3)])
+    base = slicing_3d(3)
+    refined = refine(base, [(base.labels.index("X1"), 2, 3), (base.labels.index("Y1"), 1, 3)])
     assert len(refined) == 9
 
 
 def test_refine_rejects_duplicate_indices():
-    base = slicing_3d_base(3)
+    base = slicing_3d(3)
     with pytest.raises(ValueError):
         refine(base, [(0, 1, 2), (0, 2, 2)])
 
@@ -164,14 +163,13 @@ def test_refine_rejects_overlapping_members():
 
 
 def test_refine_labels_pieces():
-    base = slicing_3d_base(4)
-    index = {label: i for i, label in enumerate(base.labels)}
-    refined = refine(base, [(index["X1"], 2, 2), (index["Y1"], 1, 2)])
+    base = slicing_3d(3)
+    refined = refine(base, [(base.labels.index("X1"), 2, 2), (base.labels.index("Y1"), 1, 2)])
     assert refined.labels == ("W0", "X0", "X1.1", "X1.2", "Y0", "Y1.1", "Y1.2")
 
 
 def test_boundary_incidence_slicing_base_k3():
-    base = slicing_3d_base(3)
+    base = slicing_3d(3)
     report = boundary_incidence(base)
     assert dict(zip(base.labels, report.per_member)) == {
         "W0": 4, "X0": 3, "X1": 4, "Y0": 3, "Y1": 4,

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from brickpart import (
@@ -12,6 +14,7 @@ from brickpart import (
     slicing_number,
     validate,
 )
+from brickpart.search import _Engine
 
 from helpers import subset_filter_partitions_2x2
 
@@ -120,3 +123,17 @@ def test_problem_validation():
         SearchProblem(0, 2, Mode.PIERCING, 1, 2)
     with pytest.raises(ValueError):
         SearchProblem(1, 2, Mode.SLICING, 1, 2)
+    with pytest.raises(ValueError, match="node budget must be >= 0"):
+        SearchProblem(2, 2, Mode.PIERCING, 1, 2, node_budget=-1)
+
+
+@pytest.mark.parametrize("d, g", [(2, 4), (3, 3)])
+def test_move_masks_are_the_cells_of_each_box(d, g):
+    # reference: one bit per cell, at the cell's base-g index
+    engine = _Engine(SearchProblem(d, 2, Mode.PIERCING, 1, g))
+    for anchor in range(g**d):
+        for box, mask, _ in engine._build_moves(anchor):
+            expected = 0
+            for cell in product(*(range(lo, hi) for lo, hi in box)):
+                expected |= 1 << sum(c * g ** (d - 1 - a) for a, c in enumerate(cell))
+            assert mask == expected
