@@ -208,9 +208,9 @@ def _linear_forms(rows, side, free_count):
     """The count of every flat class of a row table's base, as (alpha, beta)
     with count alpha*k + beta: a member cut along a free axis adds k - fewer,
     any other member the flat meets adds 1. Every base coordinate is an
-    integer, so unit cells of [0,side]^3 refine the base grid's classes, and
-    a flat through a cell midpoint meets one piece of a member cut along a
-    fixed axis."""
+    integer, so the open unit cells of [0,side]^3 refine the base grid's
+    classes; a flat in one, off the cut planes, meets one piece of a member
+    cut along a fixed axis."""
     forms = set()
     for free in combinations(range(1, 4), free_count):
         fixed = [a for a in range(1, 4) if a not in free]
