@@ -1,6 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from brickpart import (
     BadDimensionForFormat,
@@ -105,7 +108,31 @@ def test_svg_draws_labels_when_present():
         (Fraction(2, 3), 3, "0.667"),
         (Fraction(-5, 4), 2, "-1.25"),
         (Fraction(7), 0, "7"),
+        (Fraction(-1, 2000), 3, "0.000"),
+        (Fraction(-3, 2000), 3, "-0.001"),
+        (Fraction(5, 2), 0, "3"),
+        (Fraction(-5, 2), 0, "-2"),
     ],
 )
 def test_render_decimal(value, places, text):
     assert render_decimal(value, places) == text
+
+
+def _reference_decimal(x: Fraction, places: int) -> str:
+    """Round half up through `Fraction` and `math.floor`: the reference rule."""
+    quantized = math.floor(x * 10**places + Fraction(1, 2))
+    sign = "-" if quantized < 0 else ""
+    whole, frac = divmod(abs(quantized), 10**places)
+    if places == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{frac:0{places}d}"
+
+
+@given(
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 10**4),
+    st.integers(0, 9),
+)
+def test_render_decimal_matches_fraction_rounding(num, den, places):
+    x = Fraction(num, den)
+    assert render_decimal(x, places) == _reference_decimal(x, places)

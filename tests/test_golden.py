@@ -5,7 +5,8 @@ The expected values were recorded from the implementation that compared
 counting or construction code must reproduce them exactly: the `construct`
 documents (by sha256), the full `verify` stdout with its exit code, the same
 for three seeded random documents corrupted by a gap, an overlap and a member
-outside the parent, the SVG/OBJ export bytes (by sha256), the full
+outside the parent, the SVG/OBJ export bytes of two family documents and
+of three exports of seeded random documents (by sha256), the full
 `search` and `bounds` stdout with exit codes, and one sha256 over the
 concatenated documents of each explicit family across its range of k.
 """
@@ -85,6 +86,15 @@ EXPORT_SHA256 = {
     ('piercing3d', 4, 'obj'): 'b21d8aa8db26bc6333e7515876ff0303511ab60398fff5fd76752b338b633bf1',
 }
 
+# Exports of seeded random documents (200 members): dyadic coordinates whose
+# denominators reach 2^18, so rendering truncates, hits round-half-up ties,
+# and with --exploded 1/3 also negative and non-terminating values.
+RANDOM_EXPORT_SHA256 = {
+    (7, 3, 'obj', ('--exploded', '1/3')): 'ece1423cd4759089db0f0da3057f56da5cacce24f1c827f1413ba011c3786c46',
+    (7, 3, 'obj', ('--exploded', '1/3', '--precision', '0')): '8a2ed91ff735194c0e1d2a9d6624ee7d81dc60b815e7f95ff597d345d7e06d67',
+    (8, 2, 'svg', ('--precision', '3', '--labels')): '80ac00075ff67b4ac211f5361ab255aeff3ba36269484f6eca3910eaa565b062',
+}
+
 
 SEARCH = {
     (2, 2, 'piercing', 4, 3): (0, 'status: found\nnodes_explored: 30\ngrid_cap: g=3, m_max=4 (relative to this grid)\n{\n  "dim": 2,\n  "parent": [[0, 3], [0, 3]],\n  "bricks": [\n    [[0, 1], [0, 1]],\n    [[0, 1], [1, 3]],\n    [[1, 3], [0, 1]],\n    [[1, 3], [1, 3]]\n  ],\n  "metadata": {"generator": "search", "d": 2, "k": 2, "mode": "piercing", "grid": 3}\n}\n'),
@@ -131,6 +141,14 @@ def test_exports_are_golden(tmp_path, capsys, family, k, fmt):
     extra = ("--exploded", "1/4") if fmt == "obj" else ("--labels",)
     assert run_cli(capsys, "export", doc, "--format", fmt, *extra, "--out", fig) == (0, "")
     assert sha256(fig.read_bytes()) == EXPORT_SHA256[family, k, fmt]
+
+
+@pytest.mark.parametrize("seed, d, fmt, extra", sorted(RANDOM_EXPORT_SHA256))
+def test_random_document_exports_are_golden(tmp_path, capsys, seed, d, fmt, extra):
+    doc, fig = tmp_path / "doc.json", tmp_path / "fig"
+    doc.write_text(emit_document(random_split_partition(Random(seed), d, 200)))
+    assert run_cli(capsys, "export", doc, "--format", fmt, *extra, "--out", fig) == (0, "")
+    assert sha256(fig.read_bytes()) == RANDOM_EXPORT_SHA256[seed, d, fmt, extra]
 
 
 @pytest.mark.parametrize("d, k, mode, m, g", sorted(SEARCH))
