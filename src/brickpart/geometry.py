@@ -170,9 +170,6 @@ class Brick:
             )
         return all(s.contains(c) for s, c in zip(self.sides, point))
 
-    def center(self) -> Point:
-        return tuple(s.midpoint for s in self.sides)
-
     def corners(self) -> Iterator[Point]:
         yield from product(*(s.as_pair() for s in self.sides))
 

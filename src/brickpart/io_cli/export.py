@@ -1,19 +1,19 @@
 """Deterministic figure exporters: SVG for d=2, Wavefront OBJ for d=3.
 
 Exporters never alter geometry: every emitted coordinate is an exact scalar
-rendered at the configured decimal precision (round half up, done in integer
-arithmetic), and output bytes are identical across runs for equal inputs.
+rendered at the configured decimal precision, rounding half up in integer
+arithmetic on its numerator and denominator. OBJ export renders each brick
+side's two ends once and builds the eight vertices from them in bit order.
+Output bytes are identical across runs for equal inputs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 from ..errors import BadDimensionForFormat
-from ..geometry import Brick
 from ..partition import BrickPartition
 
 
@@ -37,9 +37,10 @@ SVG_SCALE = Fraction(48)  # SVG pixels per geometry unit
 
 
 def render_decimal(x: Fraction, places: int) -> str:
-    """Fixed-point decimal rendering, round half up, exact integer math."""
-    scaled = x * 10**places
-    quantized = math.floor(scaled + Fraction(1, 2))
+    """Fixed-point decimal rendering, round half up: floor(x·10^p + 1/2),
+    computed as (2·num·10^p + den) // (2·den) in plain ints."""
+    num, den = x.numerator, x.denominator
+    quantized = (2 * num * 10**places + den) // (2 * den)
     sign = "-" if quantized < 0 else ""
     whole, frac = divmod(abs(quantized), 10**places)
     if places == 0:
@@ -51,7 +52,7 @@ def _svg_number(x: Fraction, places: int) -> str:
     s = render_decimal(x, places)
     if "." in s:
         s = s.rstrip("0").rstrip(".")
-    return s or "0"
+    return s
 
 
 _PALETTE = (
@@ -128,29 +129,19 @@ _CUBE_TRIANGLES = (
 )
 
 
-def _brick_corners(b: Brick, offset: tuple[Fraction, ...]) -> list[tuple[Fraction, ...]]:
-    return [
-        tuple(
-            (b.sides[a].hi if (i >> a) & 1 else b.sides[a].lo) + offset[a]
-            for a in range(3)
-        )
-        for i in range(8)
-    ]
-
-
 def _export_obj(P: BrickPartition, options: ExportOptions) -> bytes:
-    parent_center = P.parent.center()
     num = lambda x: render_decimal(x, options.precision)  # noqa: E731
     lines = [f"# brick partition, {len(P.members)} members"]
     vertex_base = 1  # OBJ indices are 1-based
     for i, b in enumerate(P.members):
         label = P.labels[i] if P.labels is not None else f"member_{i}"
-        offset = tuple(
-            (c - pc) * options.exploded for c, pc in zip(b.center(), parent_center)
-        )
+        ends = []  # per axis: the side's (lo, hi), moved outward and rendered
+        for side, parent_side in zip(b.sides, P.parent.sides):
+            offset = (side.midpoint - parent_side.midpoint) * options.exploded
+            ends.append((num(side.lo + offset), num(side.hi + offset)))
         lines.append(f"o {label}")
-        for corner in _brick_corners(b, offset):
-            lines.append("v " + " ".join(num(c) for c in corner))
+        for j in range(8):
+            lines.append("v " + " ".join(end[(j >> a) & 1] for a, end in enumerate(ends)))
         for tri in _CUBE_TRIANGLES:
             lines.append("f " + " ".join(str(vertex_base + t) for t in tri))
         vertex_base += 8

@@ -138,13 +138,14 @@ class _Engine:
             [sum(1 << i * g ** (d - 1 - a) for i in range(c)) for c in range(g + 1)]
             for a in range(d)
         ]
-        # Candidate boxes per anchor cell. Each anchor's list is built on its
-        # first visit, so the node budget also bounds the table.
+        # Candidate boxes per anchor cell. Each anchor's list is built while
+        # its first visit runs, so the node budget also bounds the table.
         self.moves: list[list[_Move] | None] = [None] * self.n_cells
 
-    def _build_moves(self, anchor: int) -> list[_Move]:
-        """Build and keep the anchor's moves. The list is never empty (the unit
-        cell is a move), so `self.moves[idx] or` builds each anchor once."""
+    def _build_moves(self, anchor: int) -> Iterator[_Move]:
+        """Yield the anchor's moves as they are built; keep the list once it is
+        complete. It is never empty (the unit cell is a move), and anchors rise
+        along a DFS path, so `self.moves[idx] or` builds each anchor once."""
         d, g, flat_ids = self.problem.d, self.problem.g, self.flat_ids
         corner = [anchor // g ** (d - 1 - a) % g for a in range(d)]  # base-g digits
         moves: list[_Move] = []
@@ -159,15 +160,13 @@ class _Engine:
                         incidences.append((flat_ids[(a, combo)], extents[a]))
             else:
                 for a in range(d):
-                    area = 1
-                    for b in range(d):
-                        if b != a:
-                            area *= extents[b]
+                    area = prod(extents) // extents[a]
                     for i in range(*box[a]):
                         incidences.append((flat_ids[(a, i)], area))
-            moves.append((box, mask, incidences))
+            move = (box, mask, incidences)
+            moves.append(move)
+            yield move
         self.moves[anchor] = moves
-        return moves
 
     def solutions(self) -> Iterator[tuple[list[IndexBox], int]]:
         """Yield (boxes, nodes_so_far) for each complete k-satisfying

@@ -137,3 +137,17 @@ def test_move_masks_are_the_cells_of_each_box(d, g):
             for cell in product(*(range(lo, hi) for lo, hi in box)):
                 expected |= 1 << sum(c * g ** (d - 1 - a) for a, c in enumerate(cell))
             assert mask == expected
+
+
+def test_node_budget_bounds_the_first_anchors_moves():
+    # anchor 0 of [0,16]^3 has 16^3 = 4,096 boxes; ten placements need far fewer
+    engine = _Engine(SearchProblem(3, 2, Mode.PIERCING, 2, 16, node_budget=10))
+    with pytest.raises(ResourceLimit):
+        for _ in engine.solutions():
+            pass
+    assert engine.moves[0] is None
+    # a search that runs to the end keeps each visited anchor's complete list
+    engine = _Engine(SearchProblem(2, 2, Mode.PIERCING, 4, 3))
+    for _ in engine.solutions():
+        pass
+    assert len(engine.moves[0]) == 9
