@@ -99,7 +99,17 @@ RANDOM_EXPORT_SHA256 = {
 SEARCH = {
     (2, 2, 'piercing', 4, 3): (0, 'status: found\nnodes_explored: 30\ngrid_cap: g=3, m_max=4 (relative to this grid)\n{\n  "dim": 2,\n  "parent": [[0, 3], [0, 3]],\n  "bricks": [\n    [[0, 1], [0, 1]],\n    [[0, 1], [1, 3]],\n    [[1, 3], [0, 1]],\n    [[1, 3], [1, 3]]\n  ],\n  "metadata": {"generator": "search", "d": 2, "k": 2, "mode": "piercing", "grid": 3}\n}\n'),
     (2, 2, 'piercing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 47\ngrid_cap: g=3, m_max=3 (relative to this grid)\n'),
+    (3, 2, 'piercing', 7, 3): (0, 'status: exhausted_none\nnodes_explored: 54398\ngrid_cap: g=3, m_max=7 (relative to this grid)\n'),
+    (3, 2, 'piercing', 8, 2): (0, 'status: found\nnodes_explored: 8\ngrid_cap: g=2, m_max=8 (relative to this grid)\n{\n  "dim": 3,\n  "parent": [[0, 2], [0, 2], [0, 2]],\n  "bricks": [\n    [[0, 1], [0, 1], [0, 1]],\n    [[0, 1], [0, 1], [1, 2]],\n    [[0, 1], [1, 2], [0, 1]],\n    [[0, 1], [1, 2], [1, 2]],\n    [[1, 2], [0, 1], [0, 1]],\n    [[1, 2], [0, 1], [1, 2]],\n    [[1, 2], [1, 2], [0, 1]],\n    [[1, 2], [1, 2], [1, 2]]\n  ],\n  "metadata": {"generator": "search", "d": 3, "k": 2, "mode": "piercing", "grid": 2}\n}\n'),
+    # in d = 2, lines and slabs are the same flats under different ids
+    (2, 2, 'slicing', 4, 3): (0, 'status: found\nnodes_explored: 30\ngrid_cap: g=3, m_max=4 (relative to this grid)\n{\n  "dim": 2,\n  "parent": [[0, 3], [0, 3]],\n  "bricks": [\n    [[0, 1], [0, 1]],\n    [[0, 1], [1, 3]],\n    [[1, 3], [0, 1]],\n    [[1, 3], [1, 3]]\n  ],\n  "metadata": {"generator": "search", "d": 2, "k": 2, "mode": "slicing", "grid": 3}\n}\n'),
     (3, 2, 'slicing', 4, 3): (0, 'status: found\nnodes_explored: 2787\ngrid_cap: g=3, m_max=4 (relative to this grid)\n{\n  "dim": 3,\n  "parent": [[0, 3], [0, 3], [0, 3]],\n  "bricks": [\n    [[0, 1], [0, 1], [0, 3]],\n    [[0, 1], [1, 3], [0, 3]],\n    [[1, 3], [0, 1], [0, 3]],\n    [[1, 3], [1, 3], [0, 3]]\n  ],\n  "metadata": {"generator": "search", "d": 3, "k": 2, "mode": "slicing", "grid": 3}\n}\n'),
+}
+
+# --no-symmetry: every first box is tried, so the counts exceed the pruned ones
+SEARCH_NO_SYMMETRY = {
+    (2, 2, 'piercing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 69\ngrid_cap: g=3, m_max=3 (relative to this grid)\n'),
+    (3, 2, 'slicing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 2493\ngrid_cap: g=3, m_max=3 (relative to this grid)\n'),
 }
 
 SEARCH_OVER_BUDGET = (1, 'status: resource_limit (node budget 10 exceeded at 11 placements)\n')
@@ -155,6 +165,12 @@ def test_random_document_exports_are_golden(tmp_path, capsys, seed, d, fmt, extr
 def test_search_is_golden(capsys, d, k, mode, m, g):
     args = ("--d", d, "--k", k, "--mode", mode, "--max-bricks", m, "--grid", g)
     assert run_cli(capsys, "search", *args) == SEARCH[d, k, mode, m, g]
+
+
+@pytest.mark.parametrize("d, k, mode, m, g", sorted(SEARCH_NO_SYMMETRY))
+def test_search_without_symmetry_is_golden(capsys, d, k, mode, m, g):
+    args = ("--d", d, "--k", k, "--mode", mode, "--max-bricks", m, "--grid", g)
+    assert run_cli(capsys, "search", *args, "--no-symmetry") == SEARCH_NO_SYMMETRY[d, k, mode, m, g]
 
 
 def test_search_over_budget_is_golden(capsys):
