@@ -134,6 +134,9 @@ def parse_document(text: str) -> PartitionDocument:
             raise ParseError(
                 f"labels: {len(labels_raw)} labels for {len(bricks)} bricks"
             )
+        for i, label in enumerate(labels_raw):
+            if not label.isprintable():  # a newline would inject OBJ lines
+                raise ParseError(f"labels[{i}]: expected printable text, got {label!r}")
         labels = tuple(labels_raw)
 
     metadata = None

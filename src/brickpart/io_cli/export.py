@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from html import escape
 
 from ..errors import BadDimensionForFormat
 from ..partition import BrickPartition
@@ -104,9 +105,10 @@ def _export_svg(P: BrickPartition, options: ExportOptions) -> bytes:
         for b, label in zip(P.members, P.labels):
             cx = (b.sides[0].midpoint - px.lo) * scale
             cy = (py.hi - b.sides[1].midpoint) * scale
+            text = escape(label, quote=False)  # a label is text, not markup
             lines.append(
                 f'  <text x="{num(cx)}" y="{num(cy)}" font-size="12" '
-                f'text-anchor="middle" dominant-baseline="middle">{label}</text>'
+                f'text-anchor="middle" dominant-baseline="middle">{text}</text>'
             )
     # parent outline drawn as a path so <rect> count equals the member count
     lines.append(

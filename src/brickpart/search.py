@@ -7,9 +7,9 @@ each complete partition into at most m_max boxes is visited exactly once and
 node counts are deterministic for a fixed configuration.
 
 Pruning never cuts a feasible completion: a branch dies when (a) the box
-budget is spent with cells left over, or (b/c) some flat class's met-box
-count plus its uncovered cell count is below k (each uncovered cell can
-contribute at most one new box to a flat).
+budget is spent with cells left over, or (b) slack < 0 for some flat, where
+a flat's slack is its met-box count plus its uncovered cell count minus k
+(each uncovered cell can contribute at most one new box to a flat).
 
 An ExhaustedNone outcome is a nonexistence claim relative to its grid cap: a
 continuous partition with m bricks normalizes to integer coordinates with at
@@ -100,7 +100,7 @@ class SearchOutcome:
     grid_cap_note: GridCapNote
 
 
-# A candidate box: (box, bitmask over cells, [(flat id, cells of the box on that flat)]).
+# A candidate box: (box, bitmask over cells, [(flat id, 1 - cells of the box on that flat)]).
 _Move = tuple[IndexBox, int, list[tuple[int, int]]]
 
 
@@ -112,23 +112,15 @@ class _Engine:
         d, g = problem.d, problem.g
         self.n_cells = g**d
         self.budget = problem.effective_node_budget()
-
-        # Flat classes: lines (free axis, other-axis cell indices) for
-        # piercing; slabs (normal axis, cell index) for slicing.
-        flat_ids: dict[tuple, int] = {}
-        flat_cells: list[int] = []
-        if problem.mode is Mode.PIERCING:
-            for a in range(d):
-                for combo in product(range(g), repeat=d - 1):
-                    flat_ids[(a, combo)] = len(flat_cells)
-                    flat_cells.append(g)
-        else:
-            for a in range(d):
-                for i in range(g):
-                    flat_ids[(a, i)] = len(flat_cells)
-                    flat_cells.append(g ** (d - 1))
-        self.flat_cells = flat_cells
-        self.flat_ids = flat_ids
+        # fixed[a]: the axes that flat class a fixes, every axis but a for lines
+        # (piercing) and axis a alone for slabs (slicing). Each class fixes n
+        # axes, so it holds g^n flats of g^(d-n) cells; a flat's id is a*g^n
+        # plus the base-g index of its fixed cell coordinates.
+        lines = problem.mode is Mode.PIERCING
+        self.fixed = [tuple(b for b in range(d) if (b != a) == lines) for a in range(d)]
+        n = len(self.fixed[0])
+        self.flat_size, self.class_size = g ** (d - n), g**n
+        self.places = [g ** (n - 1 - j) for j in range(n)]  # base-g place values
         # spans[lo]: every side (lo, hi) starting at lo, shared by all boxes
         self.spans = [[(lo, hi) for hi in range(lo + 1, g + 1)] for lo in range(g)]
         # bit_rows[a][c]: the bits of the cells whose axis-a index is below c.
@@ -146,52 +138,48 @@ class _Engine:
         """Yield the anchor's moves as they are built; keep the list once it is
         complete. It is never empty (the unit cell is a move), and anchors rise
         along a DFS path, so `self.moves[idx] or` builds each anchor once."""
-        d, g, flat_ids = self.problem.d, self.problem.g, self.flat_ids
+        d, g = self.problem.d, self.problem.g
         corner = [anchor // g ** (d - 1 - a) % g for a in range(d)]  # base-g digits
         moves: list[_Move] = []
         for box in product(*(self.spans[c] for c in corner)):
-            extents = [hi - lo for lo, hi in box]
             mask = prod(row[hi] - row[lo] for row, (lo, hi) in zip(self.bit_rows, box))
+            volume = prod(hi - lo for lo, hi in box)
             incidences: list[tuple[int, int]] = []
-            if self.problem.mode is Mode.PIERCING:
-                for a in range(d):
-                    others = [b for b in range(d) if b != a]
-                    for combo in product(*(range(*box[b]) for b in others)):
-                        incidences.append((flat_ids[(a, combo)], extents[a]))
-            else:
-                for a in range(d):
-                    area = prod(extents) // extents[a]
-                    for i in range(*box[a]):
-                        incidences.append((flat_ids[(a, i)], area))
+            for a, axes in enumerate(self.fixed):
+                flats = [a * self.class_size]  # ids of the class-a flats the box meets
+                for b, place in zip(axes, self.places):
+                    flats = [f + c * place for f in flats for c in range(*box[b])]
+                delta = 1 - volume // len(flats)  # 1 - the box's cells on each of them
+                incidences += [(f, delta) for f in flats]
             move = (box, mask, incidences)
             moves.append(move)
             yield move
         self.moves[anchor] = moves
 
-    def solutions(self) -> Iterator[tuple[list[IndexBox], int]]:
-        """Yield (boxes, nodes_so_far) for each complete k-satisfying
-        partition, in canonical order. self.nodes stays valid afterwards."""
+    def solutions(self) -> Iterator[list[IndexBox]]:
+        """Yield the boxes of each complete k-satisfying partition, in
+        canonical order. self.nodes counts the placements so far."""
         self.nodes = 0
         k = self.problem.k
-        self.boxes_met = [0] * len(self.flat_cells)
-        self.uncovered = list(self.flat_cells)
+        # slack[f]: boxes met + cells uncovered - k, never below 0 on a live branch
+        self.slack = [self.flat_size - k] * (self.problem.d * self.class_size)
         self.stack: list[IndexBox] = []
-        if any(c < k for c in self.flat_cells):
+        if self.flat_size < k:
             return  # no flat can ever meet k boxes at this grid size
         yield from self._dfs(0, 0)
 
-    def _dfs(self, cover: int, scan_from: int) -> Iterator[tuple[list[IndexBox], int]]:
+    def _dfs(self, cover: int, scan_from: int) -> Iterator[list[IndexBox]]:
         idx = scan_from
         while idx < self.n_cells and (cover >> idx) & 1:
             idx += 1
         if idx == self.n_cells:
-            # Complete: every flat is fully decided, and the incremental
-            # bound already enforced boxes_met >= k when uncovered hit 0.
-            yield (list(self.stack), self.nodes)
+            # Complete: every flat has no uncovered cell left, so its slack
+            # >= 0 says it meets at least k boxes.
+            yield list(self.stack)
             return
         if len(self.stack) == self.problem.m_max:
             return  # box budget spent with cells remaining
-        k = self.problem.k
+        slack = self.slack
         first = not self.stack and self.problem.symmetry_pruning
         for box, mask, incidences in self.moves[idx] or self._build_moves(idx):
             if cover & mask:
@@ -203,21 +191,19 @@ class _Engine:
                 raise ResourceLimit(
                     f"node budget {self.budget} exceeded at {self.nodes} placements"
                 )
-            feasible = True
-            for f, covered in incidences:
-                self.boxes_met[f] += 1
-                self.uncovered[f] -= covered
-            for f, _ in incidences:
-                if self.boxes_met[f] + self.uncovered[f] < k:
-                    feasible = False
+            # No flat appears twice in a move, so testing before applying
+            # decides as applying and testing would; a pruned box writes nothing.
+            for f, delta in incidences:
+                if slack[f] + delta < 0:
                     break
-            if feasible:
+            else:
+                for f, delta in incidences:
+                    slack[f] += delta
                 self.stack.append(box)
                 yield from self._dfs(cover | mask, idx + 1)
                 self.stack.pop()
-            for f, covered in incidences:
-                self.boxes_met[f] -= 1
-                self.uncovered[f] += covered
+                for f, delta in incidences:
+                    slack[f] -= delta
 
     def witness_partition(self, boxes: list[IndexBox]) -> BrickPartition:
         parent = Brick.from_pairs([(0, self.problem.g)] * self.problem.d)
@@ -235,10 +221,9 @@ def exists_partition(problem: SearchProblem) -> SearchOutcome:
     as ExhaustedNone.
     """
     engine = _Engine(problem)
-    for boxes, nodes in engine.solutions():
-        return SearchOutcome(
-            SearchStatus.FOUND, engine.witness_partition(boxes), nodes, _cap_note(problem)
-        )
+    for boxes in engine.solutions():
+        witness = engine.witness_partition(boxes)
+        return SearchOutcome(SearchStatus.FOUND, witness, engine.nodes, _cap_note(problem))
     return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, engine.nodes, _cap_note(problem))
 
 
@@ -249,5 +234,5 @@ def iter_solutions(problem: SearchProblem) -> Iterator[BrickPartition]:
     is the production entry point.
     """
     engine = _Engine(problem)
-    for boxes, _ in engine.solutions():
+    for boxes in engine.solutions():
         yield engine.witness_partition(boxes)

@@ -133,6 +133,17 @@ def test_export_wrong_dimension_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_export_rejects_a_label_that_would_inject_obj_lines(tmp_path, capsys):
+    doc, fig = tmp_path / "doc.json", tmp_path / "fig.obj"
+    bricks = [[[0, 1], [0, 1], [0, 1]], [[1, 2], [0, 1], [0, 1]]]
+    labels = ["evil\nv 9 9 9\nf 1 2 3", "ok"]
+    parent = [[0, 2], [0, 1], [0, 1]]
+    doc.write_text(json.dumps({"dim": 3, "parent": parent, "bricks": bricks, "labels": labels}))
+    code, out, err = run_cli(capsys, "export", str(doc), "--format", "obj", "--out", str(fig))
+    assert (code, out) == (2, "")
+    assert "labels[0]" in err and not fig.exists()
+
+
 def test_construct_bad_k_exits_2(capsys):
     code, _, err = run_cli(capsys, "construct", "--family", "piercing3d", "--k", "2")
     assert code == 2

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -164,3 +165,10 @@ def test_parse_builds_each_interval_once(monkeypatch):
     assert built == P.dim * (len(P.members) + 1)
     assert Q.members == P.members
 
+
+
+@pytest.mark.parametrize("label", ["evil\nv 9 9 9\nf 1 2 3", "tab\there", "nul\x00"])
+def test_parse_rejects_unprintable_labels(label):
+    doc = {"dim": 1, "parent": [[0, 2]], "bricks": [[[0, 1]], [[1, 2]]], "labels": ["ok", label]}
+    with pytest.raises(ParseError, match=r"labels\[1\]"):
+        parse_document(json.dumps(doc))

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given
@@ -98,6 +99,19 @@ def test_svg_draws_labels_when_present():
     )
     svg = export_figure(P, FigureFormat.SVG2D, ExportOptions(labels=True)).decode()
     assert svg.count("<text") == 2 and "lower" in svg
+
+
+def test_svg_labels_are_escaped():
+    labels = ("</text><script>x</script>", "a<b&c")
+    P = BrickPartition(
+        Brick.from_pairs([(0, 2), (0, 2)]),
+        (Brick.from_pairs([(0, 2), (0, 1)]), Brick.from_pairs([(0, 2), (1, 2)])),
+        labels,
+    )
+    root = ElementTree.fromstring(export_figure(P, FigureFormat.SVG2D, ExportOptions(labels=True)))
+    svg = "{http://www.w3.org/2000/svg}"
+    assert [t.text for t in root.iter(svg + "text")] == list(labels)
+    assert list(root.iter(svg + "script")) == []
 
 
 @pytest.mark.parametrize(

@@ -127,16 +127,47 @@ def test_problem_validation():
         SearchProblem(2, 2, Mode.PIERCING, 1, 2, node_budget=-1)
 
 
+def _reference_flats(d, g, mode):
+    """Every flat as (fixed axes, their cell coordinates), in the order that
+    numbers them: lines fix every axis but their own, slabs fix their own."""
+    flats = []
+    for a in range(d):
+        axes = [b for b in range(d) if b != a] if mode is Mode.PIERCING else [a]
+        flats += [(axes, coords) for coords in product(range(g), repeat=len(axes))]
+    return flats
+
+
 @pytest.mark.parametrize("d, g", [(2, 4), (3, 3)])
 def test_move_masks_are_the_cells_of_each_box(d, g):
-    # reference: one bit per cell, at the cell's base-g index
-    engine = _Engine(SearchProblem(d, 2, Mode.PIERCING, 1, g))
-    for anchor in range(g**d):
-        for box, mask, _ in engine._build_moves(anchor):
-            expected = 0
-            for cell in product(*(range(lo, hi) for lo, hi in box)):
-                expected |= 1 << sum(c * g ** (d - 1 - a) for a, c in enumerate(cell))
-            assert mask == expected
+    # reference: one bit per cell, at the cell's base-g index; one incidence
+    # (flat id, 1 - the box's cells on that flat) per flat the box meets
+    for mode in Mode:
+        engine = _Engine(SearchProblem(d, 2, mode, 1, g))
+        flats = _reference_flats(d, g, mode)
+        for anchor in range(g**d):
+            for box, mask, incidences in engine._build_moves(anchor):
+                cells = list(product(*(range(lo, hi) for lo, hi in box)))
+                expected = 0
+                for cell in cells:
+                    expected |= 1 << sum(c * g ** (d - 1 - a) for a, c in enumerate(cell))
+                assert mask == expected
+                met = []
+                for f, (axes, coords) in enumerate(flats):
+                    n = sum(all(cell[b] == c for b, c in zip(axes, coords)) for cell in cells)
+                    if n:
+                        met.append((f, 1 - n))
+                assert sorted(incidences) == met
+
+
+@pytest.mark.parametrize(
+    "d, k, mode, m, g",
+    [(2, 2, Mode.PIERCING, 3, 3), (3, 2, Mode.PIERCING, 7, 2), (3, 2, Mode.SLICING, 3, 3)],
+)
+def test_slack_is_restored_after_exhaustion(d, k, mode, m, g):
+    engine = _Engine(SearchProblem(d, k, mode, m, g, symmetry_pruning=False))
+    assert list(engine.solutions()) == []
+    flat_size = g if mode is Mode.PIERCING else g ** (d - 1)
+    assert engine.slack == [flat_size - k] * (d * g ** d // flat_size)
 
 
 def test_node_budget_bounds_the_first_anchors_moves():
