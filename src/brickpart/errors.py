@@ -14,7 +14,11 @@ class DimensionMismatch(BrickError):
 
 
 class BrickOutsideParent(BrickError):
-    """A brick endpoint lies strictly outside the parent brick."""
+    """Bricks strictly outside the parent; `members` holds their indices, ascending."""
+
+    def __init__(self, message: str, members: tuple[int, ...] = ()) -> None:
+        super().__init__(message)
+        self.members = members
 
 
 class BadAxis(BrickError):

@@ -224,8 +224,8 @@ def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:
     """Compress a brick set inside a parent to rank space.
 
     Sorts the distinct endpoints of each axis (the parent's included) and maps
-    every brick to its integer index box; raises BrickOutsideParent if any
-    endpoint lies strictly outside the parent.
+    every brick to its integer index box; a box that passes the parent's ranks
+    on some axis raises BrickOutsideParent, which carries every such index.
     """
     bricks = tuple(bricks)
     for idx, b in enumerate(bricks):
@@ -242,16 +242,18 @@ def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:
         axis = sorted(Fraction(*r) for r in set(chain.from_iterable(ends)))
         rank = {x.as_integer_ratio(): i for i, x in enumerate(axis)}
         axes.append(tuple(axis))
-        spans.append([(rank[lo], rank[hi]) for lo, hi in ends[1:]])
-    # every endpoint is inside iff the parent's endpoints are each axis's extremes
-    if any(axis[0] != p.lo or axis[-1] != p.hi for axis, p in zip(axes, parent.sides)):
-        for idx, b in enumerate(bricks):
-            for a, (side, pside) in enumerate(zip(b.sides, parent.sides)):
-                if side.lo < pside.lo or side.hi > pside.hi:
-                    raise BrickOutsideParent(
-                        f"brick {idx} axis {a + 1} interval {side!r} leaves parent {pside!r}"
-                    )
-    return BreakpointGrid(tuple(axes), tuple(zip(*spans)))
+        spans.append([(rank[lo], rank[hi]) for lo, hi in ends])
+    parent_box, *boxes = zip(*spans)
+    # every brick is inside iff the parent's ranks are each axis's extremes
+    if any(pair != (0, len(axis) - 1) for pair, axis in zip(parent_box, axes)):
+        leaves = [[lo < p or hi > q for (lo, hi), (p, q) in zip(box, parent_box)] for box in boxes]
+        outside = tuple(idx for idx, out in enumerate(leaves) if any(out))
+        idx, a = outside[0], leaves[outside[0]].index(True)
+        side, pside = bricks[idx].sides[a], parent.sides[a]
+        raise BrickOutsideParent(
+            f"brick {idx} axis {a + 1} interval {side!r} leaves parent {pside!r}", outside
+        )
+    return BreakpointGrid(tuple(axes), tuple(boxes))
 
 
 def cell_counts(grid: BreakpointGrid, axes: Sequence[int]) -> np.ndarray:

@@ -223,10 +223,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (
+        OSError,  # a missing, unreadable or unwritable path
         ParseError,
         BadK,
         BadDimensionForFormat,

@@ -47,7 +47,8 @@ class PartitionDocument:
 
 
 def _scalar_text(x: Fraction) -> str:
-    return json.dumps(int(x) if x.denominator == 1 else format_scalar(x))
+    # format_scalar writes only digits, "-", "." and "/": nothing to escape
+    return str(x.numerator) if x.denominator == 1 else f'"{format_scalar(x)}"'
 
 
 def _sides_text(b: Brick) -> str:
@@ -125,19 +126,11 @@ def parse_document(text: str) -> PartitionDocument:
 
     labels = None
     if "labels" in raw:
-        labels_raw = raw["labels"]
-        if not isinstance(labels_raw, list) or not all(
-            isinstance(s, str) for s in labels_raw
+        labels = raw["labels"]
+        if not isinstance(labels, list) or not all(
+            isinstance(s, str) for s in labels
         ):
             raise ParseError("labels: expected a list of strings")
-        if len(labels_raw) != len(bricks):
-            raise ParseError(
-                f"labels: {len(labels_raw)} labels for {len(bricks)} bricks"
-            )
-        for i, label in enumerate(labels_raw):
-            if not label.isprintable():  # a newline would inject OBJ lines
-                raise ParseError(f"labels[{i}]: expected printable text, got {label!r}")
-        labels = tuple(labels_raw)
 
     metadata = None
     if "metadata" in raw:
@@ -145,4 +138,8 @@ def parse_document(text: str) -> PartitionDocument:
             raise ParseError("metadata: expected an object")
         metadata = raw["metadata"]
 
-    return PartitionDocument(BrickPartition(parent, bricks, labels), metadata)
+    try:  # the partition owns the label rules: one printable label per member
+        P = BrickPartition(parent, bricks, labels)
+    except ValueError as e:
+        raise ParseError(str(e)) from e
+    return PartitionDocument(P, metadata)

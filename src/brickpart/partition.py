@@ -4,9 +4,9 @@ incidence statistics used by the slicing lower-bound diagnostics.
 Validation is a complete exact check: over the joint breakpoint grid, every
 elementary cell must contain exactly one member's closed brick at its
 midpoint. A closed brick contains a cell midpoint iff it covers the whole
-cell, because no endpoint falls strictly inside a cell; so validation is one
-count over rank space, `cell_counts` over all axes of the partition's grid,
-which is built once per partition and shared with the flat counts.
+cell, as no endpoint falls strictly inside a cell. Building the partition's
+grid (once, shared with the flat counts) finds members outside the parent;
+validation is then one count over rank space, `cell_counts` over all axes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadAxis, ConstructionInvalid, DimensionMismatch
+from .errors import BadAxis, BrickOutsideParent, ConstructionInvalid, DimensionMismatch
 from .geometry import BreakpointGrid, Brick, Interval, Point, build_grid, cell_counts
 
 
@@ -27,9 +27,9 @@ class BrickPartition:
     """A parent brick together with members intended to tile it exactly.
 
     Construction checks only cheap structural facts (nonempty members,
-    uniform dimension); geometric validity is established by `validate`.
-    Labels, when present, travel with the members (one per member). The
-    compressed grid is built on first use and kept with the partition.
+    uniform dimension, one printable label per member when labels are given);
+    geometric validity is established by `validate`. The compressed grid is
+    built on first use and kept with the partition.
     """
 
     parent: Brick
@@ -49,7 +49,10 @@ class BrickPartition:
         if self.labels is not None:
             labels = tuple(self.labels)
             if len(labels) != len(members):
-                raise ValueError("need exactly one label per member")
+                raise ValueError(f"labels: {len(labels)} labels for {len(members)} members")
+            for i, label in enumerate(labels):
+                if not label.isprintable():  # a newline would inject OBJ lines
+                    raise ValueError(f"labels[{i}]: expected printable text, got {label!r}")
             object.__setattr__(self, "labels", labels)
 
     @property
@@ -96,21 +99,18 @@ _BLOCK_CELLS = 1 << 20
 def validate(P: BrickPartition) -> ValidationReport:
     """Exact cover check of a partition's members against its parent.
 
-    Members poking outside the parent short-circuit to OutsideParent
-    failures before any grid is built. Otherwise counts, per elementary cell
-    of the partition's grid, the members containing the cell: exactly 1
+    Members outside the parent, found while the partition's grid is built,
+    are each an OutsideParent failure, in member order. Otherwise counts, per
+    elementary cell of the grid, the members containing the cell: exactly 1
     everywhere means valid; 0 is a Gap, 2+ an Overlap (first failing cell in
     lexicographic order reported, with the members covering it).
     """
-    outside = tuple(
-        Failure(FailureKind.OUTSIDE_PARENT, None, (idx,))
-        for idx, b in enumerate(P.members)
-        if any(s.lo < p.lo or s.hi > p.hi for s, p in zip(b.sides, P.parent.sides))
-    )
-    if outside:
-        return ValidationReport(False, outside)
-
-    grid = P.grid
+    try:
+        grid = P.grid
+    except BrickOutsideParent as e:
+        return ValidationReport(
+            False, tuple(Failure(FailureKind.OUTSIDE_PARENT, None, (i,)) for i in e.members)
+        )
     counts = cell_counts(grid, range(P.dim)).reshape(-1)  # a view, in C order
     # min/max over fixed-size blocks: no boolean mask as large as the grid
     for start in range(0, counts.size, _BLOCK_CELLS):
@@ -211,13 +211,11 @@ class IncidenceReport:
 
 
 def boundary_incidence(P: BrickPartition) -> IncidenceReport:
-    """Count, per member, the parent boundary hyperplanes it touches."""
+    """Count, per member, the parent boundary hyperplanes it touches (index box
+    ends at rank 0 or at the last rank); raises BrickOutsideParent for strays."""
+    shape = P.grid.shape
     f = tuple(
-        sum(
-            int(s.lo == p.lo) + int(s.hi == p.hi)
-            for s, p in zip(b.sides, P.parent.sides)
-        )
-        for b in P.members
+        sum((lo == 0) + (hi == n) for (lo, hi), n in zip(box, shape)) for box in P.grid.boxes
     )
     return IncidenceReport(f, sum(f), sum(1 for v in f if v == 4))
 

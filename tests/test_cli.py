@@ -161,6 +161,15 @@ def test_missing_file_exits_2(capsys):
     assert code == 2
 
 
+def test_directory_paths_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "verify", str(tmp_path))
+    assert code == 2 and err.startswith("error: ")
+    code, out, err = run_cli(
+        capsys, "construct", "--family", "grid", "--k", "2", "--out", str(tmp_path)
+    )
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 @pytest.fixture
 def grid_builds(monkeypatch):
     """Count the grids built, wherever a module looks build_grid up."""

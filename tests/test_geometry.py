@@ -147,6 +147,17 @@ def test_build_grid_rejects_outside_parent():
         build_grid(parent, [stray])
 
 
+def test_build_grid_reports_every_stray_in_member_order():
+    parent = Brick.from_pairs([(0, 2), (0, 2)])
+    inside = Brick.from_pairs([(0, 2), (0, 1)])
+    high_on_axis_2 = Brick.from_pairs([(0, 2), (1, 3)])
+    low_on_axis_1 = Brick.from_pairs([(-1, 1), (1, 2)])
+    with pytest.raises(BrickOutsideParent) as exc:
+        build_grid(parent, [inside, high_on_axis_2, low_on_axis_1])
+    assert exc.value.members == (1, 2)
+    assert str(exc.value) == "brick 1 axis 2 interval [1, 3] leaves parent [0, 2]"
+
+
 def test_build_grid_rejects_dimension_mismatch():
     parent = Brick.from_pairs([(0, 2), (0, 2)])
     with pytest.raises(DimensionMismatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from brickpart import (
     BadAxis,
     Brick,
+    BrickOutsideParent,
     BrickPartition,
     ConstructionInvalid,
     DimensionMismatch,
@@ -68,10 +69,21 @@ def test_validate_reports_outside_parent():
     parent = Brick.from_pairs([(0, 2), (0, 2)])
     inside = Brick.from_pairs([(0, 2), (0, 1)])
     stray = Brick.from_pairs([(0, 2), (1, 3)])
-    report = validate(BrickPartition(parent, [inside, stray]))
+    low_stray = Brick.from_pairs([(-1, 1), (1, 2)])
+    report = validate(BrickPartition(parent, [inside, stray, low_stray]))
     assert not report.valid
-    assert [f.kind for f in report.failures] == [FailureKind.OUTSIDE_PARENT]
-    assert report.failures[0].members == (1,)
+    assert [f.kind for f in report.failures] == [FailureKind.OUTSIDE_PARENT] * 2
+    assert [f.members for f in report.failures] == [(1,), (2,)]
+    assert all(f.point is None for f in report.failures)
+
+
+def test_partition_rejects_an_unprintable_label():
+    parent = Brick.from_pairs([(0, 2), (0, 1), (0, 1)])
+    halves = [Brick.from_pairs([(x, x + 1), (0, 1), (0, 1)]) for x in (0, 1)]
+    with pytest.raises(ValueError, match=r"labels\[0\]"):
+        BrickPartition(parent, halves, labels=("evil\nv 9 9 9", "ok"))
+    with pytest.raises(ValueError, match="3 labels for 2 members"):
+        BrickPartition(parent, halves, labels=("a", "b", "c"))
 
 
 def test_validate_dimension_mismatch():
@@ -188,6 +200,49 @@ def test_boundary_incidence_slicing_k2():
     report = boundary_incidence(P)
     assert report.per_member == (4, 4, 4, 4)
     assert report.total == 16 and report.alpha == 4
+
+
+def _reference_incidence(P: BrickPartition) -> tuple[int, ...]:
+    """f(b) straight from the coordinates: sides equal to the parent's."""
+    return tuple(
+        sum(int(s.lo == p.lo) + int(s.hi == p.hi) for s, p in zip(b.sides, P.parent.sides))
+        for b in P.members
+    )
+
+
+def test_boundary_incidence_matches_the_coordinate_formula(corpus):
+    for P in corpus:
+        f = _reference_incidence(P)
+        report = boundary_incidence(P)
+        assert report.per_member == f
+        assert (report.total, report.alpha) == (sum(f), f.count(4))
+
+
+def test_boundary_incidence_rejects_a_member_outside_the_parent():
+    parent = Brick.from_pairs([(0, 2), (0, 2)])
+    stray = Brick.from_pairs([(0, 2), (1, 3)])
+    with pytest.raises(BrickOutsideParent):
+        boundary_incidence(BrickPartition(parent, [Brick.from_pairs([(0, 2), (0, 1)]), stray]))
+
+
+def test_validate_and_incidence_compare_no_fractions_once_the_grid_exists(monkeypatch):
+    base = piercing_3d_base()
+    gap = BrickPartition(base.parent, base.members[1:])
+    partitions = [slicing_3d(4), base, gap]
+    for P in partitions:
+        P.grid  # built here, where its sort compares coordinates
+    compared = []
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+
+        def counting(self, other, name=name, method=getattr(Fraction, name)):
+            compared.append(name)
+            return method(self, other)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    assert [validate(P).valid for P in partitions] == [True, True, False]
+    for P in partitions:
+        boundary_incidence(P)
+    assert compared == []
 
 
 def test_parent_corners_contained():
