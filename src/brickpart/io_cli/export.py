@@ -15,6 +15,7 @@ from fractions import Fraction
 from html import escape
 
 from ..errors import BadDimensionForFormat
+from ..geometry import MAX_SCALAR_DIGITS
 from ..partition import BrickPartition
 
 
@@ -30,8 +31,9 @@ class ExportOptions:
     labels: bool = False  # SVG: draw member labels at brick centers
 
     def __post_init__(self) -> None:
-        if self.precision < 0:
-            raise ValueError(f"decimal places must be >= 0, got {self.precision}")
+        p = self.precision  # more digits than MAX_SCALAR_DIGITS would not convert to str
+        if not 0 <= p <= MAX_SCALAR_DIGITS:
+            raise ValueError(f"decimal places must be >= 0 and <= {MAX_SCALAR_DIGITS}, got {p}")
 
 
 SVG_SCALE = Fraction(48)  # SVG pixels per geometry unit

@@ -6,7 +6,8 @@ elementary cell must contain exactly one member's closed brick at its
 midpoint. A closed brick contains a cell midpoint iff it covers the whole
 cell, as no endpoint falls strictly inside a cell. Building the partition's
 grid (once, shared with the flat counts) finds members outside the parent;
-validation is then one count over rank space, `cell_counts` over all axes.
+validation then counts blocks of axis-1 rows (at most _BLOCK_CELLS int32 cells
+or one slab, ~4 MiB) with `cell_counts`, stopping at the first failing block.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import prod
 from typing import Iterable
 
 import numpy as np
@@ -111,16 +113,17 @@ def validate(P: BrickPartition) -> ValidationReport:
         return ValidationReport(
             False, tuple(Failure(FailureKind.OUTSIDE_PARENT, None, (i,)) for i in e.members)
         )
-    counts = cell_counts(grid, range(P.dim)).reshape(-1)  # a view, in C order
-    # min/max over fixed-size blocks: no boolean mask as large as the grid
-    for start in range(0, counts.size, _BLOCK_CELLS):
-        block = counts[start : start + _BLOCK_CELLS]
+    slab = prod(grid.shape[1:])
+    step = max(1, _BLOCK_CELLS // slab)  # whole axis-1 rows per block
+    for start in range(0, grid.shape[0], step):
+        block = cell_counts(grid, range(P.dim), slice(start, start + step)).reshape(-1)
         if block.min() != 1 or block.max() != 1:
             break
+        del block  # freed before the next block is allocated: one block alive at a time
     else:
         return ValidationReport(True)
 
-    first_bad = start + int(np.argmax(block != 1))  # first failing cell in C (lexicographic) order
+    first_bad = start * slab + int(np.argmax(block != 1))  # first failing cell in C order
     cell = tuple(int(i) for i in np.unravel_index(first_bad, grid.shape))
     covering = tuple(
         i for i, box in enumerate(grid.boxes) if all(lo <= c < hi for (lo, hi), c in zip(box, cell))

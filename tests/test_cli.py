@@ -224,6 +224,26 @@ def test_export_rejects_undocumented_exploded_fast(tmp_path, capsys):
     assert "--exploded" in err
 
 
+def test_export_precision_is_capped_at_the_scalar_digit_limit(tmp_path, capsys):
+    # more places than MAX_SCALAR_DIGITS cannot be printed: rejected at once,
+    # naming the option, while the limit itself renders 1/7's 4,300 digits
+    doc = tmp_path / "seventh.json"
+    doc.write_text(
+        '{"dim": 2, "parent": [[0, 1], [0, 1]], '
+        '"bricks": [[[0, "1/7"], [0, 1]], [["1/7", 1], [0, 1]]]}\n'
+    )
+    limit = str(geometry.MAX_SCALAR_DIGITS)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "export", str(doc), "--format", "svg", "--precision", "4301")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --precision:") and limit in err
+    code, out, err = run_cli(capsys, "export", str(doc), "--format", "svg", "--precision", limit)
+    assert (code, err) == (0, "")
+    places = ("857142" * 717)[: geometry.MAX_SCALAR_DIGITS]  # 48/7, the next digit a 4
+    assert f'width="6.{places}"' in out
+
+
 def test_export_rejects_negative_precision(tmp_path, capsys):
     doc = tmp_path / "p2.json"
     assert run_cli(capsys, "construct", "--family", "piercing2d", "--k", "3", "--out", str(doc))[0] == 0

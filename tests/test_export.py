@@ -15,6 +15,7 @@ from brickpart import (
     export_figure,
 )
 from brickpart.constructions import grid_partition, piercing_2d, piercing_3d
+from brickpart.geometry import MAX_SCALAR_DIGITS
 from brickpart.io_cli.export import render_decimal
 
 
@@ -44,6 +45,12 @@ def test_export_options_reject_negative_precision():
     with pytest.raises(ValueError, match="decimal places must be >= 0"):
         ExportOptions(precision=-1)
     assert ExportOptions(precision=0).precision == 0
+
+
+def test_export_options_cap_precision_at_the_scalar_digit_limit():
+    with pytest.raises(ValueError, match=f"<= {MAX_SCALAR_DIGITS}, got {MAX_SCALAR_DIGITS + 1}"):
+        ExportOptions(precision=MAX_SCALAR_DIGITS + 1)
+    assert ExportOptions(precision=MAX_SCALAR_DIGITS).precision == MAX_SCALAR_DIGITS
 
 
 def test_exports_are_deterministic():

@@ -1,6 +1,7 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from brickpart import (
     format_scalar,
     parse_scalar,
 )
+from brickpart import metrics, partition
 from brickpart.constructions import piercing_3d_base, slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts
 
@@ -187,6 +189,23 @@ def test_cell_counts_match_midpoint_containment(bricks, axes):
             1 for b in bricks if all(b.sides[a].contains(m) for a, m in zip(axes, mids))
         )
         assert counts[cell] == expected
+
+
+def test_cell_counts_over_a_row_range_is_that_slice_of_the_whole(corpus):
+    # validate counts all axes one block of axis-1 rows at a time, and
+    # min_flat_count counts a flat's fixed axes (every nonempty proper subset)
+    # whole: both through this one kernel
+    assert partition.cell_counts is metrics.cell_counts is cell_counts
+    for P in corpus:
+        for size in range(1, P.dim + 1):
+            for axes in combinations(range(P.dim), size):
+                whole = cell_counts(P.grid, axes)
+                rows = whole.shape[0]
+                for start in range(rows + 1):
+                    for stop in range(start, rows + 2):  # one past the end clips
+                        part = cell_counts(P.grid, axes, slice(start, stop))
+                        assert part.dtype == np.int32
+                        assert np.array_equal(part, whole[start:stop])
 
 
 @given(st.lists(bricks_2d, min_size=1, max_size=6))

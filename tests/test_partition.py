@@ -1,4 +1,7 @@
+import tracemalloc
 from fractions import Fraction
+from math import prod
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -15,9 +18,11 @@ from brickpart import (
     boundary_incidence,
     cut,
     parent_corners_contained,
+    random_split_partition,
     refine,
     validate,
 )
+from brickpart import partition
 from brickpart.constructions import piercing_3d_base, slicing_3d
 
 from helpers import first_bad_cell_midpoint
@@ -84,6 +89,22 @@ def test_partition_rejects_an_unprintable_label():
         BrickPartition(parent, halves, labels=("evil\nv 9 9 9", "ok"))
     with pytest.raises(ValueError, match="3 labels for 2 members"):
         BrickPartition(parent, halves, labels=("a", "b", "c"))
+
+
+def test_validate_memory_is_bounded_by_one_block():
+    # numpy reports its buffers to tracemalloc; the grid is built beforehand,
+    # so the peak is validate's own: one int32 block of at most _BLOCK_CELLS
+    # cells (or one slab), plus 64 KiB for Python objects
+    P = random_split_partition(Random(1), 3, 800)
+    shape = P.grid.shape
+    assert prod(shape) >= 8 * partition._BLOCK_CELLS
+    tracemalloc.start()
+    try:
+        assert validate(P).valid
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (partition._BLOCK_CELLS + prod(shape[1:])) + 64 * 1024
 
 
 def test_validate_dimension_mismatch():

@@ -2,11 +2,13 @@
 monotonicity, reparameterization invariance, conservation laws, and the
 validator's mutation coverage on the explicit construction families."""
 
+from math import prod
 from random import Random
 
 import pytest
 
 from brickpart import (
+    Brick,
     BrickPartition,
     FailureKind,
     boundary_incidence,
@@ -151,15 +153,32 @@ def test_validator_catches_every_single_duplication(P):
         assert sum(1 for b in members if b.contains_point(failure.point)) >= 2
 
 
-@pytest.mark.parametrize("P", MUTATION_TARGETS, ids=lambda P: f"d{P.dim}m{len(P)}")
+# a 1D partition of [0, 6], whose slab (a cell of no further axes) is one cell
+ONE_D = BrickPartition(
+    Brick.from_pairs([(0, 6)]), [Brick.from_pairs([p]) for p in ((0, 1), (1, 3), (3, 6))]
+)
+
+
+@pytest.mark.parametrize("P", MUTATION_TARGETS + [ONE_D], ids=lambda P: f"d{P.dim}m{len(P)}")
 def test_validator_witness_does_not_depend_on_block_size(monkeypatch, P):
-    # validate scans the count array in fixed-size blocks; with blocks of 5
-    # cells the first failing cell usually lies past the first block
-    mutants = [tuple(b for i, b in enumerate(P.members) if i != idx) for idx in range(len(P))]
-    mutants += [tuple(P.members) + (b,) for b in P.members]
-    expected = [validate(BrickPartition(P.parent, members)) for members in mutants]
-    monkeypatch.setattr(partition, "_BLOCK_CELLS", 5)
-    assert [validate(BrickPartition(P.parent, members)) for members in mutants] == expected
+    # validate counts blocks of whole axis-1 rows, at most _BLOCK_CELLS cells
+    # each, and stops at the first failing one; the default budget holds each
+    # of these grids in one block, so the report must not change with it
+    members = P.members
+    partitions = [P]
+    partitions += [BrickPartition(P.parent, members[:i] + members[i + 1 :]) for i in range(len(P))]
+    partitions += [BrickPartition(P.parent, members + (b,)) for b in members]
+    expected = [validate(Q) for Q in partitions]
+    assert expected[0].valid and not any(r.valid for r in expected[1:])
+    budgets = {
+        "one slab per block": lambda shape: 1,
+        "two rows per block": lambda shape: 2 * prod(shape[1:]),
+        "the whole grid": lambda shape: prod(shape),
+    }
+    for name, budget in budgets.items():
+        for Q, report in zip(partitions, expected):
+            monkeypatch.setattr(partition, "_BLOCK_CELLS", budget(Q.grid.shape))
+            assert validate(Q) == report, name
 
 
 def test_refine_output_always_validates(corpus):
