@@ -42,7 +42,7 @@ class ConstructionInvalid(BrickError):
 
 
 class ResourceLimit(BrickError):
-    """Search node budget exceeded before the search finished."""
+    """A search ran out of its node budget, or flat counts would pass their cell cap."""
 
 
 class ParseError(BrickError):

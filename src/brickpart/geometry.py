@@ -9,8 +9,9 @@ construction.
 Coordinates are compared once, when `build_grid` compresses each axis to the
 ranks of its sorted distinct endpoints and every member to an integer index
 box. `cell_counts` then counts members over any projection of the cell grid
-in rank space, or over a range of its first axis's rows: over all axes, one
-block of rows at a time, to validate; over a flat's fixed axes to count flats.
+in rank space: over a flat's fixed axes to count flats, and over all axes to
+validate a grid of at most 2^20 cells (larger grids are validated from the
+index boxes alone, with no cell array).
 """
 
 from __future__ import annotations
@@ -256,16 +257,16 @@ def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:
     return BreakpointGrid(tuple(axes), tuple(boxes))
 
 
-def cell_counts(grid: BreakpointGrid, axes: Sequence[int], rows: slice = slice(None)) -> np.ndarray:
-    """Members covering each cell of the grid's projection onto the given 0-based
-    axes (ascending), in the given rows of the first axis, as an int32 array in C order."""
-    first, *rest = axes
-    start, stop, _ = rows.indices(grid.shape[first])
-    counts = np.zeros((stop - start, *(grid.shape[a] for a in rest)), dtype=np.int32)
+def cell_counts(grid: BreakpointGrid, axes: Sequence[int]) -> np.ndarray:
+    """Members covering each cell of the grid's projection onto the given
+    0-based axes (ascending), as an int32 array in C order.
+
+    The array holds every cell of the projection: `validate` calls this over
+    all axes only up to its cell threshold, and `min_flat_count` caps the
+    projections it asks for.
+    """
+    counts = np.zeros(tuple(grid.shape[a] for a in axes), dtype=np.int32)
     for box in grid.boxes:
-        lo, hi = box[first]
-        if lo < stop and hi > start:  # the box's rows in the block, numbered from start
-            band = slice(lo - start if lo > start else 0, hi - start)  # cheaper than max()
-            cells = counts[(band, *[slice(*box[a]) for a in rest])]
-            cells += 1  # in place on the view: no write-back through __setitem__
+        cells = counts[tuple([slice(*box[a]) for a in axes])]  # a list: faster than a generator
+        cells += 1  # in place on the view: no write-back through __setitem__
     return counts

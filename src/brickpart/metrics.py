@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
-from .errors import BadCodimension, DimensionMismatch, QueryOutsideParent
+from .errors import BadCodimension, DimensionMismatch, QueryOutsideParent, ResourceLimit
 from .geometry import as_scalar, cell_counts
 from .partition import BrickPartition
 
@@ -92,18 +93,29 @@ class FlatProfile:
     counts: dict[tuple[int, ...], np.ndarray]
 
 
+_MAX_FLAT_CELLS = 1 << 26  # int32 counts kept by one profile: 256 MiB
+
+
 def min_flat_count(P: BrickPartition, free_axis_count: int) -> FlatProfile:
     """Minimum member count over all axis-parallel flats with the given
-    number of free axes, computed at elementary-cell midpoints."""
+    number of free axes, computed at elementary-cell midpoints.
+
+    Raises ResourceLimit, before counting, when the profile's projections
+    together hold more than _MAX_FLAT_CELLS cells.
+    """
     d = P.dim
     if not 1 <= free_axis_count <= d - 1:
         raise BadCodimension(f"free axis count {free_axis_count} outside 1..{d - 1}")
     grid = P.grid
+    choices = list(combinations(range(1, d + 1), free_axis_count))
+    cells = sum(prod(n for a, n in enumerate(grid.shape, 1) if a not in free) for free in choices)
+    if cells > _MAX_FLAT_CELLS:
+        raise ResourceLimit(f"flat counts over {cells} cells exceed the cap of {_MAX_FLAT_CELLS}")
 
     best: int | None = None
     witness: FlatQuery | None = None
     all_counts: dict[tuple[int, ...], np.ndarray] = {}
-    for free in combinations(range(1, d + 1), free_axis_count):
+    for free in choices:
         fixed_axes = tuple(a for a in range(1, d + 1) if a not in free)
         counts = cell_counts(grid, [a - 1 for a in fixed_axes])
         all_counts[free] = counts

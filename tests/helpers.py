@@ -1,7 +1,8 @@
 """Independent oracles and corpus tools shared by the test modules.
 
 Everything here recomputes results from definitions, without touching the
-breakpoint-grid code paths it is used to check.
+breakpoint-grid code paths it is used to check; `whole_grid_counts` reads only
+the grid's index boxes, which `test_geometry` checks on their own.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from random import Random
 
 import numpy as np
 
-from brickpart import Brick, BrickPartition, Interval
+from brickpart import Brick, BrickPartition, FailureKind, Interval
+from brickpart.partition import Failure, ValidationReport
 
 
 def axis_eval_points(P: BrickPartition, axis_index: int) -> list[Fraction]:
@@ -85,6 +87,28 @@ def first_bad_cell_midpoint(P: BrickPartition):
         return None
 
     return scan([], 0)
+
+
+def whole_grid_counts(P: BrickPartition) -> np.ndarray:
+    """Members covering each elementary cell of P's grid, every cell at once."""
+    counts = np.zeros(P.grid.shape, dtype=np.int64)
+    for box in P.grid.boxes:
+        counts[tuple(slice(lo, hi) for lo, hi in box)] += 1
+    return counts
+
+
+def whole_grid_report(P: BrickPartition) -> ValidationReport:
+    """`validate`'s report for members inside the parent, from the whole-grid
+    count: the first cell in C order not covered exactly once, with its members."""
+    bad = np.argwhere(whole_grid_counts(P) != 1)  # rows in C order
+    if len(bad) == 0:
+        return ValidationReport(True)
+    cell = tuple(int(c) for c in bad[0])
+    covering = tuple(
+        i for i, box in enumerate(P.grid.boxes) if all(lo <= c < hi for (lo, hi), c in zip(box, cell))
+    )
+    kind = FailureKind.OVERLAP if covering else FailureKind.GAP
+    return ValidationReport(False, (Failure(kind, P.grid.midpoint(cell), covering),))
 
 
 def random_monotone_remap(rng: Random, P: BrickPartition) -> BrickPartition:

@@ -1,9 +1,10 @@
 import json
 import time
+from random import Random
 
 import pytest
 
-from brickpart import geometry, metrics, partition
+from brickpart import emit_document, geometry, metrics, partition, random_split_partition
 from brickpart.io_cli.cli import main
 
 
@@ -48,6 +49,16 @@ def test_verify_overlap_reports_members(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", str(doc))
     assert code == 1
     assert "overlap" in out and "members" in out
+
+
+def test_verify_refuses_flat_counts_above_the_cap(tmp_path, capsys):
+    # valid, with 7.8e15 cells; one 9-axis projection would need petabytes
+    doc = tmp_path / "d10.json"
+    doc.write_text(emit_document(random_split_partition(Random(0), 10, 800)))
+    code, out, err = run_cli(capsys, "verify", str(doc))
+    assert code == 1
+    assert "valid: yes" in out
+    assert err.startswith("error: flat counts over ") and err.count("\n") == 1
 
 
 def test_verify_unparseable_exits_2(tmp_path, capsys):

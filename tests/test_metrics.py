@@ -9,12 +9,14 @@ from brickpart import (
     DimensionMismatch,
     FlatQuery,
     QueryOutsideParent,
+    ResourceLimit,
     count_intersections,
     hit_members,
     min_flat_count,
     piercing_number,
     slicing_number,
 )
+from brickpart import metrics
 from brickpart.constructions import (
     grid_partition,
     piercing_2d,
@@ -104,6 +106,18 @@ def test_min_flat_count_rejects_bad_codimension():
         min_flat_count(P, 2)
     with pytest.raises(BadCodimension):
         piercing_number(grid_partition(1, 3))
+
+
+def test_min_flat_count_refuses_projections_above_the_cap(monkeypatch):
+    P = piercing_3d(3)
+    rows, cols, planes = P.grid.shape
+    lines = rows * cols + rows * planes + cols * planes  # the three 2D projections
+    monkeypatch.setattr(metrics, "_MAX_FLAT_CELLS", lines)
+    assert min_flat_count(P, 1).minimum == 3
+    monkeypatch.setattr(metrics, "_MAX_FLAT_CELLS", lines - 1)
+    with pytest.raises(ResourceLimit, match=f"over {lines} cells"):
+        min_flat_count(P, 1)
+    assert min_flat_count(P, 2).minimum >= 3  # planes: rows + cols + planes cells
 
 
 def test_piercing_number_examples():

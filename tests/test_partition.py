@@ -91,20 +91,48 @@ def test_partition_rejects_an_unprintable_label():
         BrickPartition(parent, halves, labels=("a", "b", "c"))
 
 
+def bars(m: int, r: int) -> BrickPartition:
+    """[0,m]^2 x [0,3] as m bars along axis 1, then m along axis 2, then r^2
+    along axis 3: about m^2 / 2 pairs of members meet on every axis."""
+    w = m // r
+    members = [Brick.from_pairs([(0, m), (y, y + 1), (0, 1)]) for y in range(m)]
+    members += [Brick.from_pairs([(x, x + 1), (0, m), (1, 2)]) for x in range(m)]
+    members += [
+        Brick.from_pairs([(x, x + w), (y, y + w), (2, 3)])
+        for x in range(0, m, w)
+        for y in range(0, m, w)
+    ]
+    return BrickPartition(Brick.from_pairs([(0, m), (0, m), (0, 3)]), members)
+
+
 def test_validate_memory_is_bounded_by_one_block():
     # numpy reports its buffers to tracemalloc; the grid is built beforehand,
-    # so the peak is validate's own: one int32 block of at most _BLOCK_CELLS
-    # cells (or one slab), plus 64 KiB for Python objects
-    P = random_split_partition(Random(1), 3, 800)
-    shape = P.grid.shape
-    assert prod(shape) >= 8 * partition._BLOCK_CELLS
-    tracemalloc.start()
-    try:
-        assert validate(P).valid
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * (partition._BLOCK_CELLS + prod(shape[1:])) + 64 * 1024
+    # so the peak is validate's own. Both grids are above _BLOCK_CELLS, so no
+    # cell array is made: the bound is an int32 block of _BLOCK_CELLS cells plus
+    # one slab, plus 64 KiB for Python objects, and the bars' 410,976 or more
+    # candidate pairs per axis must be tested a chunk at a time to stay in it
+    for P in (random_split_partition(Random(1), 3, 800), bars(640, 8)):
+        shape = P.grid.shape
+        assert prod(shape) > partition._BLOCK_CELLS
+        tracemalloc.start()
+        try:
+            assert validate(P).valid
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * (partition._BLOCK_CELLS + prod(shape[1:])) + 64 * 1024
+
+
+def test_validate_is_exact_beyond_int64():
+    # 2.7e19 cells: the cell counts and their index arithmetic need Python ints
+    P = random_split_partition(Random(0), 12, 1200)
+    assert prod(P.grid.shape) > 2**63
+    assert validate(P).valid
+    members = P.members[:7] + P.members[8:]
+    (failure,) = validate(BrickPartition(P.parent, members)).failures
+    assert failure.kind is FailureKind.GAP
+    assert P.members[7].contains_point(failure.point)
+    assert not any(b.contains_point(failure.point) for b in members)
 
 
 def test_validate_dimension_mismatch():

@@ -33,6 +33,7 @@ from helpers import (
     first_bad_cell_midpoint,
     random_monotone_remap,
     random_refine_plan,
+    whole_grid_report,
 )
 
 
@@ -161,24 +162,22 @@ ONE_D = BrickPartition(
 
 @pytest.mark.parametrize("P", MUTATION_TARGETS + [ONE_D], ids=lambda P: f"d{P.dim}m{len(P)}")
 def test_validator_witness_does_not_depend_on_block_size(monkeypatch, P):
-    # validate counts blocks of whole axis-1 rows, at most _BLOCK_CELLS cells
-    # each, and stops at the first failing one; the default budget holds each
-    # of these grids in one block, so the report must not change with it
+    # validate counts grids of up to _BLOCK_CELLS cells whole and decides
+    # larger ones from the index boxes alone, testing _PAIR_CHUNK box pairs at a
+    # time; forced each way, with one pair per chunk, both paths must give the
+    # whole-grid count's report
     members = P.members
     partitions = [P]
     partitions += [BrickPartition(P.parent, members[:i] + members[i + 1 :]) for i in range(len(P))]
     partitions += [BrickPartition(P.parent, members + (b,)) for b in members]
-    expected = [validate(Q) for Q in partitions]
+    expected = [whole_grid_report(Q) for Q in partitions]
     assert expected[0].valid and not any(r.valid for r in expected[1:])
-    budgets = {
-        "one slab per block": lambda shape: 1,
-        "two rows per block": lambda shape: 2 * prod(shape[1:]),
-        "the whole grid": lambda shape: prod(shape),
-    }
-    for name, budget in budgets.items():
+    above_every_grid = max(prod(Q.grid.shape) for Q in partitions)
+    monkeypatch.setattr(partition, "_PAIR_CHUNK", 1)
+    for threshold in (0, above_every_grid):
+        monkeypatch.setattr(partition, "_BLOCK_CELLS", threshold)
         for Q, report in zip(partitions, expected):
-            monkeypatch.setattr(partition, "_BLOCK_CELLS", budget(Q.grid.shape))
-            assert validate(Q) == report, name
+            assert validate(Q) == report, threshold
 
 
 def test_refine_output_always_validates(corpus):
