@@ -7,7 +7,8 @@ documents (by sha256), the full `verify` stdout with its exit code, the same
 for three seeded random documents corrupted by a gap, an overlap and a member
 outside the parent, the SVG/OBJ export bytes of two family documents and
 of three exports of seeded random documents (by sha256), the full
-`search` and `bounds` stdout with exit codes, and one sha256 over the
+`search` and `bounds` stdout with exit codes, the search's node count at
+each solution it yields, and one sha256 over the
 concatenated documents of each explicit family across its range of k.
 """
 
@@ -23,6 +24,7 @@ from brickpart import Interval, emit_document, random_split_partition
 from brickpart.constructions import piercing_2d, piercing_3d
 from brickpart.io_cli.cli import main
 from brickpart.partition import BrickPartition
+from brickpart.search import Mode, SearchProblem, _Engine
 
 
 def run_cli(capsys, *args):
@@ -104,12 +106,30 @@ SEARCH = {
     # in d = 2, lines and slabs are the same flats under different ids
     (2, 2, 'slicing', 4, 3): (0, 'status: found\nnodes_explored: 30\ngrid_cap: g=3, m_max=4 (relative to this grid)\n{\n  "dim": 2,\n  "parent": [[0, 3], [0, 3]],\n  "bricks": [\n    [[0, 1], [0, 1]],\n    [[0, 1], [1, 3]],\n    [[1, 3], [0, 1]],\n    [[1, 3], [1, 3]]\n  ],\n  "metadata": {"generator": "search", "d": 2, "k": 2, "mode": "slicing", "grid": 3}\n}\n'),
     (3, 2, 'slicing', 4, 3): (0, 'status: found\nnodes_explored: 2787\ngrid_cap: g=3, m_max=4 (relative to this grid)\n{\n  "dim": 3,\n  "parent": [[0, 3], [0, 3], [0, 3]],\n  "bricks": [\n    [[0, 1], [0, 1], [0, 3]],\n    [[0, 1], [1, 3], [0, 3]],\n    [[1, 3], [0, 1], [0, 3]],\n    [[1, 3], [1, 3], [0, 3]]\n  ],\n  "metadata": {"generator": "search", "d": 3, "k": 2, "mode": "slicing", "grid": 3}\n}\n'),
+    # the remaining benchmark search ops, p(2,3) m=7 g=6 the largest
+    (2, 3, 'piercing', 7, 4): (0, 'status: exhausted_none\nnodes_explored: 2369\ngrid_cap: g=4, m_max=7 (relative to this grid)\n'),
+    (2, 3, 'piercing', 8, 4): (0, 'status: found\nnodes_explored: 4293\ngrid_cap: g=4, m_max=8 (relative to this grid)\n{\n  "dim": 2,\n  "parent": [[0, 4], [0, 4]],\n  "bricks": [\n    [[0, 1], [0, 2]],\n    [[0, 2], [2, 3]],\n    [[0, 2], [3, 4]],\n    [[1, 2], [0, 2]],\n    [[2, 4], [0, 1]],\n    [[2, 4], [1, 2]],\n    [[2, 3], [2, 4]],\n    [[3, 4], [2, 4]]\n  ],\n  "metadata": {"generator": "search", "d": 2, "k": 3, "mode": "piercing", "grid": 4}\n}\n'),
+    (2, 3, 'piercing', 7, 6): (0, 'status: exhausted_none\nnodes_explored: 1359798\ngrid_cap: g=6, m_max=7 (relative to this grid)\n'),
+    (3, 2, 'piercing', 7, 2): (0, 'status: exhausted_none\nnodes_explored: 22\ngrid_cap: g=2, m_max=7 (relative to this grid)\n'),
+    (3, 2, 'slicing', 3, 2): (0, 'status: exhausted_none\nnodes_explored: 30\ngrid_cap: g=2, m_max=3 (relative to this grid)\n'),
+    (3, 2, 'slicing', 4, 2): (0, 'status: found\nnodes_explored: 53\ngrid_cap: g=2, m_max=4 (relative to this grid)\n{\n  "dim": 3,\n  "parent": [[0, 2], [0, 2], [0, 2]],\n  "bricks": [\n    [[0, 1], [0, 1], [0, 2]],\n    [[0, 1], [1, 2], [0, 2]],\n    [[1, 2], [0, 1], [0, 2]],\n    [[1, 2], [1, 2], [0, 2]]\n  ],\n  "metadata": {"generator": "search", "d": 3, "k": 2, "mode": "slicing", "grid": 2}\n}\n'),
+    (3, 2, 'slicing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 724\ngrid_cap: g=3, m_max=3 (relative to this grid)\n'),
+    (3, 3, 'slicing', 4, 4): (0, 'status: exhausted_none\nnodes_explored: 112934\ngrid_cap: g=4, m_max=4 (relative to this grid)\n'),
+    (3, 3, 'slicing', 5, 4): (0, 'status: found\nnodes_explored: 78435\ngrid_cap: g=4, m_max=5 (relative to this grid)\n{\n  "dim": 3,\n  "parent": [[0, 4], [0, 4], [0, 4]],\n  "bricks": [\n    [[0, 1], [0, 1], [0, 1]],\n    [[0, 1], [0, 4], [1, 4]],\n    [[0, 4], [1, 4], [0, 1]],\n    [[1, 4], [0, 1], [0, 4]],\n    [[1, 4], [1, 4], [1, 4]]\n  ],\n  "metadata": {"generator": "search", "d": 3, "k": 3, "mode": "slicing", "grid": 4}\n}\n'),
 }
 
 # --no-symmetry: every first box is tried, so the counts exceed the pruned ones
 SEARCH_NO_SYMMETRY = {
     (2, 2, 'piercing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 69\ngrid_cap: g=3, m_max=3 (relative to this grid)\n'),
     (3, 2, 'slicing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 2493\ngrid_cap: g=3, m_max=3 (relative to this grid)\n'),
+}
+
+# sha256 over one line per solution, in the order the engine yields them:
+# the placements counted so far, then the solution's boxes. Pins the node
+# count at every solution, not only the total.
+SOLUTION_NODES_SHA256 = {
+    (2, 1, 'piercing', 9, 3, False): (322, 720, '3d34fcb31671ab454f3046bd41c84a5a87a9cad22b90772a3790d387f81cfb1f'),
+    (2, 2, 'piercing', 5, 4, True): (208, 3164, 'ceafa644ddc0b716226e0051b4ab26d3eed1ac64843cf828f86c0c8ebd70378d'),
 }
 
 SEARCH_OVER_BUDGET = (1, 'status: resource_limit (node budget 10 exceeded at 11 placements)\n')
@@ -171,6 +191,14 @@ def test_search_is_golden(capsys, d, k, mode, m, g):
 def test_search_without_symmetry_is_golden(capsys, d, k, mode, m, g):
     args = ("--d", d, "--k", k, "--mode", mode, "--max-bricks", m, "--grid", g)
     assert run_cli(capsys, "search", *args, "--no-symmetry") == SEARCH_NO_SYMMETRY[d, k, mode, m, g]
+
+
+@pytest.mark.parametrize("d, k, mode, m, g, symmetry", sorted(SOLUTION_NODES_SHA256))
+def test_solution_node_counts_are_golden(d, k, mode, m, g, symmetry):
+    engine = _Engine(SearchProblem(d, k, Mode(mode), m, g, symmetry_pruning=symmetry))
+    lines = "".join(f"{engine.nodes} {boxes}\n" for boxes in engine.solutions())
+    expected = SOLUTION_NODES_SHA256[d, k, mode, m, g, symmetry]
+    assert (lines.count("\n"), engine.nodes, sha256(lines.encode())) == expected
 
 
 def test_search_over_budget_is_golden(capsys):
