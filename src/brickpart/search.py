@@ -11,6 +11,13 @@ budget is spent with cells left over, or (b) slack < 0 for some flat, where
 a flat's slack is its met-box count plus its uncovered cell count minus k
 (each uncovered cell can contribute at most one new box to a flat).
 
+The slacks are packed into one int, passed down by value like the cover
+mask: flat f owns w = flat_size.bit_length() + 1 bits from bit w*f, holding
+slack + H, where H = 2^(w-1) is its guard bit. A placement adds the move's
+packed deltas (1 - its cells on each flat, in [1 - flat_size, 0]) and is
+pruned iff a guard bit clears. A live field holds >= H and flat_size < H, so
+every field stays in [1, 2H - 1]: none borrows from or carries into the next.
+
 An ExhaustedNone outcome is a nonexistence claim relative to its grid cap: a
 continuous partition with m bricks normalizes to integer coordinates with at
 most 2m-2 interior breakpoints per axis, so exhaustion is a full proof only
@@ -22,9 +29,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import pairwise, product
 from math import prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ResourceLimit
 from .geometry import Brick, IndexBox
@@ -100,8 +107,13 @@ class SearchOutcome:
     grid_cap_note: GridCapNote
 
 
-# A candidate box: (box, bitmask over cells, [(flat id, 1 - cells of the box on that flat)]).
-_Move = tuple[IndexBox, int, list[tuple[int, int]]]
+# A candidate box: (box, bitmask over cells, packed slack delta over flats).
+_Move = tuple[IndexBox, int, int]
+
+
+def _repunit(count: int, step: int, shift: int) -> int:
+    """The int with bits shift, shift + step, ..., shift + (count - 1) * step."""
+    return ((1 << count * step) - 1) // ((1 << step) - 1) << shift
 
 
 class _Engine:
@@ -110,7 +122,7 @@ class _Engine:
     def __init__(self, problem: SearchProblem):
         self.problem = problem
         d, g = problem.d, problem.g
-        self.n_cells = g**d
+        self.full = (1 << g**d) - 1  # every cell covered
         self.budget = problem.effective_node_budget()
         # fixed[a]: the axes that flat class a fixes, every axis but a for lines
         # (piercing) and axis a alone for slabs (slicing). Each class fixes n
@@ -121,37 +133,36 @@ class _Engine:
         n = len(self.fixed[0])
         self.flat_size, self.class_size = g ** (d - n), g**n
         self.places = [g ** (n - 1 - j) for j in range(n)]  # base-g place values
+        self.strides = [g ** (d - 1 - a) for a in range(d)]  # cell index place values
         # spans[lo]: every side (lo, hi) starting at lo, shared by all boxes
         self.spans = [[(lo, hi) for hi in range(lo + 1, g + 1)] for lo in range(g)]
-        # bit_rows[a][c]: the bits of the cells whose axis-a index is below c.
-        # A box's mask is the product over axes of row[hi] - row[lo]; every
-        # cell has its own exponent, so the product has no carries.
-        self.bit_rows = [
-            [sum(1 << i * g ** (d - 1 - a) for i in range(c)) for c in range(g + 1)]
-            for a in range(d)
-        ]
+        self.width = self.flat_size.bit_length() + 1  # bits per packed slack field
+        self.ones = _repunit(d * self.class_size, self.width, 0)  # bit 0 of every field
+        self.guards = self.ones << self.width - 1
         # Candidate boxes per anchor cell. Each anchor's list is built while
         # its first visit runs, so the node budget also bounds the table.
-        self.moves: list[list[_Move] | None] = [None] * self.n_cells
+        self.moves: dict[int, list[_Move]] = {}
 
     def _build_moves(self, anchor: int) -> Iterator[_Move]:
         """Yield the anchor's moves as they are built; keep the list once it is
         complete. It is never empty (the unit cell is a move), and anchors rise
-        along a DFS path, so `self.moves[idx] or` builds each anchor once."""
-        d, g = self.problem.d, self.problem.g
-        corner = [anchor // g ** (d - 1 - a) % g for a in range(d)]  # base-g digits
+        along a DFS path, so `self.moves.get(idx) or` builds each anchor once."""
+        w = self.width
+        corner = [anchor // stride % self.problem.g for stride in self.strides]
         moves: list[_Move] = []
         for box in product(*(self.spans[c] for c in corner)):
-            mask = prod(row[hi] - row[lo] for row, (lo, hi) in zip(self.bit_rows, box))
+            # one bit per cell; each cell has its own exponent, so no carries
+            mask = prod(_repunit(hi - lo, s, lo * s) for s, (lo, hi) in zip(self.strides, box))
             volume = prod(hi - lo for lo, hi in box)
-            incidences: list[tuple[int, int]] = []
+            packed = 0
             for a, axes in enumerate(self.fixed):
-                flats = [a * self.class_size]  # ids of the class-a flats the box meets
+                met, count = 1 << w * a * self.class_size, 1  # class-a flats the box meets
                 for b, place in zip(axes, self.places):
-                    flats = [f + c * place for f in flats for c in range(*box[b])]
-                delta = 1 - volume // len(flats)  # 1 - the box's cells on each of them
-                incidences += [(f, delta) for f in flats]
-            move = (box, mask, incidences)
+                    lo, hi = box[b]
+                    met *= _repunit(hi - lo, w * place, w * lo * place)
+                    count *= hi - lo
+                packed += (1 - volume // count) * met  # 1 - the box's cells on each flat
+            move = (box, mask, packed)
             moves.append(move)
             yield move
         self.moves[anchor] = moves
@@ -160,50 +171,37 @@ class _Engine:
         """Yield the boxes of each complete k-satisfying partition, in
         canonical order. self.nodes counts the placements so far."""
         self.nodes = 0
-        k = self.problem.k
-        # slack[f]: boxes met + cells uncovered - k, never below 0 on a live branch
-        self.slack = [self.flat_size - k] * (self.problem.d * self.class_size)
-        self.stack: list[IndexBox] = []
-        if self.flat_size < k:
+        slack = self.flat_size - self.problem.k  # every flat's, before any box
+        if slack < 0:
             return  # no flat can ever meet k boxes at this grid size
-        yield from self._dfs(0, 0)
+        yield from self._dfs(0, self.ones * ((1 << self.width - 1) + slack), [])
 
-    def _dfs(self, cover: int, scan_from: int) -> Iterator[list[IndexBox]]:
-        idx = scan_from
-        while idx < self.n_cells and (cover >> idx) & 1:
-            idx += 1
-        if idx == self.n_cells:
+    def _dfs(self, cover: int, slack: int, boxes: list[IndexBox]) -> Iterator[list[IndexBox]]:
+        if cover == self.full:
             # Complete: every flat has no uncovered cell left, so its slack
             # >= 0 says it meets at least k boxes.
-            yield list(self.stack)
+            yield boxes
             return
-        if len(self.stack) == self.problem.m_max:
-            return  # box budget spent with cells remaining
-        slack = self.slack
-        first = not self.stack and self.problem.symmetry_pruning
-        for box, mask, incidences in self.moves[idx] or self._build_moves(idx):
+        idx = (~cover & (cover + 1)).bit_length() - 1  # the lowest clear bit
+        moves: Iterable[_Move] = self.moves.get(idx) or self._build_moves(idx)
+        if not boxes and self.problem.symmetry_pruning:
+            # the first box only: extents sorted along the axes (cover is 0 here)
+            moves = (m for m in moves if all(a[1] - a[0] <= b[1] - b[0] for a, b in pairwise(m[0])))
+        guards, full, budget = self.guards, self.full, self.budget
+        last = len(boxes) + 1 == self.problem.m_max  # no box may follow this one
+        for box, mask, packed in moves:
             if cover & mask:
                 continue
-            if first and any(a[1] - a[0] > b[1] - b[0] for a, b in zip(box, box[1:])):
-                continue
             self.nodes += 1
-            if self.nodes > self.budget:
-                raise ResourceLimit(
-                    f"node budget {self.budget} exceeded at {self.nodes} placements"
-                )
-            # No flat appears twice in a move, so testing before applying
-            # decides as applying and testing would; a pruned box writes nothing.
-            for f, delta in incidences:
-                if slack[f] + delta < 0:
-                    break
-            else:
-                for f, delta in incidences:
-                    slack[f] += delta
-                self.stack.append(box)
-                yield from self._dfs(cover | mask, idx + 1)
-                self.stack.pop()
-                for f, delta in incidences:
-                    slack[f] -= delta
+            if self.nodes > budget:
+                raise ResourceLimit(f"node budget {budget} exceeded at {self.nodes} placements")
+            after = slack + packed
+            if after & guards != guards:
+                continue  # some flat's slack fell below 0
+            if not last:
+                yield from self._dfs(cover | mask, after, boxes + [box])
+            elif cover | mask == full:
+                yield boxes + [box]
 
     def witness_partition(self, boxes: list[IndexBox]) -> BrickPartition:
         parent = Brick.from_pairs([(0, self.problem.g)] * self.problem.d)

@@ -7,8 +7,9 @@ the grid's index boxes, which `test_geometry` checks on their own.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import numpy as np
@@ -163,3 +164,73 @@ def subset_filter_partitions_2x2() -> set[frozenset]:
             if sum(len(c) for c in combo) == 4 and frozenset().union(*combo) == cells:
                 out.add(frozenset(combo))
     return out
+
+
+def list_slack_search(d: int, k: int, piercing: bool, m_max: int, g: int, symmetry: bool):
+    """The search as a plain DFS over a list of slacks, one per flat, built
+    from cell coordinates: every box at the least uncovered cell, in the
+    engine's move order, counting each free box as a placement and testing,
+    applying and undoing each flat's slack. Returns ([(placements so far,
+    boxes)] per solution, total placements); checks that every slack is
+    restored when the search ends."""
+    cells = list(product(range(g), repeat=d))  # index order = the engine's bit order
+    flats = []  # (fixed axes, their coordinates), in the engine's id order
+    for a in range(d):
+        axes = [b for b in range(d) if (b != a) == piercing]
+        flats += [(axes, coords) for coords in product(range(g), repeat=len(axes))]
+    flat_size = g ** (d - len(flats[0][0]))
+    on = [  # on[i]: the flats through cell i
+        [f for f, (axes, xs) in enumerate(flats) if all(c[b] == x for b, x in zip(axes, xs))]
+        for c in cells
+    ]
+    table: dict[int, list] = {}
+
+    def moves(anchor):
+        if anchor not in table:
+            table[anchor] = []
+            sides = [[(lo, hi) for hi in range(lo + 1, g + 1)] for lo in cells[anchor]]
+            for box in product(*sides):
+                inside = [
+                    i
+                    for i, c in enumerate(cells)
+                    if all(lo <= x < hi for x, (lo, hi) in zip(c, box))
+                ]
+                met = Counter(f for i in inside for f in on[i])
+                incidences = [(f, 1 - n) for f, n in sorted(met.items())]
+                table[anchor].append((box, set(inside), incidences))
+        return table[anchor]
+
+    initial = [flat_size - k] * len(flats)
+    slack, stack, covered, found, nodes = list(initial), [], set(), [], 0
+
+    def dfs():
+        nonlocal nodes
+        idx = next((i for i in range(len(cells)) if i not in covered), len(cells))
+        if idx == len(cells):
+            found.append((nodes, list(stack)))
+            return
+        if len(stack) == m_max:
+            return
+        for box, inside, incidences in moves(idx):
+            if inside & covered:
+                continue
+            unsorted = any(a[1] - a[0] > b[1] - b[0] for a, b in zip(box, box[1:]))
+            if symmetry and not stack and unsorted:
+                continue
+            nodes += 1
+            if any(slack[f] + delta < 0 for f, delta in incidences):
+                continue
+            for f, delta in incidences:
+                slack[f] += delta
+            stack.append(box)
+            covered.update(inside)
+            dfs()
+            covered.difference_update(inside)
+            stack.pop()
+            for f, delta in incidences:
+                slack[f] -= delta
+
+    if flat_size >= k:
+        dfs()
+    assert slack == initial
+    return found, nodes

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import time
+import tracemalloc
 from random import Random
 
 import pytest
@@ -212,6 +213,22 @@ def test_search_over_budget_on_a_large_grid_stops_fast(capsys):
     start = time.perf_counter()
     assert run_cli(capsys, "search", *args, "--node-budget", 10) == SEARCH_OVER_BUDGET
     assert time.perf_counter() - start < 2.0
+
+
+def test_search_set_up_is_bounded_by_the_budget(capsys):
+    # [0,128]^3 has 2^21 cells and 3 * 128^2 lines: nothing built before the
+    # first placement may grow with them (no cell-row table, no slack per flat)
+    args = ("--d", 3, "--k", 2, "--mode", "piercing", "--max-bricks", 2, "--grid", 128)
+    start = time.perf_counter()
+    assert run_cli(capsys, "search", *args, "--node-budget", 10) == SEARCH_OVER_BUDGET
+    assert time.perf_counter() - start < 0.1
+    tracemalloc.start()
+    try:
+        assert run_cli(capsys, "search", *args, "--node-budget", 10) == SEARCH_OVER_BUDGET
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize("d, k", sorted(BOUNDS))

@@ -16,7 +16,7 @@ from brickpart import (
 )
 from brickpart.search import _Engine
 
-from helpers import subset_filter_partitions_2x2
+from helpers import list_slack_search, subset_filter_partitions_2x2
 
 
 def _run(d, k, mode, m_max, g, **kw):
@@ -139,13 +139,16 @@ def _reference_flats(d, g, mode):
 
 @pytest.mark.parametrize("d, g", [(2, 4), (3, 3)])
 def test_move_masks_are_the_cells_of_each_box(d, g):
-    # reference: one bit per cell, at the cell's base-g index; one incidence
-    # (flat id, 1 - the box's cells on that flat) per flat the box meets
+    # reference: one bit per cell, at the cell's base-g index; one field
+    # (1 - the box's cells on that flat) per flat, at the flat's id. A flat
+    # met in one cell has delta 0, so it reads like a flat not met.
     for mode in Mode:
         engine = _Engine(SearchProblem(d, 2, mode, 1, g))
         flats = _reference_flats(d, g, mode)
+        w = engine.width
+        half = 1 << w - 1
         for anchor in range(g**d):
-            for box, mask, incidences in engine._build_moves(anchor):
+            for box, mask, packed in engine._build_moves(anchor):
                 cells = list(product(*(range(lo, hi) for lo, hi in box)))
                 expected = 0
                 for cell in cells:
@@ -154,20 +157,36 @@ def test_move_masks_are_the_cells_of_each_box(d, g):
                 met = []
                 for f, (axes, coords) in enumerate(flats):
                     n = sum(all(cell[b] == c for b, c in zip(axes, coords)) for cell in cells)
-                    if n:
+                    if n > 1:
                         met.append((f, 1 - n))
-                assert sorted(incidences) == met
+                # every field of packed + half * ones is half + delta, in [1, half]
+                fields = packed + half * engine.ones
+                decoded = [(f, (fields >> w * f & (1 << w) - 1) - half) for f in range(len(flats))]
+                assert [(f, delta) for f, delta in decoded if delta] == met
+                assert fields >> w * len(flats) == 0
 
 
 @pytest.mark.parametrize(
     "d, k, mode, m, g",
-    [(2, 2, Mode.PIERCING, 3, 3), (3, 2, Mode.PIERCING, 7, 2), (3, 2, Mode.SLICING, 3, 3)],
+    [
+        (2, 2, Mode.PIERCING, 3, 3),
+        (3, 2, Mode.PIERCING, 7, 2),
+        (3, 2, Mode.SLICING, 3, 3),
+        (2, 1, Mode.PIERCING, 1, 1),  # g = 1: one cell, fields of 2 bits
+        (2, 2, Mode.PIERCING, 2, 1),  # flats smaller than k: no placement
+        (3, 1, Mode.SLICING, 2, 5),  # k = 1 on slabs of 25 cells
+        (3, 25, Mode.SLICING, 125, 5),  # k = flat_size: every slack starts at 0
+        (2, 3, Mode.PIERCING, 9, 3),  # k = flat_size on lines
+        (4, 2, Mode.PIERCING, 16, 2),
+        (4, 2, Mode.SLICING, 4, 2),
+    ],
 )
-def test_slack_is_restored_after_exhaustion(d, k, mode, m, g):
-    engine = _Engine(SearchProblem(d, k, mode, m, g, symmetry_pruning=False))
-    assert list(engine.solutions()) == []
-    flat_size = g if mode is Mode.PIERCING else g ** (d - 1)
-    assert engine.slack == [flat_size - k] * (d * g ** d // flat_size)
+def test_engine_matches_the_list_slack_oracle(d, k, mode, m, g):
+    for symmetry in (True, False):
+        engine = _Engine(SearchProblem(d, k, mode, m, g, symmetry_pruning=symmetry))
+        found = [(engine.nodes, boxes) for boxes in engine.solutions()]
+        expected = list_slack_search(d, k, mode is Mode.PIERCING, m, g, symmetry)
+        assert (found, engine.nodes) == expected
 
 
 def test_node_budget_bounds_the_first_anchors_moves():
@@ -176,7 +195,7 @@ def test_node_budget_bounds_the_first_anchors_moves():
     with pytest.raises(ResourceLimit):
         for _ in engine.solutions():
             pass
-    assert engine.moves[0] is None
+    assert 0 not in engine.moves
     # a search that runs to the end keeps each visited anchor's complete list
     engine = _Engine(SearchProblem(2, 2, Mode.PIERCING, 4, 3))
     for _ in engine.solutions():
