@@ -42,7 +42,8 @@ class ConstructionInvalid(BrickError):
 
 
 class ResourceLimit(BrickError):
-    """A search ran out of its node budget, or flat counts would pass their cell cap."""
+    """A search ran out of its node budget, flat counts would pass their cell cap,
+    or validation its cap on box corners."""
 
 
 class ParseError(BrickError):

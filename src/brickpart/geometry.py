@@ -8,10 +8,8 @@ construction.
 
 Coordinates are compared once, when `build_grid` compresses each axis to the
 ranks of its sorted distinct endpoints and every member to an integer index
-box. `cell_counts` then counts members over any projection of the cell grid
-in rank space: over a flat's fixed axes to count flats, and over all axes to
-validate a grid of at most 2^20 cells (larger grids are validated from the
-index boxes alone, with no cell array).
+box. `cell_counts` then counts members over a projection of the cell grid in
+rank space, over a flat's fixed axes; validation reads the index boxes alone.
 """
 
 from __future__ import annotations
@@ -261,9 +259,8 @@ def cell_counts(grid: BreakpointGrid, axes: Sequence[int]) -> np.ndarray:
     """Members covering each cell of the grid's projection onto the given
     0-based axes (ascending), as an int32 array in C order.
 
-    The array holds every cell of the projection: `validate` calls this over
-    all axes only up to its cell threshold, and `min_flat_count` caps the
-    projections it asks for.
+    The array holds every cell of the projection, so `min_flat_count` caps
+    the projections it asks for.
     """
     counts = np.zeros(tuple(grid.shape[a] for a in axes), dtype=np.int32)
     for box in grid.boxes:

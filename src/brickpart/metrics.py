@@ -7,8 +7,8 @@ whose fixed coordinates sit on breakpoints meets a superset of the members
 met by the flat of any adjacent cell, and flats strictly inside a cell meet
 exactly the cell midpoint's members.
 
-The flat counts are the count over rank space that validation makes, over
-a flat's fixed axes instead of all: `cell_counts` on the partition's grid.
+The flat counts are one count over rank space: `cell_counts` on the
+partition's grid, over a flat's fixed axes.
 """
 
 from __future__ import annotations

@@ -5,10 +5,9 @@ Validation is a complete exact check: over the joint breakpoint grid, every
 elementary cell must contain exactly one member's closed brick at its
 midpoint. A closed brick contains a cell midpoint iff it covers the whole
 cell, as no endpoint falls strictly inside a cell. Building the partition's
-grid (once, shared with the flat counts) finds members outside the parent.
-Grids of at most _BLOCK_CELLS cells are then counted whole with `cell_counts`;
-larger ones are decided from the index boxes alone: the members tile the
-parent iff no two boxes overlap and the boxes' cells sum to the grid's.
+grid (once, shared with the flat counts) finds members outside the parent;
+the members' signed index-box corners then give the first cell not covered
+exactly once, with no cell array (see `_first_bad_cell`).
 """
 
 from __future__ import annotations
@@ -16,13 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import prod
-from typing import Callable, Iterable
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
-from .errors import BadAxis, BrickOutsideParent, ConstructionInvalid, DimensionMismatch
-from .geometry import BreakpointGrid, Brick, Interval, Point, build_grid, cell_counts
+from .errors import (
+    BadAxis, BrickOutsideParent, ConstructionInvalid, DimensionMismatch, ResourceLimit
+)
+from .geometry import BreakpointGrid, Brick, Interval, Point, build_grid
 
 
 @dataclass(frozen=True)
@@ -96,8 +97,7 @@ class ValidationReport:
     failures: tuple[Failure, ...] = ()
 
 
-_BLOCK_CELLS = 1 << 20  # larger grids are validated from the index boxes, with no cell array
-_PAIR_CHUNK = 1 << 15  # candidate box pairs tested at a time, ~50 bytes each
+_MAX_CORNERS = 1 << 23  # signed corners validate may hold, like metrics._MAX_FLAT_CELLS
 
 
 def validate(P: BrickPartition) -> ValidationReport:
@@ -108,6 +108,9 @@ def validate(P: BrickPartition) -> ValidationReport:
     elementary cell of the grid must lie in exactly one member: a cell in none
     is a Gap, in two or more an Overlap (the first failing cell in
     lexicographic order reported, with the members covering it).
+
+    Raises ResourceLimit, before building any array, when the members have
+    more than _MAX_CORNERS signed corners inside the grid.
     """
     try:
         grid = P.grid
@@ -115,15 +118,9 @@ def validate(P: BrickPartition) -> ValidationReport:
         return ValidationReport(
             False, tuple(Failure(FailureKind.OUTSIDE_PARENT, None, (i,)) for i in e.members)
         )
-    if prod(grid.shape) <= _BLOCK_CELLS:
-        counts = cell_counts(grid, range(P.dim)).reshape(-1)  # C order
-        first_bad = None if counts.min() == counts.max() == 1 else int(np.argmax(counts != 1))
-    else:
-        first_bad = _first_bad_cell(grid)
-    if first_bad is None:
+    cell = _first_bad_cell(grid)
+    if cell is None:
         return ValidationReport(True)
-
-    cell = _unravel(first_bad, grid.shape)
     covering = tuple(
         i for i, box in enumerate(grid.boxes) if all(lo <= c < hi for (lo, hi), c in zip(box, cell))
     )
@@ -131,90 +128,41 @@ def validate(P: BrickPartition) -> ValidationReport:
     return ValidationReport(False, (Failure(kind, grid.midpoint(cell), covering),))
 
 
-def _unravel(index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """The cell at a C-order index, in Python ints (np.unravel_index stops at
-    intp); one past the last cell is (shape[0], 0, ..., 0)."""
-    cell = []
-    for n in reversed(shape[1:]):
-        index, c = divmod(index, n)
-        cell.append(c)
-    return (index, *reversed(cell))
+def _first_bad_cell(grid: BreakpointGrid) -> tuple[int, ...] | None:
+    """The lexicographically first cell not covered exactly once, or None.
 
-
-def _first_bad_cell(grid: BreakpointGrid) -> int | None:
-    """C index of the first cell not covered exactly once, or None, from the
-    index boxes alone.
-
-    Boxes inside the parent tile it iff no two overlap and they hold
-    prod(shape) cells. Below the first overlapped cell, the gaps below index p
-    (p minus the boxes' cells below p) never decrease: a binary search finds
-    the first one.
+    A box's indicator is the sum of [v <= p] over its corners v, signed -1
+    per hi end taken. E, the members' signed corners minus the parent's,
+    sums over the points <= a cell to its cover count minus one, so the boxes
+    tile the grid iff E is zero on every cell. Otherwise the first point with
+    E != 0 is the first bad cell: every point <= it lies before it. Corners
+    with a hi end at the grid's far side lie past every cell and are dropped.
     """
-    boxes = np.array(grid.boxes, dtype=np.int64)  # member, axis, (lo, hi)
+    d = len(grid.shape)
+    parent = tuple((0, n) for n in grid.shape)  # box 0, signed -1: only its origin is inside
+    ends = chain.from_iterable(chain.from_iterable(chain([parent], grid.boxes)))
+    # fromiter is 3x faster than np.array; int32 holds the ranks of up to 2^30 boxes
+    boxes = np.fromiter(ends, np.int32, 2 * d * (len(grid.boxes) + 1)).reshape(-1, d, 2)
     lo, hi = boxes[:, :, 0], boxes[:, :, 1]
-    overlap = _first_overlap(lo, hi)
-    shape = grid.shape
-    limit = prod(shape)
-    if overlap is not None:  # its C index
-        limit = sum(c * prod(shape[a + 1 :]) for a, c in enumerate(overlap))
-    covered = _cells_below(lo, hi, shape)
-    if covered(limit) == limit:
-        return None if overlap is None else limit
-    good, bad = 0, limit  # no gap below good, one below bad
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        good, bad = (good, mid) if covered(mid) < mid else (mid, bad)
-    return good
+    inner = hi < np.array(grid.shape)  # the axes whose hi end is inside the grid
+    corners = sum(int(n) << j for j, n in enumerate(np.bincount(inner.sum(axis=1))))
+    if corners > _MAX_CORNERS:
+        raise ResourceLimit(f"validation over {corners} corners exceeds the cap of {_MAX_CORNERS}")
 
+    owner, sign, coords = np.arange(len(lo)), np.ones(len(lo), dtype=np.int64), []
+    sign[0] = -1
+    for a in range(d):  # each corner so far, then its twin at hi on axis a
+        twin = np.flatnonzero(inner[owner, a])
+        coords = [np.concatenate([c, c[twin]]) for c in coords]
+        coords.append(np.concatenate([lo[owner, a], hi[owner[twin], a]]))
+        owner, sign = np.concatenate([owner, owner[twin]]), np.concatenate([sign, -sign[twin]])
 
-def _cells_below(lo: np.ndarray, hi: np.ndarray, shape: tuple[int, ...]) -> Callable[[int], int]:
-    """p -> the boxes' cells with C index below p, with multiplicity. Box i's
-    cells below p are, for each axis a, those equal to p's cell on the axes
-    before a and below it on a."""
-    # products of extents fit int64 below 2^63 cells and need Python ints beyond
-    suffix = np.ones_like(lo, dtype=np.int64 if prod(shape) < 2**63 else object)
-    for a in range(len(shape) - 2, -1, -1):  # box i's cells per cell of axes 0..a
-        suffix[:, a] = suffix[:, a + 1] * (hi[:, a + 1] - lo[:, a + 1])
-
-    def count(p: int) -> int:
-        total, inside = 0, np.ones(len(lo), dtype=bool)
-        for a, c in enumerate(_unravel(p, shape)):
-            below = np.clip(c - lo[:, a], 0, hi[:, a] - lo[:, a])
-            total += int((below * suffix[:, a])[inside].sum())
-            inside &= (lo[:, a] <= c) & (c < hi[:, a])
-        return total
-
-    return count
-
-
-def _first_overlap(lo: np.ndarray, hi: np.ndarray) -> tuple[int, ...] | None:
-    """The lexicographically first cell in two boxes, or None.
-
-    Boxes i and j overlap iff lo_i < hi_j and lo_j < hi_i on every axis, and
-    then their first common cell is max(lo_i, lo_j). In lo order on one axis,
-    each box is paired with the later boxes that start before its hi there;
-    the axis with the fewest such pairs is swept, _PAIR_CHUNK pairs at a time.
-    """
-    sweeps = []
-    for a in range(lo.shape[1]):
-        order = np.argsort(lo[:, a], kind="stable")
-        later = np.searchsorted(lo[order, a], hi[order, a]) - np.arange(1, len(lo) + 1)
-        sweeps.append((int(later.sum()), order, later))
-    total, order, later = min(sweeps, key=lambda sweep: sweep[0])
-    lo, hi = lo[order].T.copy(), hi[order].T.copy()  # a contiguous row per axis
-    before = np.cumsum(later) - later  # pairs of the boxes sorted earlier
-    corners = []
-    for start in range(0, total, _PAIR_CHUNK):
-        t = np.arange(start, min(start + _PAIR_CHUNK, total))
-        i = np.searchsorted(before, t, side="right") - 1
-        j = i + 1 + t - before[i]
-        hit = np.logical_and.reduce(
-            [(lo_a[i] < hi_a[j]) & (lo_a[j] < hi_a[i]) for lo_a, hi_a in zip(lo, hi)]
-        )
-        if hit.any():
-            first = np.maximum(lo[:, i[hit]], lo[:, j[hit]])
-            corners.append(tuple(int(c) for c in first[:, np.lexsort(first[::-1])[0]]))
-    return min(corners, default=None)
+    order = np.lexsort(coords[::-1])  # axis 0 the primary key
+    coords = [c[order] for c in coords]
+    new = np.logical_or.reduce([c[1:] != c[:-1] for c in coords])
+    starts = np.flatnonzero(np.concatenate([[True], new]))  # each distinct point's first
+    bad = np.flatnonzero(np.add.reduceat(sign[order], starts))
+    return None if len(bad) == 0 else tuple(int(c[starts[bad[0]]]) for c in coords)
 
 
 def cut(b: Brick, axis: int, n: int) -> list[Brick]:

@@ -39,6 +39,7 @@ from .partition import BrickPartition
 
 NODE_BUDGET_ENV = "BRICKPART_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10**8
+_MAX_CELLS = 1 << 26  # the cover mask is a g^d-bit int, built before any placement
 
 
 class Mode(Enum):
@@ -74,6 +75,9 @@ class SearchProblem:
             raise ValueError("d, k, m_max, and g must all be >= 1")
         if self.mode is Mode.SLICING and self.d < 2:
             raise ValueError("slicing mode needs d >= 2")
+        # g^27 > 2^26 for any g >= 2, so the power stays small for every d
+        if self.g ** min(self.d, 27) > _MAX_CELLS:
+            raise ValueError(f"--grid {self.g} in d={self.d}: more than 2^26 cells")
         if self.node_budget is not None and self.node_budget < 0:
             raise ValueError(f"node budget must be >= 0, got {self.node_budget}")
 

@@ -61,6 +61,18 @@ def test_verify_refuses_flat_counts_above_the_cap(tmp_path, capsys):
     assert err.startswith("error: flat counts over ") and err.count("\n") == 1
 
 
+def test_verify_refuses_validation_above_the_corner_cap(tmp_path, capsys):
+    # one brick strictly inside [0, 3]^40: 2^40 signed corners inside the grid
+    doc = tmp_path / "d40.json"
+    doc.write_text(json.dumps({"dim": 40, "parent": [[0, 3]] * 40, "bricks": [[[1, 2]] * 40]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", str(doc))
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "valid:" not in out
+    assert err == f"error: validation over {2**40 + 1} corners exceeds the cap of {2**23}\n"
+
+
 def test_verify_unparseable_exits_2(tmp_path, capsys):
     doc = tmp_path / "junk.json"
     doc.write_text("not json at all")
@@ -111,6 +123,13 @@ def test_search_node_budget_exit_code(capsys):
 
 SEARCH_ARGS = ("search", "--d", "2", "--k", "2", "--mode", "piercing", "--max-bricks", "4",
                "--grid", "3")
+
+
+def test_search_rejects_a_grid_above_the_cell_cap(capsys):
+    code, out, err = run_cli(capsys, "search", "--d", "2", "--k", "2", "--mode", "piercing",
+                             "--max-bricks", "1", "--grid", str(2**13 + 1), "--node-budget", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --grid 8193 in d=2: ")
 
 
 def test_search_rejects_negative_node_budget(capsys):

@@ -21,7 +21,7 @@ from brickpart import (
     parse_scalar,
     validate,
 )
-from brickpart import metrics, partition
+from brickpart import metrics
 from brickpart.constructions import piercing_3d_base, slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts
 
@@ -196,23 +196,15 @@ def test_cell_counts_match_midpoint_containment(bricks, axes):
         assert counts[cell] == expected
 
 
-def test_cell_counts_over_a_row_range_is_that_slice_of_the_whole(monkeypatch, corpus):
-    # validate counts the whole grid with the one kernel (also min_flat_count's)
-    # up to _BLOCK_CELLS cells, and above it counts the boxes' cells below each
-    # C index in closed form: that count must be the whole grid's over that
-    # range of cells, and both paths must give the whole-grid report (with a few
-    # box pairs per chunk, so overlaps are found in several)
-    assert partition.cell_counts is metrics.cell_counts is cell_counts
-    monkeypatch.setattr(partition, "_PAIR_CHUNK", 3)
+def test_cell_counts_over_a_row_range_is_that_slice_of_the_whole(corpus):
+    # the one counting kernel (min_flat_count's) over all axes is the whole
+    # grid's count, and validate, which reads the members' signed corners
+    # instead, gives the whole-grid report on each partition and its mutants
+    assert metrics.cell_counts is cell_counts
     rng = Random(11)
     for P in corpus:
         whole = whole_grid_counts(P).reshape(-1)
         assert np.array_equal(cell_counts(P.grid, range(P.dim)).reshape(-1), whole)
-        boxes = np.array(P.grid.boxes)
-        cells_below = partition._cells_below(boxes[:, :, 0], boxes[:, :, 1], P.grid.shape)
-        prefix = np.concatenate([[0], np.cumsum(whole)])
-        for p in {0, len(whole), *rng.sample(range(len(whole) + 1), min(len(whole), 40))}:
-            assert cells_below(p) == prefix[p]
 
         (i, j), a = rng.sample(range(len(P)), 2), rng.randrange(P.dim)
         grown = P.members[i].replace_side(a, Interval(P.members[i].sides[a].lo, P.parent.sides[a].hi))
@@ -220,10 +212,7 @@ def test_cell_counts_over_a_row_range_is_that_slice_of_the_whole(monkeypatch, co
         mutants.append(BrickPartition(P.parent, P.members + (P.members[i], P.members[j])))
         mutants.append(BrickPartition(P.parent, P.members[:i] + (grown,) + P.members[i + 1 :]))
         for Q in mutants:
-            expected = whole_grid_report(Q)
-            for threshold in (0, len(whole) * 4):  # box-only path, then one whole-grid count
-                monkeypatch.setattr(partition, "_BLOCK_CELLS", threshold)
-                assert validate(Q) == expected
+            assert validate(Q) == whole_grid_report(Q)
 
 
 @given(st.lists(bricks_2d, min_size=1, max_size=6))

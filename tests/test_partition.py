@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from fractions import Fraction
 from math import prod
@@ -22,10 +23,9 @@ from brickpart import (
     refine,
     validate,
 )
-from brickpart import partition
 from brickpart.constructions import piercing_3d_base, slicing_3d
 
-from helpers import first_bad_cell_midpoint
+from helpers import first_bad_cell_midpoint, whole_grid_report
 
 X1 = Brick.from_pairs([(0, 2), (3, 6), (0, 4)])
 
@@ -107,24 +107,55 @@ def bars(m: int, r: int) -> BrickPartition:
 
 def test_validate_memory_is_bounded_by_one_block():
     # numpy reports its buffers to tracemalloc; the grid is built beforehand,
-    # so the peak is validate's own. Both grids are above _BLOCK_CELLS, so no
-    # cell array is made: the bound is an int32 block of _BLOCK_CELLS cells plus
-    # one slab, plus 64 KiB for Python objects, and the bars' 410,976 or more
-    # candidate pairs per axis must be tested a chunk at a time to stay in it
+    # so the peak is validate's own. Both grids hold more than 2^20 cells, and
+    # validate must stay within an int32 block of 2^20 cells plus one slab,
+    # plus 64 KiB for Python objects: it holds the members' corners, no cells
     for P in (random_split_partition(Random(1), 3, 800), bars(640, 8)):
         shape = P.grid.shape
-        assert prod(shape) > partition._BLOCK_CELLS
+        assert prod(shape) > 2**20
         tracemalloc.start()
         try:
             assert validate(P).valid
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * (partition._BLOCK_CELLS + prod(shape[1:])) + 64 * 1024
+        assert peak <= 4 * (2**20 + prod(shape[1:])) + 64 * 1024
+
+
+def test_validate_time_grows_with_corners_not_member_pairs():
+    # 12,900 members, of which 36.4 M pairs meet on the axis with fewest such
+    # pairs, but only 51,478 signed corners inside the grid
+    P = bars(6000, 30)
+    P.grid  # built beforehand, so only validate is timed
+    start = time.perf_counter()
+    assert validate(P).valid
+    assert time.perf_counter() - start < 0.5
+
+
+@st.composite
+def brick_sets(draw):
+    """1 to 8 bricks in one dimension of 1..4, on integer coordinates 0..6,
+    so they overlap, leave gaps and share endpoints freely."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    side = st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=2, unique=True)
+    brick = st.lists(side.map(sorted), min_size=d, max_size=d).map(Brick.from_pairs)
+    return draw(st.lists(brick, min_size=1, max_size=8))
+
+
+@given(brick_sets())
+def test_validate_matches_the_whole_grid_count_on_any_bricks(bricks):
+    hull = Brick.from_pairs(
+        [
+            (min(b.sides[a].lo for b in bricks), max(b.sides[a].hi for b in bricks))
+            for a in range(bricks[0].dim)
+        ]
+    )
+    P = BrickPartition(hull, bricks)
+    assert validate(P) == whole_grid_report(P)
 
 
 def test_validate_is_exact_beyond_int64():
-    # 2.7e19 cells: the cell counts and their index arithmetic need Python ints
+    # 2.7e19 cells, past int64: validate works on the corners' ranks alone
     P = random_split_partition(Random(0), 12, 1200)
     assert prod(P.grid.shape) > 2**63
     assert validate(P).valid

@@ -2,7 +2,6 @@
 monotonicity, reparameterization invariance, conservation laws, and the
 validator's mutation coverage on the explicit construction families."""
 
-from math import prod
 from random import Random
 
 import pytest
@@ -20,7 +19,6 @@ from brickpart import (
     slicing_number,
     validate,
 )
-from brickpart import partition
 from brickpart.constructions import (
     grid_partition,
     piercing_2d,
@@ -154,17 +152,16 @@ def test_validator_catches_every_single_duplication(P):
         assert sum(1 for b in members if b.contains_point(failure.point)) >= 2
 
 
-# a 1D partition of [0, 6], whose slab (a cell of no further axes) is one cell
+# a 1D partition of [0, 6]
 ONE_D = BrickPartition(
     Brick.from_pairs([(0, 6)]), [Brick.from_pairs([p]) for p in ((0, 1), (1, 3), (3, 6))]
 )
 
 
 @pytest.mark.parametrize("P", MUTATION_TARGETS + [ONE_D], ids=lambda P: f"d{P.dim}m{len(P)}")
-def test_validator_witness_does_not_depend_on_block_size(monkeypatch, P):
-    # validate counts grids of up to _BLOCK_CELLS cells whole and decides
-    # larger ones from the index boxes alone, testing _PAIR_CHUNK box pairs at a
-    # time; forced each way, with one pair per chunk, both paths must give the
+def test_validator_witness_does_not_depend_on_block_size(P):
+    # validate reads the first bad cell off the members' signed corners, with
+    # no cell array: with each member dropped or doubled, it must give the
     # whole-grid count's report
     members = P.members
     partitions = [P]
@@ -172,12 +169,8 @@ def test_validator_witness_does_not_depend_on_block_size(monkeypatch, P):
     partitions += [BrickPartition(P.parent, members + (b,)) for b in members]
     expected = [whole_grid_report(Q) for Q in partitions]
     assert expected[0].valid and not any(r.valid for r in expected[1:])
-    above_every_grid = max(prod(Q.grid.shape) for Q in partitions)
-    monkeypatch.setattr(partition, "_PAIR_CHUNK", 1)
-    for threshold in (0, above_every_grid):
-        monkeypatch.setattr(partition, "_BLOCK_CELLS", threshold)
-        for Q, report in zip(partitions, expected):
-            assert validate(Q) == report, threshold
+    for Q, report in zip(partitions, expected):
+        assert validate(Q) == report
 
 
 def test_refine_output_always_validates(corpus):

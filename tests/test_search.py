@@ -125,6 +125,11 @@ def test_problem_validation():
         SearchProblem(1, 2, Mode.SLICING, 1, 2)
     with pytest.raises(ValueError, match="node budget must be >= 0"):
         SearchProblem(2, 2, Mode.PIERCING, 1, 2, node_budget=-1)
+    # the g^d-cell cover mask would be built before the node budget applies
+    SearchProblem(2, 2, Mode.PIERCING, 1, 2**13)  # 2^26 cells: the largest allowed
+    for d, g in [(3, 3000), (2, 2**13 + 1), (27, 2), (10**9, 2)]:
+        with pytest.raises(ValueError, match=f"--grid {g} in d={d}: more than 2\\^26 cells"):
+            SearchProblem(d, 2, Mode.PIERCING, 1, g)
 
 
 def _reference_flats(d, g, mode):
