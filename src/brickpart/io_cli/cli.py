@@ -24,7 +24,7 @@ from ..errors import (
 )
 from ..geometry import format_scalar, parse_scalar
 from ..metrics import FlatQuery, min_flat_count
-from ..partition import boundary_incidence, validate
+from ..partition import BrickPartition, boundary_incidence, validate
 from ..search import Mode, SearchProblem, exists_partition
 from .document import emit_document, parse_document
 from .export import ExportOptions, FigureFormat, export_figure
@@ -51,21 +51,20 @@ def _describe_flat(q: FlatQuery) -> str:
     return f"{kind} with free axes {{{free}}} at {fixed}"
 
 
+def _print_flat_count(P: BrickPartition, free_axis_count: int, name: str) -> None:
+    # the profile's count arrays are released on return, before the next is counted
+    profile = min_flat_count(P, free_axis_count)
+    print(f"{name}_number: {profile.minimum}")
+    print(f"{name}_witness: {_describe_flat(profile.witness)}")
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
-    family = args.family
-    k = args.k
-    if family == "grid":
-        P = grid_partition(args.d, k)
-        metadata = {"generator": "grid", "d": args.d, "k": k}
-    elif family == "piercing2d":
-        P = piercing_2d(k)
-        metadata = {"generator": "piercing2d", "k": k}
-    elif family == "piercing3d":
-        P = piercing_3d(k)
-        metadata = {"generator": "piercing3d", "k": k}
-    else:
-        P = slicing_3d(k)
-        metadata = {"generator": "slicing3d", "k": k}
+    if args.family == "grid":
+        P = grid_partition(args.d, args.k)
+        metadata = {"generator": "grid", "d": args.d, "k": args.k}
+    else:  # built per call, so it holds the module's current functions
+        build = {"piercing2d": piercing_2d, "piercing3d": piercing_3d, "slicing3d": slicing_3d}
+        P, metadata = build[args.family](args.k), {"generator": args.family, "k": args.k}
     _write_text(emit_document(P, metadata=metadata), args.out)
     return 0
 
@@ -87,13 +86,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"failure: {detail}")
         return 1
     if P.dim >= 2:
-        piercing = min_flat_count(P, 1)
-        print(f"piercing_number: {piercing.minimum}")
-        print(f"piercing_witness: {_describe_flat(piercing.witness)}")
+        _print_flat_count(P, 1, "piercing")
     if P.dim == 3:
-        slicing = min_flat_count(P, 2)
-        print(f"slicing_number: {slicing.minimum}")
-        print(f"slicing_witness: {_describe_flat(slicing.witness)}")
+        _print_flat_count(P, 2, "slicing")
     incidence = boundary_incidence(P)
     print(f"incidence_F: {incidence.total}")
     print(f"incidence_alpha: {incidence.alpha}")
@@ -128,11 +123,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"grid_cap: {outcome.grid_cap_note.describe()}")
     if outcome.witness is not None:
         metadata = {
-            "generator": "search",
-            "d": args.d,
-            "k": args.k,
-            "mode": args.mode,
-            "grid": args.grid,
+            "generator": "search", "d": args.d, "k": args.k, "mode": args.mode, "grid": args.grid
         }
         _write_text(emit_document(outcome.witness, metadata=metadata), args.out)
     return 0
@@ -146,11 +137,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     except ParseError as e:
         raise ParseError(f"--exploded: {e}") from e
     try:
-        options = ExportOptions(
-            precision=args.precision,
-            exploded=exploded,
-            labels=args.labels,
-        )
+        options = ExportOptions(precision=args.precision, exploded=exploded, labels=args.labels)
     except ValueError as e:
         raise ValueError(f"--precision: {e}") from e
     fmt = FigureFormat.SVG2D if args.format == "svg" else FigureFormat.OBJ3D

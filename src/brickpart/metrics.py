@@ -7,8 +7,11 @@ whose fixed coordinates sit on breakpoints meets a superset of the members
 met by the flat of any adjacent cell, and flats strictly inside a cell meet
 exactly the cell midpoint's members.
 
-The flat counts are one count over rank space: `cell_counts` on the
-partition's grid, over a flat's fixed axes.
+The flat counts over one choice of fixed axes are `cell_counts` on the
+partition's grid, from the same signed corners `validate` reads. A member's
+corners over some axes never outnumber its full ones, so a partition that
+passed `validate` and its corner cap, as `verify` checks first, needs no
+second corner cap; only the projections' cells are capped (_MAX_FLAT_CELLS).
 """
 
 from __future__ import annotations
@@ -112,21 +115,14 @@ def min_flat_count(P: BrickPartition, free_axis_count: int) -> FlatProfile:
     if cells > _MAX_FLAT_CELLS:
         raise ResourceLimit(f"flat counts over {cells} cells exceed the cap of {_MAX_FLAT_CELLS}")
 
-    best: int | None = None
-    witness: FlatQuery | None = None
-    all_counts: dict[tuple[int, ...], np.ndarray] = {}
-    for free in choices:
-        fixed_axes = tuple(a for a in range(1, d + 1) if a not in free)
-        counts = cell_counts(grid, [a - 1 for a in fixed_axes])
-        all_counts[free] = counts
-        local_min = int(counts.min())
-        if best is None or local_min < best:
-            best = local_min
-            cell = np.unravel_index(int(np.argmax(counts == local_min)), counts.shape)
-            fixed = tuple((a, grid.cell_midpoint(a - 1, int(i))) for a, i in zip(fixed_axes, cell))
-            witness = FlatQuery(free, fixed)
-    assert best is not None and witness is not None
-    return FlatProfile(best, witness, all_counts)
+    counts = {
+        free: cell_counts(grid, [a for a in range(d) if a + 1 not in free]) for free in choices
+    }
+    free = min(choices, key=lambda f: counts[f].min())  # the first with the least minimum
+    cell = np.unravel_index(int(counts[free].argmin()), counts[free].shape)  # first in C order
+    fixed_axes = [a for a in range(1, d + 1) if a not in free]
+    fixed = tuple((a, grid.cell_midpoint(a - 1, int(i))) for a, i in zip(fixed_axes, cell))
+    return FlatProfile(int(counts[free][cell]), FlatQuery(free, fixed), counts)
 
 
 def piercing_number(P: BrickPartition) -> int:

@@ -6,8 +6,8 @@ elementary cell must contain exactly one member's closed brick at its
 midpoint. A closed brick contains a cell midpoint iff it covers the whole
 cell, as no endpoint falls strictly inside a cell. Building the partition's
 grid (once, shared with the flat counts) finds members outside the parent;
-the members' signed index-box corners then give the first cell not covered
-exactly once, with no cell array (see `_first_bad_cell`).
+`geometry.first_bad_cell` then finds the first cell not covered exactly once
+from the members' signed index-box corners, with no cell array.
 """
 
 from __future__ import annotations
@@ -15,15 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from typing import Iterable
 
-import numpy as np
-
-from .errors import (
-    BadAxis, BrickOutsideParent, ConstructionInvalid, DimensionMismatch, ResourceLimit
-)
-from .geometry import BreakpointGrid, Brick, Interval, Point, build_grid
+from .errors import BadAxis, BrickOutsideParent, ConstructionInvalid, DimensionMismatch
+from .geometry import BreakpointGrid, Brick, Interval, Point, build_grid, first_bad_cell
 
 
 @dataclass(frozen=True)
@@ -97,9 +92,6 @@ class ValidationReport:
     failures: tuple[Failure, ...] = ()
 
 
-_MAX_CORNERS = 1 << 23  # signed corners validate may hold, like metrics._MAX_FLAT_CELLS
-
-
 def validate(P: BrickPartition) -> ValidationReport:
     """Exact cover check of a partition's members against its parent.
 
@@ -109,8 +101,8 @@ def validate(P: BrickPartition) -> ValidationReport:
     is a Gap, in two or more an Overlap (the first failing cell in
     lexicographic order reported, with the members covering it).
 
-    Raises ResourceLimit, before building any array, when the members have
-    more than _MAX_CORNERS signed corners inside the grid.
+    Raises ResourceLimit, before building any corner array, when the members
+    have more than geometry._MAX_CORNERS (2^23) signed corners inside the grid.
     """
     try:
         grid = P.grid
@@ -118,7 +110,7 @@ def validate(P: BrickPartition) -> ValidationReport:
         return ValidationReport(
             False, tuple(Failure(FailureKind.OUTSIDE_PARENT, None, (i,)) for i in e.members)
         )
-    cell = _first_bad_cell(grid)
+    cell = first_bad_cell(grid)
     if cell is None:
         return ValidationReport(True)
     covering = tuple(
@@ -126,43 +118,6 @@ def validate(P: BrickPartition) -> ValidationReport:
     )
     kind = FailureKind.GAP if not covering else FailureKind.OVERLAP
     return ValidationReport(False, (Failure(kind, grid.midpoint(cell), covering),))
-
-
-def _first_bad_cell(grid: BreakpointGrid) -> tuple[int, ...] | None:
-    """The lexicographically first cell not covered exactly once, or None.
-
-    A box's indicator is the sum of [v <= p] over its corners v, signed -1
-    per hi end taken. E, the members' signed corners minus the parent's,
-    sums over the points <= a cell to its cover count minus one, so the boxes
-    tile the grid iff E is zero on every cell. Otherwise the first point with
-    E != 0 is the first bad cell: every point <= it lies before it. Corners
-    with a hi end at the grid's far side lie past every cell and are dropped.
-    """
-    d = len(grid.shape)
-    parent = tuple((0, n) for n in grid.shape)  # box 0, signed -1: only its origin is inside
-    ends = chain.from_iterable(chain.from_iterable(chain([parent], grid.boxes)))
-    # fromiter is 3x faster than np.array; int32 holds the ranks of up to 2^30 boxes
-    boxes = np.fromiter(ends, np.int32, 2 * d * (len(grid.boxes) + 1)).reshape(-1, d, 2)
-    lo, hi = boxes[:, :, 0], boxes[:, :, 1]
-    inner = hi < np.array(grid.shape)  # the axes whose hi end is inside the grid
-    corners = sum(int(n) << j for j, n in enumerate(np.bincount(inner.sum(axis=1))))
-    if corners > _MAX_CORNERS:
-        raise ResourceLimit(f"validation over {corners} corners exceeds the cap of {_MAX_CORNERS}")
-
-    owner, sign, coords = np.arange(len(lo)), np.ones(len(lo), dtype=np.int64), []
-    sign[0] = -1
-    for a in range(d):  # each corner so far, then its twin at hi on axis a
-        twin = np.flatnonzero(inner[owner, a])
-        coords = [np.concatenate([c, c[twin]]) for c in coords]
-        coords.append(np.concatenate([lo[owner, a], hi[owner[twin], a]]))
-        owner, sign = np.concatenate([owner, owner[twin]]), np.concatenate([sign, -sign[twin]])
-
-    order = np.lexsort(coords[::-1])  # axis 0 the primary key
-    coords = [c[order] for c in coords]
-    new = np.logical_or.reduce([c[1:] != c[:-1] for c in coords])
-    starts = np.flatnonzero(np.concatenate([[True], new]))  # each distinct point's first
-    bad = np.flatnonzero(np.add.reduceat(sign[order], starts))
-    return None if len(bad) == 0 else tuple(int(c[starts[bad[0]]]) for c in coords)
 
 
 def cut(b: Brick, axis: int, n: int) -> list[Brick]:

@@ -1,8 +1,9 @@
 """Independent oracles and corpus tools shared by the test modules.
 
 Everything here recomputes results from definitions, without touching the
-breakpoint-grid code paths it is used to check; `whole_grid_counts` reads only
-the grid's index boxes, which `test_geometry` checks on their own.
+breakpoint-grid code paths it is used to check; `slice_loop_counts` and
+`whole_grid_counts` read only the grid's index boxes, which `test_geometry`
+checks on their own.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from itertools import combinations, product
 from random import Random
 
 import numpy as np
+from hypothesis import strategies as st
 
 from brickpart import Brick, BrickPartition, FailureKind, Interval
+from brickpart.geometry import BreakpointGrid
 from brickpart.partition import Failure, ValidationReport
 
 
@@ -90,12 +93,18 @@ def first_bad_cell_midpoint(P: BrickPartition):
     return scan([], 0)
 
 
+def slice_loop_counts(grid: BreakpointGrid, axes) -> np.ndarray:
+    """Members covering each cell of the grid's projection onto the given
+    0-based axes, as int32 in C order: one slice addition per member."""
+    counts = np.zeros(tuple(grid.shape[a] for a in axes), dtype=np.int32)
+    for box in grid.boxes:
+        counts[tuple(slice(*box[a]) for a in axes)] += 1
+    return counts
+
+
 def whole_grid_counts(P: BrickPartition) -> np.ndarray:
     """Members covering each elementary cell of P's grid, every cell at once."""
-    counts = np.zeros(P.grid.shape, dtype=np.int64)
-    for box in P.grid.boxes:
-        counts[tuple(slice(lo, hi) for lo, hi in box)] += 1
-    return counts
+    return slice_loop_counts(P.grid, range(P.dim))
 
 
 def whole_grid_report(P: BrickPartition) -> ValidationReport:
@@ -110,6 +119,26 @@ def whole_grid_report(P: BrickPartition) -> ValidationReport:
     )
     kind = FailureKind.OVERLAP if covering else FailureKind.GAP
     return ValidationReport(False, (Failure(kind, P.grid.midpoint(cell), covering),))
+
+
+@st.composite
+def brick_sets(draw):
+    """1 to 8 bricks in one dimension of 1..4, on integer coordinates 0..6,
+    so they overlap, leave gaps and share endpoints freely."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    side = st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=2, unique=True)
+    brick = st.lists(side.map(sorted), min_size=d, max_size=d).map(Brick.from_pairs)
+    return draw(st.lists(brick, min_size=1, max_size=8))
+
+
+def hull(bricks) -> Brick:
+    """The bricks' bounding box."""
+    return Brick.from_pairs(
+        [
+            (min(b.sides[a].lo for b in bricks), max(b.sides[a].hi for b in bricks))
+            for a in range(bricks[0].dim)
+        ]
+    )
 
 
 def random_monotone_remap(rng: Random, P: BrickPartition) -> BrickPartition:

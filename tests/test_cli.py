@@ -1,10 +1,12 @@
 import json
 import time
+import weakref
 from random import Random
 
 import pytest
 
 from brickpart import emit_document, geometry, metrics, partition, random_split_partition
+from brickpart.io_cli import cli
 from brickpart.io_cli.cli import main
 
 
@@ -71,6 +73,23 @@ def test_verify_refuses_validation_above_the_corner_cap(tmp_path, capsys):
     assert code == 1
     assert "valid:" not in out
     assert err == f"error: validation over {2**40 + 1} corners exceeds the cap of {2**23}\n"
+
+
+def test_verify_releases_each_flat_profile_before_counting_the_next(tmp_path, capsys, monkeypatch):
+    doc = tmp_path / "p3.json"
+    assert run_cli(capsys, "construct", "--family", "piercing3d", "--k", "3", "--out", str(doc))[0] == 0
+    count, profiles, alive = cli.min_flat_count, [], []
+
+    def tracking(P, free_axis_count):
+        alive.append([ref() is not None for ref in profiles])
+        profile = count(P, free_axis_count)
+        profiles.append(weakref.ref(profile))
+        return profile
+
+    monkeypatch.setattr(cli, "min_flat_count", tracking)
+    code, out, _ = run_cli(capsys, "verify", str(doc))
+    assert code == 0 and "slicing_number: 8" in out
+    assert alive == [[], [False]]  # the piercing profile was gone when slicing was asked for
 
 
 def test_verify_unparseable_exits_2(tmp_path, capsys):

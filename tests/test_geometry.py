@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from random import Random
 
 import numpy as np
@@ -25,7 +25,7 @@ from brickpart import metrics
 from brickpart.constructions import piercing_3d_base, slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts
 
-from helpers import whole_grid_counts, whole_grid_report
+from helpers import brick_sets, hull, slice_loop_counts, whole_grid_counts, whole_grid_report
 
 small_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -181,12 +181,13 @@ def test_index_boxes_are_exact():
             assert (axis[lo], axis[hi]) == side.as_pair()
 
 
-@given(st.lists(bricks_2d, min_size=1, max_size=6), st.sampled_from([(0,), (1,), (0, 1)]))
-def test_cell_counts_match_midpoint_containment(bricks, axes):
-    parent = hull_parent(bricks)
-    grid = build_grid(parent, bricks)
+@given(brick_sets(), st.data())
+def test_cell_counts_match_midpoint_containment(bricks, data):
+    d = bricks[0].dim
+    axes = data.draw(st.lists(st.sampled_from(range(d)), min_size=1, unique=True).map(sorted))
+    grid = build_grid(hull(bricks), bricks)
     counts = cell_counts(grid, axes)
-    assert counts.shape == tuple(grid.shape[a] for a in axes)
+    assert counts.dtype == np.int32 and counts.shape == tuple(grid.shape[a] for a in axes)
     # reference: count the closed bricks containing each projected cell midpoint
     for cell in product(*(range(n) for n in counts.shape)):
         mids = [grid.cell_midpoint(a, i) for a, i in zip(axes, cell)]
@@ -194,6 +195,22 @@ def test_cell_counts_match_midpoint_containment(bricks, axes):
             1 for b in bricks if all(b.sides[a].contains(m) for a, m in zip(axes, mids))
         )
         assert counts[cell] == expected
+
+
+def test_cell_counts_match_the_slice_loop_on_every_projection(corpus):
+    # every nonempty axes subset of each partition and of its mutants with
+    # one member deleted or duplicated
+    for P in corpus:
+        mutants = [P]
+        for i in range(len(P)):
+            mutants.append(BrickPartition(P.parent, P.members[:i] + P.members[i + 1 :]))
+            mutants.append(BrickPartition(P.parent, P.members + (P.members[i],)))
+        for Q in mutants:
+            for r in range(1, Q.dim + 1):
+                for axes in combinations(range(Q.dim), r):
+                    counts, expected = cell_counts(Q.grid, axes), slice_loop_counts(Q.grid, axes)
+                    assert counts.dtype == expected.dtype and counts.flags.c_contiguous
+                    assert np.array_equal(counts, expected)
 
 
 def test_cell_counts_over_a_row_range_is_that_slice_of_the_whole(corpus):

@@ -18,14 +18,16 @@ from brickpart import (
     FailureKind,
     boundary_incidence,
     cut,
+    grid_partition,
     parent_corners_contained,
     random_split_partition,
     refine,
     validate,
 )
 from brickpart.constructions import piercing_3d_base, slicing_3d
+from brickpart.partition import Failure
 
-from helpers import first_bad_cell_midpoint, whole_grid_report
+from helpers import brick_sets, first_bad_cell_midpoint, hull, whole_grid_report
 
 X1 = Brick.from_pairs([(0, 2), (3, 6), (0, 4)])
 
@@ -132,26 +134,32 @@ def test_validate_time_grows_with_corners_not_member_pairs():
     assert time.perf_counter() - start < 0.5
 
 
-@st.composite
-def brick_sets(draw):
-    """1 to 8 bricks in one dimension of 1..4, on integer coordinates 0..6,
-    so they overlap, leave gaps and share endpoints freely."""
-    d = draw(st.integers(min_value=1, max_value=4))
-    side = st.lists(st.integers(min_value=0, max_value=6), min_size=2, max_size=2, unique=True)
-    brick = st.lists(side.map(sorted), min_size=d, max_size=d).map(Brick.from_pairs)
-    return draw(st.lists(brick, min_size=1, max_size=8))
-
-
 @given(brick_sets())
 def test_validate_matches_the_whole_grid_count_on_any_bricks(bricks):
-    hull = Brick.from_pairs(
-        [
-            (min(b.sides[a].lo for b in bricks), max(b.sides[a].hi for b in bricks))
-            for a in range(bricks[0].dim)
-        ]
-    )
-    P = BrickPartition(hull, bricks)
+    P = BrickPartition(hull(bricks), bricks)
     assert validate(P) == whole_grid_report(P)
+
+
+def test_validate_sums_the_signs_on_one_corner_past_int8():
+    # 257 members share the origin, whose signed sum is 256: in int8 it wraps
+    # to 0 and would read as a tiling
+    parent = Brick.from_pairs([(0, 1)])
+    report = validate(BrickPartition(parent, [parent] * 257))
+    assert report.failures == (Failure(FailureKind.OVERLAP, (Fraction(1, 2),), tuple(range(257))),)
+
+
+def test_validate_peak_memory_per_corner():
+    # (2k - 1)^3 + 1 = 205,380 signed corners; numpy reports its buffers to
+    # tracemalloc, and the grid is built beforehand, so the peak is validate's
+    P = grid_partition(3, 30)
+    P.grid
+    tracemalloc.start()
+    try:
+        assert validate(P).valid
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 205_380
 
 
 def test_validate_is_exact_beyond_int64():
