@@ -42,8 +42,8 @@ class ConstructionInvalid(BrickError):
 
 
 class ResourceLimit(BrickError):
-    """A search ran out of its node budget, flat counts would pass their cell cap,
-    or validation its cap on box corners."""
+    """A search ran out of its node budget, flat counts would pass their cell cap
+    or numpy 2's limit of 64 array axes, or validation its cap on box corners."""
 
 
 class ParseError(BrickError):

@@ -8,10 +8,15 @@ construction.
 
 Coordinates are compared once, when `build_grid` compresses each axis to the
 ranks of its sorted distinct endpoints and every member to an integer index
-box. Cover counts then come from one source, `_corners`: the members' signed
-index-box corners over some of the axes. It has a dense reader, `cell_counts`
-(a summed-area table over a projection: the flat counts), and a sparse one,
-`first_bad_cell` (the first point where the corners do not cancel: validation).
+box. The boxes are stored once, as one read-only int32 array of shape
+(members, d, 2) that every reader slices. Cover counts then come from one
+source, `_corners`: the members' signed index-box corners over some of the
+axes, written into one array by one doubling step per axis, so in O(d) numpy
+calls. It has a dense reader, `cell_counts` (a summed-area table over a
+projection: the flat counts), and a sparse one, `first_bad_cell` (the first
+point where the corners, less the parent's origin, do not cancel:
+validation). The origin is the least point, so after the sort it is the
+first group's or a gap of its own, and it is never appended as a corner.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -30,7 +35,6 @@ from .errors import (
 
 Point = tuple[Fraction, ...]
 ScalarLike = Fraction | int | str
-IndexBox = tuple[tuple[int, int], ...]  # half-open (lo, hi) cell-index range per axis
 
 
 def as_scalar(value: ScalarLike) -> Fraction:
@@ -196,18 +200,18 @@ class Brick:
         return "x".join(repr(s) for s in self.sides)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BreakpointGrid:
     """A brick set compressed to rank space.
 
     axes[a] holds the sorted distinct endpoints on axis a, parent's included;
     the open boxes between consecutive ones are the elementary cells.
-    boxes[i][a] = (rank of lo, rank of hi) is member i's half-open cell-index
-    range on axis a, and the member covers exactly the cells inside its box.
+    boxes, a read-only C-order int32 array of shape (members, d, 2), holds member
+    i's half-open cell-index range on axis a, (rank of lo, rank of hi), at [i, a].
     """
 
     axes: tuple[tuple[Fraction, ...], ...]
-    boxes: tuple[IndexBox, ...]
+    boxes: np.ndarray
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -234,57 +238,58 @@ def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:
     for idx, b in enumerate(bricks):
         if b.dim != parent.dim:
             raise DimensionMismatch(f"brick {idx} has dimension {b.dim}, parent has {parent.dim}")
-    axes, spans = [], []
+    # the parent's box first; int32 holds the ranks of up to 2^30 boxes
+    axes, boxes = [], np.empty((1 + len(bricks), parent.dim, 2), np.int32)
     for a in range(parent.dim):
         # each endpoint is keyed by its (numerator, denominator) pair, which
         # hashes and compares much faster than a Fraction
-        ends = [
-            (s.lo.as_integer_ratio(), s.hi.as_integer_ratio())
-            for s in (b.sides[a] for b in (parent, *bricks))
-        ]
-        axis = sorted(Fraction(*r) for r in set(chain.from_iterable(ends)))
+        los = [b.sides[a].lo.as_integer_ratio() for b in (parent, *bricks)]
+        his = [b.sides[a].hi.as_integer_ratio() for b in (parent, *bricks)]
+        axis = sorted(Fraction(*r) for r in set(los).union(his))
         rank = {x.as_integer_ratio(): i for i, x in enumerate(axis)}
         axes.append(tuple(axis))
-        spans.append([(rank[lo], rank[hi]) for lo, hi in ends])
-    parent_box, *boxes = zip(*spans)
-    # every brick is inside iff the parent's ranks are each axis's extremes
-    if any(pair != (0, len(axis) - 1) for pair, axis in zip(parent_box, axes)):
-        leaves = [[lo < p or hi > q for (lo, hi), (p, q) in zip(box, parent_box)] for box in boxes]
-        outside = tuple(idx for idx, out in enumerate(leaves) if any(out))
-        idx, a = outside[0], leaves[outside[0]].index(True)
+        boxes[:, a, 0], boxes[:, a, 1] = [rank[r] for r in los], [rank[r] for r in his]
+    parent_box, boxes = boxes[0], boxes[1:]
+    leaves = (boxes[:, :, 0] < parent_box[:, 0]) | (boxes[:, :, 1] > parent_box[:, 1])
+    outside = tuple(np.flatnonzero(leaves.any(axis=1)).tolist())
+    if outside:
+        idx, a = outside[0], int(leaves[outside[0]].argmax())
         side, pside = bricks[idx].sides[a], parent.sides[a]
         raise BrickOutsideParent(
             f"brick {idx} axis {a + 1} interval {side!r} leaves parent {pside!r}", outside
         )
-    return BreakpointGrid(tuple(axes), tuple(boxes))
+    boxes.flags.writeable = False  # the partition caches its grid
+    return BreakpointGrid(tuple(axes), boxes)
 
 
 _MAX_CORNERS = 1 << 23  # signed corners first_bad_cell may hold
 
 
-def _corners(grid: BreakpointGrid, axes: Sequence[int]) -> Iterator:
-    """Yield the number of the members' signed index-box corners over the
-    given 0-based axes (ascending), then their coordinate columns (int32) and
-    signs (int8). A half-open box's indicator is the sum of [v <= p] over its
+def _corner_count(grid: BreakpointGrid, axes: list[int]) -> tuple[int, np.ndarray]:
+    """The members' signed corners over the given axes, 2^j each for j the axes
+    whose hi end is inside the grid, in Python ints; and those axes per member."""
+    inner = grid.boxes[:, axes, 1] < np.array(grid.shape, np.int32)[axes]
+    return sum(int(n) << j for j, n in enumerate(np.bincount(inner.sum(axis=1)))), inner
+
+
+def _corners(grid: BreakpointGrid, axes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The members' signed index-box corners over the given 0-based axes
+    (ascending): their coordinates, one int32 row per axis, and their int8
+    signs. A half-open box's indicator is the sum of [v <= p] over its
     corners v, signed -1 per hi end taken; corners with a hi end at the
     grid's far side lie past every cell and are dropped."""
-    axes, d = list(axes), len(grid.shape)
-    ends = chain.from_iterable(chain.from_iterable(grid.boxes))
-    # fromiter is 3x faster than np.array; int32 holds the ranks of up to 2^30 boxes
-    boxes = np.fromiter(ends, np.int32, 2 * d * len(grid.boxes)).reshape(-1, d, 2)[:, axes]
-    lo, hi = boxes[:, :, 0], boxes[:, :, 1]
-    inner = hi < np.array(grid.shape)[axes]  # the axes whose hi end is inside the grid
-    yield sum(int(n) << j for j, n in enumerate(np.bincount(inner.sum(axis=1))))
-
-    owner, sign, coords = np.arange(len(boxes), dtype=np.int32), np.ones(len(boxes), np.int8), []
-    for a in range(len(axes)):  # each corner so far, then its twin at hi on axis a
-        twin = inner[owner, a]
-        for i in range(len(coords)):  # one column at a time
-            coords[i] = np.concatenate([coords[i], coords[i][twin]])
-        coords.append(np.concatenate([lo[owner, a], hi[owner[twin], a]]))
-        owner, sign = np.concatenate([owner, owner[twin]]), np.concatenate([sign, -sign[twin]])
-    del boxes, lo, hi, inner, owner, twin
-    yield coords, sign
+    count, inner = _corner_count(grid, axes)
+    n, coords, sign = len(inner), np.empty((len(axes), count), np.int32), np.ones(count, np.int8)
+    owner = np.empty(count, np.int32)  # each corner's member
+    coords[:, :n], owner[:n] = grid.boxes[:, axes, 0].T, np.arange(n)
+    for a, axis in enumerate(axes):  # each corner so far, then its twin at hi on axis a
+        twin = np.flatnonzero(inner[owner[:n], a])
+        end = n + len(twin)
+        coords[:, n:end] = coords[:, twin]  # on its own: one large temporary at a time
+        owner[n:end], sign[n:end] = owner[twin], -sign[twin]
+        coords[a, n:end] = grid.boxes[owner[n:end], axis, 1]
+        n = end
+    return coords, sign
 
 
 def cell_counts(grid: BreakpointGrid, axes: Sequence[int]) -> np.ndarray:
@@ -294,7 +299,7 @@ def cell_counts(grid: BreakpointGrid, axes: Sequence[int]) -> np.ndarray:
     summed-area table). The array holds every cell of the projection, so
     `min_flat_count` caps the projections it asks for.
     """
-    _, (coords, sign) = _corners(grid, axes)
+    coords, sign = _corners(grid, list(axes))
     counts = np.zeros(tuple(grid.shape[a] for a in axes), dtype=np.int32)
     np.add.at(counts, tuple(coords), sign)
     for a in range(counts.ndim):
@@ -311,20 +316,21 @@ def first_bad_cell(grid: BreakpointGrid) -> tuple[int, ...] | None:
     the first bad cell: every point <= it lies before it. Raises
     ResourceLimit, before building any corner array, above _MAX_CORNERS.
     """
-    corners = _corners(grid, range(len(grid.shape)))
-    count = next(corners) + 1  # and the parent's origin
+    axes = list(range(len(grid.shape)))
+    count = _corner_count(grid, axes)[0] + 1  # and the parent's origin
     if count > _MAX_CORNERS:
         raise ResourceLimit(f"validation over {count} corners exceeds the cap of {_MAX_CORNERS}")
-    ((coords, sign),) = corners  # runs the generator to its end, releasing its boxes
-    for i in range(len(coords)):  # indexed: no loop variable keeps an old column alive
-        coords[i] = np.append(coords[i], np.int32(0))
+    coords, sign = _corners(grid, axes)
     order = np.lexsort(coords[::-1])  # axis 0 the primary key
-    for i in range(len(coords)):  # one column at a time: no second copy of them all
-        coords[i] = coords[i][order]
-    sign = np.append(sign, np.int8(-1))[order]
+    for row in coords:  # one row at a time: no second copy of them all
+        row[:] = row[order]
+    sign = sign[order]
     del order
-    new = np.logical_or.reduce([c[1:] != c[:-1] for c in coords])
+    if coords[:, 0].any():  # no member corner at the origin, the least point: E is -1 there
+        return (0,) * len(axes)
+    sign[0] -= 1  # the parent's origin
+    new = (coords[:, 1:] != coords[:, :-1]).any(axis=0)
     starts = np.flatnonzero(np.concatenate([[True], new]))  # each distinct point's first
     # summed in int64: int8 signs would wrap at 128 members on one corner
     bad = np.flatnonzero(np.add.reduceat(sign, starts, dtype=np.int64))
-    return None if len(bad) == 0 else tuple(int(c[starts[bad[0]]]) for c in coords)
+    return None if len(bad) == 0 else tuple(coords[:, starts[bad[0]]].tolist())

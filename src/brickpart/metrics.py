@@ -11,7 +11,8 @@ The flat counts over one choice of fixed axes are `cell_counts` on the
 partition's grid, from the same signed corners `validate` reads. A member's
 corners over some axes never outnumber its full ones, so a partition that
 passed `validate` and its corner cap, as `verify` checks first, needs no
-second corner cap; only the projections' cells are capped (_MAX_FLAT_CELLS).
+second corner cap; only the projections are capped: their cells
+(_MAX_FLAT_CELLS) and their axes (_MAX_FLAT_AXES, numpy 2's limit of 64).
 """
 
 from __future__ import annotations
@@ -97,18 +98,24 @@ class FlatProfile:
 
 
 _MAX_FLAT_CELLS = 1 << 26  # int32 counts kept by one profile: 256 MiB
+_MAX_FLAT_AXES = 64  # numpy 2's array rank limit
 
 
 def min_flat_count(P: BrickPartition, free_axis_count: int) -> FlatProfile:
     """Minimum member count over all axis-parallel flats with the given
     number of free axes, computed at elementary-cell midpoints.
 
-    Raises ResourceLimit, before counting, when the profile's projections
-    together hold more than _MAX_FLAT_CELLS cells.
+    Raises ResourceLimit, before counting, when a projection has more than
+    _MAX_FLAT_AXES axes or the profile's projections together hold more than
+    _MAX_FLAT_CELLS cells.
     """
     d = P.dim
     if not 1 <= free_axis_count <= d - 1:
         raise BadCodimension(f"free axis count {free_axis_count} outside 1..{d - 1}")
+    if d - free_axis_count > _MAX_FLAT_AXES:
+        raise ResourceLimit(
+            f"flat counts over {d - free_axis_count} axes exceed the cap of {_MAX_FLAT_AXES}"
+        )
     grid = P.grid
     choices = list(combinations(range(1, d + 1), free_axis_count))
     cells = sum(prod(n for a, n in enumerate(grid.shape, 1) if a not in free) for free in choices)

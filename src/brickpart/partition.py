@@ -7,7 +7,9 @@ midpoint. A closed brick contains a cell midpoint iff it covers the whole
 cell, as no endpoint falls strictly inside a cell. Building the partition's
 grid (once, shared with the flat counts) finds members outside the parent;
 `geometry.first_bad_cell` then finds the first cell not covered exactly once
-from the members' signed index-box corners, with no cell array.
+from the members' signed index-box corners, with no cell array. The members
+covering that cell and the boundary incidences are array expressions over
+the grid's read-only int32 index boxes, returned as Python ints.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable
+
+import numpy as np
 
 from .errors import BadAxis, BrickOutsideParent, ConstructionInvalid, DimensionMismatch
 from .geometry import BreakpointGrid, Brick, Interval, Point, build_grid, first_bad_cell
@@ -113,9 +117,8 @@ def validate(P: BrickPartition) -> ValidationReport:
     cell = first_bad_cell(grid)
     if cell is None:
         return ValidationReport(True)
-    covering = tuple(
-        i for i, box in enumerate(grid.boxes) if all(lo <= c < hi for (lo, hi), c in zip(box, cell))
-    )
+    lo, hi = grid.boxes[:, :, 0], grid.boxes[:, :, 1]
+    covering = tuple(np.flatnonzero(((lo <= cell) & (cell < hi)).all(axis=1)).tolist())
     kind = FailureKind.GAP if not covering else FailureKind.OVERLAP
     return ValidationReport(False, (Failure(kind, grid.midpoint(cell), covering),))
 
@@ -204,11 +207,8 @@ class IncidenceReport:
 def boundary_incidence(P: BrickPartition) -> IncidenceReport:
     """Count, per member, the parent boundary hyperplanes it touches (index box
     ends at rank 0 or at the last rank); raises BrickOutsideParent for strays."""
-    shape = P.grid.shape
-    f = tuple(
-        sum((lo == 0) + (hi == n) for (lo, hi), n in zip(box, shape)) for box in P.grid.boxes
-    )
-    return IncidenceReport(f, sum(f), sum(1 for v in f if v == 4))
+    f = tuple((P.grid.boxes == [(0, n) for n in P.grid.shape]).sum(axis=(1, 2)).tolist())
+    return IncidenceReport(f, sum(f), f.count(4))
 
 
 def parent_corners_contained(parent: Brick, b: Brick) -> int:

@@ -34,12 +34,13 @@ from math import prod
 from typing import Iterable, Iterator
 
 from .errors import ResourceLimit
-from .geometry import Brick, IndexBox
+from .geometry import Brick
 from .partition import BrickPartition
 
 NODE_BUDGET_ENV = "BRICKPART_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10**8
 _MAX_CELLS = 1 << 26  # the cover mask is a g^d-bit int, built before any placement
+IndexBox = tuple[tuple[int, int], ...]  # half-open (lo, hi) cell-index range per axis
 
 
 class Mode(Enum):

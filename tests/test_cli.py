@@ -1,13 +1,29 @@
+import io
 import json
 import time
 import weakref
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from brickpart import emit_document, geometry, metrics, partition, random_split_partition
+from brickpart import (
+    BrickOutsideParent,
+    emit_document,
+    format_scalar,
+    geometry,
+    metrics,
+    parse_document,
+    partition,
+    random_split_partition,
+)
 from brickpart.io_cli import cli
 from brickpart.io_cli.cli import main
+
+from helpers import whole_grid_report
 
 
 def run_cli(capsys, *args):
@@ -73,6 +89,34 @@ def test_verify_refuses_validation_above_the_corner_cap(tmp_path, capsys):
     assert code == 1
     assert "valid:" not in out
     assert err == f"error: validation over {2**40 + 1} corners exceeds the cap of {2**23}\n"
+
+
+def _one_brick_document(path, d):
+    # one brick filling [0, 1]^d: valid, with one cell
+    path.write_text(json.dumps({"dim": d, "parent": [[0, 1]] * d, "bricks": [[[0, 1]] * d]}))
+    return str(path)
+
+
+def test_verify_counts_flats_over_64_axes(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", _one_brick_document(tmp_path / "d65.json", 65))
+    assert (code, err) == (0, "")
+    assert "valid: yes" in out and "piercing_number: 1\n" in out
+
+
+def test_verify_refuses_flat_counts_above_64_axes(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", _one_brick_document(tmp_path / "d66.json", 66))
+    assert code == 1
+    assert "valid: yes" in out and "piercing_number" not in out
+    assert err == "error: flat counts over 65 axes exceed the cap of 64\n"
+
+
+def test_verify_refuses_a_4000_dimensional_brick_fast(tmp_path, capsys):
+    doc = _one_brick_document(tmp_path / "d4000.json", 4000)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", doc)
+    assert time.perf_counter() - start < 2
+    assert code == 1 and "valid: yes" in out
+    assert err == "error: flat counts over 3999 axes exceed the cap of 64\n"
 
 
 def test_verify_releases_each_flat_profile_before_counting_the_next(tmp_path, capsys, monkeypatch):
@@ -299,3 +343,101 @@ def test_export_rejects_negative_precision(tmp_path, capsys):
     code, out, err = run_cli(capsys, "export", str(doc), "--format", "svg", "--precision", "-1")
     assert (code, out) == (2, "")
     assert "--precision" in err
+
+
+_MALFORMED = st.sampled_from(
+    [1.5, 2.0, True, False, None, [1], "1e3", "+1", " 1", "1\n", "1/0", "0x1", "", "½"]
+)
+
+
+@st.composite
+def _scalar_text(draw, x: Fraction):
+    """x as a JSON int or a decimal or p/q string, canonical or not (x is dyadic)."""
+    num, den = x.numerator, x.denominator
+    forms = [format_scalar(x), f"{num}/{den}", f"{3 * num}/{3 * den}"]
+    if den == 1:
+        forms += [num, f"{num}.0"]
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def verify_documents(draw):
+    """A document in d = 1..4 with at most 8 bricks, as JSON-ready data: a
+    seeded valid partition or bricks at random half-integer coordinates, all
+    scalars in mixed forms, then up to two corruptions."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        P = random_split_partition(Random(draw(st.integers(0, 99))), d, draw(st.integers(1, 8)))
+        parent, bricks = P.parent.as_pairs(), [b.as_pairs() for b in P.members]
+    else:
+        ends = st.lists(st.integers(0, 8), min_size=2, max_size=2, unique=True)
+        halves = ends.map(lambda e: sorted(Fraction(n, 2) for n in e))
+        box = st.lists(halves, min_size=d, max_size=d)
+        parent, bricks = [(0, 4)] * d, draw(st.lists(box, min_size=1, max_size=8))
+
+    def sides(box):
+        return [[draw(_scalar_text(Fraction(c))) for c in side] for side in box]
+
+    boxes = [sides(b) for b in bricks]
+    doc = {"dim": d, "parent": sides(parent), "bricks": boxes}
+    if draw(st.booleans()):
+        doc["labels"] = [f"b{i}" for i in range(len(boxes))]
+    for _ in range(draw(st.integers(0, 2))):
+        brick = draw(st.sampled_from(boxes))
+        side = draw(st.sampled_from(brick))
+        kind = draw(st.integers(0, 7))
+        if kind == 0:  # a malformed scalar
+            side[draw(st.integers(0, 1))] = draw(_MALFORMED)
+        elif kind == 1:  # lo >= hi
+            side[:] = draw(st.sampled_from([side[::-1], side[:1] * 2]))
+        elif kind == 2:  # one side too few or too many
+            if len(brick) > 1 and draw(st.booleans()):
+                brick.pop()
+            else:
+                brick.append(side)
+        elif kind == 3:  # a required key missing, or an unknown one
+            key = draw(st.sampled_from(["dim", "parent", "bricks", "mystery"]))
+            if key in doc:
+                del doc[key]
+            else:
+                doc[key] = 1
+        elif kind == 4:  # a label with a newline, or one label too many
+            doc["labels"] = [f"b{i}" for i in range(len(boxes))]
+            doc["labels"][0] += draw(st.sampled_from(["\n", ""]))
+            doc["labels"] += draw(st.sampled_from([[], ["extra"]]))
+        elif kind == 5:  # a wrong dim
+            doc["dim"] = draw(st.sampled_from([0, d + 1, True, "3", 1.0]))
+        elif kind == 6:  # a brick dropped or repeated: still parses
+            if len(boxes) > 1:
+                boxes.pop()
+            else:
+                boxes.append(brick)
+            doc.pop("labels", None)
+        else:  # a side pushed past the parent
+            side[1] = 9
+    return doc
+
+
+@settings(deadline=2000, max_examples=200)
+@given(verify_documents())
+def test_verify_on_any_document_exits_cleanly(tmp_path_factory, doc):
+    text = json.dumps(doc)
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", str(path)])  # nothing escapes
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("\n")
+    else:
+        assert err == ""
+        assert ("valid: yes" in out) == (code == 0) != ("valid: no" in out)
+        P = parse_document(text).to_partition()
+        try:
+            P.grid
+        except BrickOutsideParent:
+            return
+        assert whole_grid_report(P).valid == (code == 0)

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from random import Random
@@ -23,7 +24,7 @@ from brickpart import (
 )
 from brickpart import metrics
 from brickpart.constructions import piercing_3d_base, slicing_3d
-from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts
+from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts, first_bad_cell
 
 from helpers import brick_sets, hull, slice_loop_counts, whole_grid_counts, whole_grid_report
 
@@ -175,10 +176,44 @@ def test_index_boxes_are_exact():
     base = piercing_3d_base()
     grid = build_grid(base.parent, base.members)
     # X1 = [0,2] x [3,6] x [0,4]; every axis has breakpoints 0, 2, 3, 4, 6
-    assert grid.boxes[3] == ((0, 1), (2, 4), (0, 3))
+    assert grid.boxes[3].tolist() == [[0, 1], [2, 4], [0, 3]]
     for b, box in zip(base.members, grid.boxes):
         for axis, (lo, hi), side in zip(grid.axes, box, b.sides):
             assert (axis[lo], axis[hi]) == side.as_pair()
+
+
+def test_index_boxes_are_one_read_only_int32_array():
+    base = piercing_3d_base()
+    grid = build_grid(base.parent, base.members)
+    assert grid.boxes.dtype == np.int32 and grid.boxes.shape == (len(base), 3, 2)
+    assert grid.boxes.flags.c_contiguous
+    with pytest.raises(ValueError):
+        grid.boxes[0, 0, 0] = 1  # the partition caches its grid
+
+
+def test_grid_holds_at_most_32_bytes_a_member():
+    # the 216,000 members of grid_partition(3, 60), built from shared unit
+    # sides to save the test 648,000 Intervals; tracemalloc sees numpy's buffers
+    unit = [Interval(c, c + 1) for c in range(60)]
+    members = [Brick(sides) for sides in product(unit, repeat=3)]
+    parent = Brick.from_pairs([(0, 60)] * 3)
+    tracemalloc.start()
+    try:
+        grid = build_grid(parent, members)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grid.boxes.shape == (216_000, 3, 2)
+    assert held <= 32 * 216_000
+
+
+def test_first_bad_cell_is_python_ints():
+    base = piercing_3d_base()
+    # W1, at the origin, dropped (no member corner there), repeated, and the last member dropped
+    cases = (base.members[1:], base.members[:1] + base.members, base.members[:-1])
+    cells = [first_bad_cell(BrickPartition(base.parent, members).grid) for members in cases]
+    assert cells[:2] == [(0, 0, 0), (0, 0, 0)]
+    assert all(type(c) is int for cell in cells for c in cell)
 
 
 @given(brick_sets(), st.data())

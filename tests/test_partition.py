@@ -162,6 +162,30 @@ def test_validate_peak_memory_per_corner():
     assert peak <= 32 * 205_380
 
 
+def test_validate_time_grows_linearly_with_the_dimension():
+    # one brick filling [0, 1]^4000: two corners, one array row per axis
+    P = BrickPartition(Brick.from_pairs([(0, 1)] * 4000), [Brick.from_pairs([(0, 1)] * 4000)])
+    P.grid  # built beforehand, so only validate is timed
+    start = time.perf_counter()
+    assert validate(P).valid
+    assert time.perf_counter() - start < 0.5
+
+
+def test_reports_hold_python_ints():
+    # under numpy 2, repr(np.int64(3)) is "np.int64(3)", which would reach the CLI text
+    base = piercing_3d_base()
+    gap, overlap = base.members[:-1], base.members + base.members[:2]
+    failures = [validate(BrickPartition(base.parent, m)).failures[0] for m in (gap, overlap)]
+    assert [f.kind for f in failures] == [FailureKind.GAP, FailureKind.OVERLAP]
+    incidence = boundary_incidence(base)
+    numbers = [*failures[1].members, *incidence.per_member, incidence.total, incidence.alpha]
+    stray = Brick.from_pairs([(1, 7), (0, 1), (0, 1)])
+    with pytest.raises(BrickOutsideParent) as exc:
+        BrickPartition(base.parent, base.members + (stray, stray)).grid
+    assert exc.value.members == (15, 16)
+    assert all(type(n) is int for n in numbers + list(exc.value.members))
+
+
 def test_validate_is_exact_beyond_int64():
     # 2.7e19 cells, past int64: validate works on the corners' ranks alone
     P = random_split_partition(Random(0), 12, 1200)
