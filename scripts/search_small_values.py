@@ -35,7 +35,8 @@ def main(argv: list[str] | None = None) -> int:
 
     for name, d, k, mode, m_none, g in CASES:
         t0 = time.perf_counter()
-        below = exists_partition(SearchProblem(d, k, mode, m_none, g, symmetry))
+        problem = SearchProblem(d, k, mode, m_none, g, symmetry)
+        below = exists_partition(problem)
         above = exists_partition(SearchProblem(d, k, mode, m_none + 1, g, symmetry))
         elapsed = time.perf_counter() - t0
         assert below.status is SearchStatus.EXHAUSTED_NONE
@@ -48,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
             f"witness valid={ok}, metric={metric}; "
             f"nodes {below.nodes_explored}+{above.nodes_explored}; {elapsed:.2f}s]"
         )
-        print(f"  exhaustion scope: {below.grid_cap_note.describe()}")
+        print(f"  exhaustion scope: {problem.scope()}")
     return 0
 
 

@@ -54,7 +54,6 @@ from .partition import (
     FailureKind,
     boundary_incidence,
     cut,
-    parent_corners_contained,
     refine,
     validate,
 )
@@ -64,7 +63,6 @@ from .search import (
     SearchProblem,
     SearchStatus,
     exists_partition,
-    iter_solutions,
 )
 
 __version__ = "0.1.0"

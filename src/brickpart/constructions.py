@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import product
 
 from .errors import BadK, ConstructionInvalid
-from .geometry import Brick
+from .geometry import Brick, Interval
 from .metrics import piercing_number
 from .partition import BrickPartition, refine, validate
 
@@ -61,10 +61,8 @@ def grid_partition(d: int, k: int) -> BrickPartition:
     if k < 1:
         raise BadK("grid partition needs k >= 1")
     parent = Brick.from_pairs([(0, k)] * d)
-    members = tuple(
-        Brick.from_pairs([(c, c + 1) for c in cell])
-        for cell in product(range(k), repeat=d)
-    )
+    unit = [Interval(c, c + 1) for c in range(k)]  # shared by every member
+    members = tuple(Brick(sides) for sides in product(unit, repeat=d))
     return BrickPartition(parent, members)
 
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -132,9 +131,6 @@ class Interval:
     def contains(self, x: ScalarLike) -> bool:
         return self.lo <= as_scalar(x) <= self.hi
 
-    def as_pair(self) -> tuple[Fraction, Fraction]:
-        return (self.lo, self.hi)
-
     def __repr__(self) -> str:
         return f"[{format_scalar(self.lo)}, {format_scalar(self.hi)}]"
 
@@ -160,25 +156,12 @@ class Brick:
     def dim(self) -> int:
         return len(self.sides)
 
-    @property
-    def volume(self) -> Fraction:
-        v = Fraction(1)
-        for s in self.sides:
-            v *= s.length
-        return v
-
-    def as_pairs(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return tuple(s.as_pair() for s in self.sides)
-
     def contains_point(self, point: Sequence[ScalarLike]) -> bool:
         if len(point) != self.dim:
             raise DimensionMismatch(
                 f"point has {len(point)} coordinates, brick has dimension {self.dim}"
             )
         return all(s.contains(c) for s, c in zip(self.sides, point))
-
-    def corners(self) -> Iterator[Point]:
-        yield from product(*(s.as_pair() for s in self.sides))
 
     def replace_side(self, axis_index: int, interval: Interval) -> "Brick":
         """Copy with the 0-based axis_index side replaced."""

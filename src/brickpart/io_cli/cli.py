@@ -25,7 +25,7 @@ from ..errors import (
 from ..geometry import format_scalar, parse_scalar
 from ..metrics import FlatQuery, min_flat_count
 from ..partition import BrickPartition, boundary_incidence, validate
-from ..search import Mode, SearchProblem, exists_partition
+from ..search import DEFAULT_NODE_BUDGET, Mode, SearchProblem, exists_partition
 from .document import emit_document, parse_document
 from .export import ExportOptions, FigureFormat, export_figure
 
@@ -102,7 +102,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    if args.node_budget is not None and args.node_budget < 0:
+    if args.node_budget < 0:
         raise ValueError(f"--node-budget: must be >= 0, got {args.node_budget}")
     problem = SearchProblem(
         d=args.d,
@@ -120,7 +120,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         return 1
     print(f"status: {outcome.status.value}")
     print(f"nodes_explored: {outcome.nodes_explored}")
-    print(f"grid_cap: {outcome.grid_cap_note.describe()}")
+    print(f"grid_cap: {problem.scope()}")
     if outcome.witness is not None:
         metadata = {
             "generator": "search", "d": args.d, "k": args.k, "mode": args.mode, "grid": args.grid
@@ -182,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--node-budget",
         type=int,
-        default=None,
-        help="placement budget (default: BRICKPART_NODE_BUDGET env var or 10^8)",
+        default=DEFAULT_NODE_BUDGET,
+        help="placement budget, >= 0 (default: 10^8)",
     )
     p.add_argument(
         "--no-symmetry",

@@ -209,8 +209,3 @@ def boundary_incidence(P: BrickPartition) -> IncidenceReport:
     ends at rank 0 or at the last rank); raises BrickOutsideParent for strays."""
     f = tuple((P.grid.boxes == [(0, n) for n in P.grid.shape]).sum(axis=(1, 2)).tolist())
     return IncidenceReport(f, sum(f), f.count(4))
-
-
-def parent_corners_contained(parent: Brick, b: Brick) -> int:
-    """Number of parent corners lying in the closed brick b."""
-    return sum(1 for c in parent.corners() if b.contains_point(c))

@@ -21,12 +21,11 @@ every field stays in [1, 2H - 1]: none borrows from or carries into the next.
 An ExhaustedNone outcome is a nonexistence claim relative to its grid cap: a
 continuous partition with m bricks normalizes to integer coordinates with at
 most 2m-2 interior breakpoints per axis, so exhaustion is a full proof only
-when g >= 2*m_max - 1 (recorded in the outcome's grid cap note).
+when g >= 2*m_max - 1, as SearchProblem.scope() states.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise, product
@@ -37,7 +36,6 @@ from .errors import ResourceLimit
 from .geometry import Brick
 from .partition import BrickPartition
 
-NODE_BUDGET_ENV = "BRICKPART_NODE_BUDGET"
 DEFAULT_NODE_BUDGET = 10**8
 _MAX_CELLS = 1 << 26  # the cover mask is a g^d-bit int, built before any placement
 IndexBox = tuple[tuple[int, int], ...]  # half-open (lo, hi) cell-index range per axis
@@ -59,8 +57,8 @@ class SearchProblem:
 
     symmetry_pruning restricts only the first box choice to axis-sorted
     extents (axis permutations map solutions to solutions, so every orbit
-    keeps a representative); node_budget None means the BRICKPART_NODE_BUDGET
-    environment variable or the 10^8 default.
+    keeps a representative); node_budget caps the placements, and running out
+    raises ResourceLimit rather than reporting exhaustion.
     """
 
     d: int
@@ -69,7 +67,7 @@ class SearchProblem:
     m_max: int
     g: int
     symmetry_pruning: bool = True
-    node_budget: int | None = None
+    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.k < 1 or self.m_max < 1 or self.g < 1:
@@ -79,27 +77,16 @@ class SearchProblem:
         # g^27 > 2^26 for any g >= 2, so the power stays small for every d
         if self.g ** min(self.d, 27) > _MAX_CELLS:
             raise ValueError(f"--grid {self.g} in d={self.d}: more than 2^26 cells")
-        if self.node_budget is not None and self.node_budget < 0:
+        if self.node_budget < 0:
             raise ValueError(f"node budget must be >= 0, got {self.node_budget}")
 
-    def effective_node_budget(self) -> int:
-        if self.node_budget is not None:
-            return self.node_budget
-        raw = os.environ.get(NODE_BUDGET_ENV, str(DEFAULT_NODE_BUDGET))
-        if not raw.isdecimal():
-            raise ValueError(f"{NODE_BUDGET_ENV} must be an integer >= 0, got {raw!r}")
-        return int(raw)
+    @property
+    def proof_complete(self) -> bool:
+        """Whether exhaustion covers every m_max-brick partition, not only this grid's."""
+        return self.g >= 2 * self.m_max - 1
 
-
-@dataclass(frozen=True)
-class GridCapNote:
-    """Scope of an exhaustion claim: the (g, m_max) actually searched."""
-
-    g: int
-    m_max: int
-    proof_complete: bool  # g >= 2*m_max - 1: the grid expresses every m_max-brick partition
-
-    def describe(self) -> str:
+    def scope(self) -> str:
+        """The scope of an exhaustion claim: the (g, m_max) actually searched."""
         scope = "complete" if self.proof_complete else "relative to this grid"
         return f"g={self.g}, m_max={self.m_max} ({scope})"
 
@@ -109,7 +96,6 @@ class SearchOutcome:
     status: SearchStatus
     witness: BrickPartition | None
     nodes_explored: int
-    grid_cap_note: GridCapNote
 
 
 # A candidate box: (box, bitmask over cells, packed slack delta over flats).
@@ -128,7 +114,7 @@ class _Engine:
         self.problem = problem
         d, g = problem.d, problem.g
         self.full = (1 << g**d) - 1  # every cell covered
-        self.budget = problem.effective_node_budget()
+        self.budget = problem.node_budget
         # fixed[a]: the axes that flat class a fixes, every axis but a for lines
         # (piercing) and axis a alone for slabs (slicing). Each class fixes n
         # axes, so it holds g^n flats of g^(d-n) cells; a flat's id is a*g^n
@@ -213,10 +199,6 @@ class _Engine:
         return BrickPartition(parent, tuple(Brick.from_pairs(box) for box in boxes))
 
 
-def _cap_note(problem: SearchProblem) -> GridCapNote:
-    return GridCapNote(problem.g, problem.m_max, problem.g >= 2 * problem.m_max - 1)
-
-
 def exists_partition(problem: SearchProblem) -> SearchOutcome:
     """First witness in canonical order, or exhaustion at the grid cap.
 
@@ -226,16 +208,5 @@ def exists_partition(problem: SearchProblem) -> SearchOutcome:
     engine = _Engine(problem)
     for boxes in engine.solutions():
         witness = engine.witness_partition(boxes)
-        return SearchOutcome(SearchStatus.FOUND, witness, engine.nodes, _cap_note(problem))
-    return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, engine.nodes, _cap_note(problem))
-
-
-def iter_solutions(problem: SearchProblem) -> Iterator[BrickPartition]:
-    """Every satisfying partition at the grid cap, canonical order.
-
-    Diagnostic surface (uniqueness and count cross-checks); exists_partition
-    is the production entry point.
-    """
-    engine = _Engine(problem)
-    for boxes in engine.solutions():
-        yield engine.witness_partition(boxes)
+        return SearchOutcome(SearchStatus.FOUND, witness, engine.nodes)
+    return SearchOutcome(SearchStatus.EXHAUSTED_NONE, None, engine.nodes)

@@ -3,7 +3,8 @@
 Everything here recomputes results from definitions, without touching the
 breakpoint-grid code paths it is used to check; `slice_loop_counts` and
 `whole_grid_counts` read only the grid's index boxes, which `test_geometry`
-checks on their own.
+checks on their own. Brick views and `iter_solutions` live here because
+only tests use them.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 from random import Random
+from typing import Iterator
 
 import numpy as np
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from brickpart import Brick, BrickPartition, FailureKind, Interval
 from brickpart.geometry import BreakpointGrid
 from brickpart.partition import Failure, ValidationReport
+from brickpart.search import SearchProblem, _Engine
 
 
 def axis_eval_points(P: BrickPartition, axis_index: int) -> list[Fraction]:
@@ -141,6 +145,26 @@ def hull(bricks) -> Brick:
     )
 
 
+def as_pairs(b: Brick) -> tuple[tuple[Fraction, Fraction], ...]:
+    return tuple((s.lo, s.hi) for s in b.sides)
+
+
+def volume(b: Brick) -> Fraction:
+    return prod(s.length for s in b.sides)
+
+
+def parent_corners_contained(parent: Brick, b: Brick) -> int:
+    """Number of parent corners lying in the closed brick b."""
+    return sum(1 for c in product(*as_pairs(parent)) if b.contains_point(c))
+
+
+def iter_solutions(problem: SearchProblem) -> Iterator[BrickPartition]:
+    """Every satisfying partition at the grid cap, in canonical order."""
+    engine = _Engine(problem)
+    for boxes in engine.solutions():
+        yield engine.witness_partition(boxes)
+
+
 def random_monotone_remap(rng: Random, P: BrickPartition) -> BrickPartition:
     """Apply an independent strictly increasing piecewise-linear map with
     rational knots to every axis (knots = the axis's endpoint set)."""
@@ -195,6 +219,16 @@ def subset_filter_partitions_2x2() -> set[frozenset]:
     return out
 
 
+def reference_flats(d: int, g: int, piercing: bool) -> list:
+    """Every flat as (fixed axes, their cell coordinates), in the engine's id
+    order: lines fix every axis but their own, slabs fix their own."""
+    flats = []
+    for a in range(d):
+        axes = [b for b in range(d) if (b != a) == piercing]
+        flats += [(axes, coords) for coords in product(range(g), repeat=len(axes))]
+    return flats
+
+
 def list_slack_search(d: int, k: int, piercing: bool, m_max: int, g: int, symmetry: bool):
     """The search as a plain DFS over a list of slacks, one per flat, built
     from cell coordinates: every box at the least uncovered cell, in the
@@ -203,10 +237,7 @@ def list_slack_search(d: int, k: int, piercing: bool, m_max: int, g: int, symmet
     boxes)] per solution, total placements); checks that every slack is
     restored when the search ends."""
     cells = list(product(range(g), repeat=d))  # index order = the engine's bit order
-    flats = []  # (fixed axes, their coordinates), in the engine's id order
-    for a in range(d):
-        axes = [b for b in range(d) if (b != a) == piercing]
-        flats += [(axes, coords) for coords in product(range(g), repeat=len(axes))]
+    flats = reference_flats(d, g, piercing)
     flat_size = g ** (d - len(flats[0][0]))
     on = [  # on[i]: the flats through cell i
         [f for f, (axes, xs) in enumerate(flats) if all(c[b] == x for b, x in zip(axes, xs))]

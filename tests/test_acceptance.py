@@ -17,7 +17,6 @@ from brickpart import (
     bounds,
     exists_partition,
     min_flat_count,
-    parent_corners_contained,
     piercing_number,
     refine,
     slicing_number,
@@ -33,7 +32,9 @@ from brickpart.constructions import (
 from brickpart.io_cli import FigureFormat, emit_document, export_figure, parse_document
 
 from helpers import (
+    as_pairs,
     brute_force_min_flat,
+    parent_corners_contained,
     random_monotone_remap,
     random_refine_plan,
 )
@@ -98,7 +99,7 @@ def test_criterion_4_piercing_2d_family():
     for k in range(2, 51):
         P = piercing_2d(k)  # self-verifies: validate + piercing_number == k
         assert len(P) == 4 * (k - 1)
-    got = {b.as_pairs() for b in piercing_2d(3).members}
+    got = {as_pairs(b) for b in piercing_2d(3).members}
     assert got == ANCHOR_2D_K3
     _report(4, "pinwheel family, k=2..50", t0, 60.0)
 

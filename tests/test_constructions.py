@@ -20,6 +20,8 @@ from brickpart import (
 )
 from brickpart import constructions
 
+from helpers import as_pairs
+
 ANCHOR_2D_K3 = {
     ((0, 2), (0, 1)),
     ((3, 4), (0, 2)),
@@ -49,7 +51,15 @@ def test_grid_partition_1d_structure():
     P = grid_partition(1, 5)
     assert len(P) == 5
     assert validate(P).valid
-    assert P.parent.as_pairs() == ((0, 5),)
+    assert as_pairs(P.parent) == ((0, 5),)
+
+
+@pytest.mark.parametrize("d, k", [(1, 4), (2, 3), (3, 5)])
+def test_grid_partition_shares_its_k_unit_sides(d, k):
+    # k^d members, d sides each, but only k distinct side objects
+    P = grid_partition(d, k)
+    sides = {id(s): s for b in P.members for s in b.sides}
+    assert sorted((s.lo, s.hi) for s in sides.values()) == [(c, c + 1) for c in range(k)]
 
 
 def test_piercing_3d_k3():
@@ -127,7 +137,7 @@ def test_slicing_3d_family_invariants(k):
 
 def test_piercing_2d_k2_quadrants():
     P = piercing_2d(2)
-    assert {b.as_pairs() for b in P.members} == {
+    assert {as_pairs(b) for b in P.members} == {
         ((0, 1), (0, 1)),
         ((1, 2), (0, 1)),
         ((0, 1), (1, 2)),
@@ -138,7 +148,7 @@ def test_piercing_2d_k2_quadrants():
 
 def test_piercing_2d_k3_matches_regression_anchor():
     P = piercing_2d(3)
-    assert {b.as_pairs() for b in P.members} == ANCHOR_2D_K3
+    assert {as_pairs(b) for b in P.members} == ANCHOR_2D_K3
 
 
 def test_piercing_2d_k6_count():
@@ -174,7 +184,7 @@ def test_piercing_2d_family_invariants(k):
     P = piercing_2d(k)  # generator self-verifies validity and piercing == k
     assert len(P) == 4 * (k - 1) == elementary_piercing_lb(2, k)
     side = (0, 2 * (k - 1))
-    assert P.parent.as_pairs() == (side, side)
+    assert as_pairs(P.parent) == (side, side)
 
 
 def test_bounds_3d():

@@ -16,12 +16,14 @@ from brickpart import (
 )
 from brickpart.constructions import piercing_3d, slicing_3d
 
+from helpers import as_pairs
+
 
 def test_emit_slicing_k2_document():
     text = emit_document(slicing_3d(2))
     P = parse_document(text).to_partition()
     assert P.dim == 3
-    assert P.parent.as_pairs() == ((0, 2), (0, 2), (0, 2))
+    assert as_pairs(P.parent) == ((0, 2), (0, 2), (0, 2))
     assert len(P.members) == 4
     assert P.labels == ("X0", "X1", "Y0", "Y1")
 
@@ -83,7 +85,7 @@ def test_rational_scalars_round_trip():
     text = emit_document(P)
     assert '"1/3"' in text
     doc = parse_document(text)
-    assert doc.to_partition().members[0].sides[0].as_pair() == (Fraction(0), third)
+    assert as_pairs(doc.to_partition().members[0])[0] == (Fraction(0), third)
     assert doc.emit() == text
 
 

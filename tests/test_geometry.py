@@ -26,7 +26,9 @@ from brickpart import metrics
 from brickpart.constructions import piercing_3d_base, slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts, first_bad_cell
 
-from helpers import brick_sets, hull, slice_loop_counts, whole_grid_counts, whole_grid_report
+from helpers import (
+    as_pairs, brick_sets, hull, slice_loop_counts, whole_grid_counts, whole_grid_report
+)
 
 small_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 
@@ -178,8 +180,8 @@ def test_index_boxes_are_exact():
     # X1 = [0,2] x [3,6] x [0,4]; every axis has breakpoints 0, 2, 3, 4, 6
     assert grid.boxes[3].tolist() == [[0, 1], [2, 4], [0, 3]]
     for b, box in zip(base.members, grid.boxes):
-        for axis, (lo, hi), side in zip(grid.axes, box, b.sides):
-            assert (axis[lo], axis[hi]) == side.as_pair()
+        for axis, (lo, hi), side in zip(grid.axes, box, as_pairs(b)):
+            assert (axis[lo], axis[hi]) == side
 
 
 def test_index_boxes_are_one_read_only_int32_array():

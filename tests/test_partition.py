@@ -19,7 +19,6 @@ from brickpart import (
     boundary_incidence,
     cut,
     grid_partition,
-    parent_corners_contained,
     random_split_partition,
     refine,
     validate,
@@ -27,7 +26,10 @@ from brickpart import (
 from brickpart.constructions import piercing_3d_base, slicing_3d
 from brickpart.partition import Failure
 
-from helpers import brick_sets, first_bad_cell_midpoint, hull, whole_grid_report
+from helpers import (
+    as_pairs, brick_sets, first_bad_cell_midpoint, hull, parent_corners_contained, volume,
+    whole_grid_report,
+)
 
 X1 = Brick.from_pairs([(0, 2), (3, 6), (0, 4)])
 
@@ -206,11 +208,8 @@ def test_validate_dimension_mismatch():
 
 def test_cut_x1_into_two_along_axis_1():
     pieces = cut(X1, 1, 2)
-    assert [p.sides[0].as_pair() for p in pieces] == [(0, 1), (1, 2)]
-    assert all(
-        p.sides[1].as_pair() == (3, 6) and p.sides[2].as_pair() == (0, 4)
-        for p in pieces
-    )
+    assert [as_pairs(p)[0] for p in pieces] == [(0, 1), (1, 2)]
+    assert all(as_pairs(p)[1:] == ((3, 6), (0, 4)) for p in pieces)
 
 
 def test_cut_identity():
@@ -245,7 +244,7 @@ def test_cut_pieces_tile_the_brick(axis, n):
     b = Brick.from_pairs([(0, 5), (-1, 2), (Fraction(1, 2), 3)])
     pieces = cut(b, axis, n)
     assert len(pieces) == n
-    assert len({p.volume for p in pieces}) == 1  # equal volume
+    assert len({volume(p) for p in pieces}) == 1  # equal volume
     assert validate(BrickPartition(b, pieces)).valid
 
 

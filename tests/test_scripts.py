@@ -1,14 +1,17 @@
 """The scripts in scripts/ import from top-level brickpart; these checks run
 each script's main(argv) in-process, which keeps them in step with the
-package's export list."""
+package's export list, and check that every export has a user outside tests."""
 
+import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
 
 
 @pytest.fixture
@@ -65,9 +68,33 @@ def test_family_tables_output_is_golden(scripts_on_path, capsys):
 def test_search_small_values_runs(scripts_on_path, capsys):
     search_small_values = importlib.import_module("search_small_values")
     assert search_small_values.main([]) == 0
-    values = [
-        line.split(" = ")[1].split()[0]
-        for line in capsys.readouterr().out.splitlines()
-        if " = " in line
-    ]
+    lines = capsys.readouterr().out.splitlines()
+    values = [line.split(" = ")[1].split()[0] for line in lines if " = " in line]
     assert values == ["4", "8", "8", "4", "5"]
+    assert [line for line in lines if "exhaustion scope:" in line] == [
+        "  exhaustion scope: g=3, m_max=3 (relative to this grid)",
+        "  exhaustion scope: g=4, m_max=7 (relative to this grid)",
+        "  exhaustion scope: g=2, m_max=7 (relative to this grid)",
+        "  exhaustion scope: g=2, m_max=3 (relative to this grid)",
+        "  exhaustion scope: g=4, m_max=4 (relative to this grid)",
+    ]
+
+
+def test_every_export_has_a_user_outside_tests():
+    # names that only tests need belong in tests/helpers.py; neither a name's
+    # own def or class line nor an __init__.py file counts as a use
+    init = ast.parse((ROOT / "src" / "brickpart" / "__init__.py").read_text())
+    names = [a.name for n in init.body if isinstance(n, ast.ImportFrom) for a in n.names]
+    lines = [
+        line
+        for top in ("src", "scripts", "perfbench")
+        for path in (ROOT / top).rglob("*.py")
+        if path.name != "__init__.py"
+        for line in path.read_text().splitlines()
+    ]
+
+    def used(name):
+        own = re.compile(rf"\s*(def|class) {name}\b")
+        return any(re.search(rf"\b{name}\b", line) and not own.match(line) for line in lines)
+
+    assert len(names) > 40 and [name for name in names if not used(name)] == []

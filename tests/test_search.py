@@ -9,14 +9,15 @@ from brickpart import (
     SearchStatus,
     elementary_piercing_lb,
     exists_partition,
-    iter_solutions,
     piercing_number,
     slicing_number,
     validate,
 )
 from brickpart.search import _Engine
 
-from helpers import list_slack_search, subset_filter_partitions_2x2
+from helpers import (
+    as_pairs, iter_solutions, list_slack_search, reference_flats, subset_filter_partitions_2x2
+)
 
 
 def _run(d, k, mode, m_max, g, **kw):
@@ -67,7 +68,7 @@ def test_found_never_beats_proven_bounds():
 def test_canonical_enumeration_visits_each_partition_once():
     # k = 1 removes the flat constraint: every box partition is a solution
     problem = SearchProblem(2, 1, Mode.PIERCING, 4, 2, symmetry_pruning=False)
-    solutions = [frozenset(b.as_pairs() for b in P.members) for P in iter_solutions(problem)]
+    solutions = [frozenset(as_pairs(b) for b in P.members) for P in iter_solutions(problem)]
     assert len(solutions) == len(set(solutions)) == 8
     # independent oracle: filter every subset of candidate rectangles
     assert len(subset_filter_partitions_2x2()) == 8
@@ -75,7 +76,7 @@ def test_canonical_enumeration_visits_each_partition_once():
 
 def test_enumeration_count_3x3_grid():
     problem = SearchProblem(2, 1, Mode.PIERCING, 9, 3, symmetry_pruning=False)
-    solutions = [frozenset(b.as_pairs() for b in P.members) for P in iter_solutions(problem)]
+    solutions = [frozenset(as_pairs(b) for b in P.members) for P in iter_solutions(problem)]
     # rectangle partitions of the 3x3 grid; every one distinct
     assert len(solutions) == len(set(solutions)) == 322
 
@@ -99,23 +100,18 @@ def test_grid_refinement_preserves_found():
 
 
 def test_grid_cap_note():
-    out = _run(2, 2, Mode.PIERCING, 2, 3)
-    assert out.grid_cap_note.proof_complete  # g=3 >= 2*2-1
-    out = _run(3, 3, Mode.SLICING, 4, 4)
-    assert not out.grid_cap_note.proof_complete  # g=4 < 2*4-1
+    # the scope rule's boundary: g = 2*m_max - 1 is complete, one less is not
+    for m, g, scope in ((2, 3, "complete"), (2, 2, "relative to this grid"),
+                        (5, 9, "complete"), (5, 8, "relative to this grid")):
+        problem = SearchProblem(2, 2, Mode.PIERCING, m, g)
+        assert problem.proof_complete == (scope == "complete")
+        assert problem.scope() == f"g={g}, m_max={m} ({scope})"
+    assert not SearchProblem(3, 3, Mode.SLICING, 4, 4).proof_complete  # g=4 < 2*4-1
 
 
 def test_resource_limit_is_not_exhaustion():
     with pytest.raises(ResourceLimit):
         _run(2, 3, Mode.PIERCING, 7, 4, node_budget=5)
-
-
-def test_node_budget_env_override(monkeypatch):
-    monkeypatch.setenv("BRICKPART_NODE_BUDGET", "5")
-    with pytest.raises(ResourceLimit):
-        _run(2, 3, Mode.PIERCING, 7, 4)
-    monkeypatch.delenv("BRICKPART_NODE_BUDGET")
-    assert _run(2, 3, Mode.PIERCING, 7, 4).status is SearchStatus.EXHAUSTED_NONE
 
 
 def test_problem_validation():
@@ -125,21 +121,12 @@ def test_problem_validation():
         SearchProblem(1, 2, Mode.SLICING, 1, 2)
     with pytest.raises(ValueError, match="node budget must be >= 0"):
         SearchProblem(2, 2, Mode.PIERCING, 1, 2, node_budget=-1)
+    assert SearchProblem(2, 2, Mode.PIERCING, 1, 2).node_budget == 10**8
     # the g^d-cell cover mask would be built before the node budget applies
     SearchProblem(2, 2, Mode.PIERCING, 1, 2**13)  # 2^26 cells: the largest allowed
     for d, g in [(3, 3000), (2, 2**13 + 1), (27, 2), (10**9, 2)]:
         with pytest.raises(ValueError, match=f"--grid {g} in d={d}: more than 2\\^26 cells"):
             SearchProblem(d, 2, Mode.PIERCING, 1, g)
-
-
-def _reference_flats(d, g, mode):
-    """Every flat as (fixed axes, their cell coordinates), in the order that
-    numbers them: lines fix every axis but their own, slabs fix their own."""
-    flats = []
-    for a in range(d):
-        axes = [b for b in range(d) if b != a] if mode is Mode.PIERCING else [a]
-        flats += [(axes, coords) for coords in product(range(g), repeat=len(axes))]
-    return flats
 
 
 @pytest.mark.parametrize("d, g", [(2, 4), (3, 3)])
@@ -149,7 +136,7 @@ def test_move_masks_are_the_cells_of_each_box(d, g):
     # met in one cell has delta 0, so it reads like a flat not met.
     for mode in Mode:
         engine = _Engine(SearchProblem(d, 2, mode, 1, g))
-        flats = _reference_flats(d, g, mode)
+        flats = reference_flats(d, g, mode is Mode.PIERCING)
         w = engine.width
         half = 1 << w - 1
         for anchor in range(g**d):
