@@ -119,11 +119,6 @@ def _refined(rows: tuple[_Row, ...], side: int, k: int) -> BrickPartition:
     return refine(_base(rows, side), plan)
 
 
-def piercing_3d_base() -> BrickPartition:
-    """The 15-brick base partition of [0,6]^3 that piercing_3d refines."""
-    return _base(_PIERCING_3D_BASE, 6)
-
-
 def piercing_3d(k: int) -> BrickPartition:
     """k-piercing partition of [0,6]^3 with exactly 12k-15 members (k >= 3)."""
     if k < 3:

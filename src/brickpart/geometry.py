@@ -246,6 +246,7 @@ def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:
 
 
 _MAX_CORNERS = 1 << 23  # signed corners first_bad_cell may hold
+_GATHER = 1 << 16  # corner coordinates copied by one numpy call in _corners
 
 
 def _corner_count(grid: BreakpointGrid, axes: list[int]) -> tuple[int, np.ndarray]:
@@ -265,10 +266,13 @@ def _corners(grid: BreakpointGrid, axes: list[int]) -> tuple[np.ndarray, np.ndar
     n, coords, sign = len(inner), np.empty((len(axes), count), np.int32), np.ones(count, np.int8)
     owner = np.empty(count, np.int32)  # each corner's member
     coords[:, :n], owner[:n] = grid.boxes[:, axes, 0].T, np.arange(n)
+    step = max(1, _GATHER // len(axes))  # twins copied per gather
     for a, axis in enumerate(axes):  # each corner so far, then its twin at hi on axis a
         twin = np.flatnonzero(inner[owner[:n], a])
         end = n + len(twin)
-        coords[:, n:end] = coords[:, twin]  # on its own: one large temporary at a time
+        for i in range(0, len(twin), step):  # a temporary of at most _GATHER coordinates
+            part = twin[i:i + step]
+            coords[:, n + i:n + i + len(part)] = coords[:, part]
         owner[n:end], sign[n:end] = owner[twin], -sign[twin]
         coords[a, n:end] = grid.boxes[owner[n:end], axis, 1]
         n = end

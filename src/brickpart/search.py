@@ -18,10 +18,28 @@ packed deltas (1 - its cells on each flat, in [1 - flat_size, 0]) and is
 pruned iff a guard bit clears. A live field holds >= H and flat_size < H, so
 every field stays in [1, 2H - 1]: none borrows from or carries into the next.
 
-An ExhaustedNone outcome is a nonexistence claim relative to its grid cap: a
-continuous partition with m bricks normalizes to integer coordinates with at
-most 2m-2 interior breakpoints per axis, so exhaustion is a full proof only
-when g >= 2*m_max - 1, as SearchProblem.scope() states.
+The last box is counted, not searched. Once a placement leaves one box to
+place, the last level's placements are the next anchor's moves that miss
+the cover, and it has a solution only if the free cells form one box R at
+that anchor: every free move is then a sub-box of R, so R comes last in the
+product move order, and the solution is reached after exactly those
+placements. Both depend on the cover alone, not on the slack, so they are
+kept per cover in a dict that is cleared when it holds _LAST_BOX_ENTRIES
+covers; the budget is checked while an entry is read, so it still bounds the
+move tables. Node counts and solution order are those of the full DFS.
+
+An ExhaustedNone outcome is a claim about partitions of the grid [0,g]^d,
+and it covers every continuous partition into at most m_max bricks once
+g >= m_max, as SearchProblem.scope() states. Lemma: in a partition of a box
+into bricks, every interior breakpoint on an axis is the lower end of some
+member. Proof: let v be the upper end of member B, inside the parent, and
+take a generic point p just past B's upper face on that axis. The member C
+that holds p has lo <= v; if lo < v, C would hold points just below v near
+p, which lie inside B. So lo = v. Some member starts at the parent's lower
+end, so m members leave at most m - 1 interior breakpoints, and at most m
+cells, per axis. Compressing each axis to its breakpoint ranks keeps every
+flat's members, and stretching the last cell of each axis to end at g then
+embeds the partition in [0,g]^d for any g >= m.
 """
 
 from __future__ import annotations
@@ -38,6 +56,7 @@ from .partition import BrickPartition
 
 DEFAULT_NODE_BUDGET = 10**8
 _MAX_CELLS = 1 << 26  # the cover mask is a g^d-bit int, built before any placement
+_LAST_BOX_ENTRIES = 1 << 16  # the last-box cache is cleared when it holds this many
 IndexBox = tuple[tuple[int, int], ...]  # half-open (lo, hi) cell-index range per axis
 
 
@@ -83,7 +102,7 @@ class SearchProblem:
     @property
     def proof_complete(self) -> bool:
         """Whether exhaustion covers every m_max-brick partition, not only this grid's."""
-        return self.g >= 2 * self.m_max - 1
+        return self.g >= self.m_max  # by the lemma above
 
     def scope(self) -> str:
         """The scope of an exhaustion claim: the (g, m_max) actually searched."""
@@ -133,6 +152,10 @@ class _Engine:
         # Candidate boxes per anchor cell. Each anchor's list is built while
         # its first visit runs, so the node budget also bounds the table.
         self.moves: dict[int, list[_Move]] = {}
+        # The last box's placements on each cover it is placed on, negated when
+        # the free cells form one box, whose move is then last_move[cover].
+        self.last_box: dict[int, int] = {}
+        self.last_move: dict[int, _Move] = {}
 
     def _build_moves(self, anchor: int) -> Iterator[_Move]:
         """Yield the anchor's moves as they are built; keep the list once it is
@@ -168,31 +191,67 @@ class _Engine:
         yield from self._dfs(0, self.ones * ((1 << self.width - 1) + slack), [])
 
     def _dfs(self, cover: int, slack: int, boxes: list[IndexBox]) -> Iterator[list[IndexBox]]:
-        if cover == self.full:
-            # Complete: every flat has no uncovered cell left, so its slack
-            # >= 0 says it meets at least k boxes.
-            yield boxes
-            return
         idx = (~cover & (cover + 1)).bit_length() - 1  # the lowest clear bit
         moves: Iterable[_Move] = self.moves.get(idx) or self._build_moves(idx)
         if not boxes and self.problem.symmetry_pruning:
             # the first box only: extents sorted along the axes (cover is 0 here)
             moves = (m for m in moves if all(a[1] - a[0] <= b[1] - b[0] for a, b in pairwise(m[0])))
         guards, full, budget = self.guards, self.full, self.budget
-        last = len(boxes) + 1 == self.problem.m_max  # no box may follow this one
+        left = self.problem.m_max - len(boxes)  # boxes that may still be placed, this one included
         for box, mask, packed in moves:
             if cover & mask:
                 continue
             self.nodes += 1
             if self.nodes > budget:
-                raise ResourceLimit(f"node budget {budget} exceeded at {self.nodes} placements")
+                self._over_budget()
             after = slack + packed
             if after & guards != guards:
                 continue  # some flat's slack fell below 0
-            if not last:
-                yield from self._dfs(cover | mask, after, boxes + [box])
-            elif cover | mask == full:
+            child = cover | mask
+            if child == full:
+                # Complete: every flat has no uncovered cell left, so its slack
+                # >= 0 says it meets at least k boxes.
                 yield boxes + [box]
+            elif left > 2:
+                yield from self._dfs(child, after, boxes + [box])
+            elif left == 2:
+                n = self.last_box.get(child) or self._last_box(child)
+                self.nodes += n if n > 0 else -n
+                if self.nodes > budget:
+                    self._over_budget()
+                if n < 0:  # the free cells form one box, the last move counted
+                    last, _, last_packed = self.last_move[child]
+                    if (after + last_packed) & guards == guards:
+                        yield boxes + [box, last]
+
+    def _last_box(self, cover: int) -> int:
+        """Fill and return last_box[cover]: the anchor's moves that miss
+        `cover`, negated if the last of them completes it. The placements are
+        counted, and the budget checked, as the anchor's moves are read, so
+        the budget bounds this table too."""
+        if len(self.last_box) >= _LAST_BOX_ENTRIES:
+            self.last_box.clear()
+            self.last_move.clear()
+        idx = (~cover & (cover + 1)).bit_length() - 1
+        room, n, last = self.budget - self.nodes, 0, None
+        for move in self.moves.get(idx) or self._build_moves(idx):
+            if not cover & move[1]:
+                n += 1
+                if n > room:
+                    self._over_budget()
+                last = move
+        # the unit cell at idx is free, so last is set; if the free cells form
+        # one box, that box is a move at idx and the last free one
+        if last[1] == self.full ^ cover:
+            self.last_move[cover] = last
+            n = -n
+        self.last_box[cover] = n
+        return n
+
+    def _over_budget(self) -> None:
+        """Stop as the per-placement check would: at the budget's first excess placement."""
+        self.nodes = self.budget + 1
+        raise ResourceLimit(f"node budget {self.budget} exceeded at {self.nodes} placements")
 
     def witness_partition(self, boxes: list[IndexBox]) -> BrickPartition:
         parent = Brick.from_pairs([(0, self.problem.g)] * self.problem.d)

@@ -3,8 +3,8 @@
 Everything here recomputes results from definitions, without touching the
 breakpoint-grid code paths it is used to check; `slice_loop_counts` and
 `whole_grid_counts` read only the grid's index boxes, which `test_geometry`
-checks on their own. Brick views and `iter_solutions` live here because
-only tests use them.
+checks on their own. Brick views, `piercing_3d_base` and `iter_solutions`
+live here because only tests use them.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from brickpart import Brick, BrickPartition, FailureKind, Interval
+from brickpart.constructions import _PIERCING_3D_BASE, _base
 from brickpart.geometry import BreakpointGrid
 from brickpart.partition import Failure, ValidationReport
 from brickpart.search import SearchProblem, _Engine
@@ -156,6 +157,11 @@ def volume(b: Brick) -> Fraction:
 def parent_corners_contained(parent: Brick, b: Brick) -> int:
     """Number of parent corners lying in the closed brick b."""
     return sum(1 for c in product(*as_pairs(parent)) if b.contains_point(c))
+
+
+def piercing_3d_base() -> BrickPartition:
+    """The 15-brick base partition of [0,6]^3 that piercing_3d refines."""
+    return _base(_PIERCING_3D_BASE, 6)
 
 
 def iter_solutions(problem: SearchProblem) -> Iterator[BrickPartition]:

@@ -23,11 +23,12 @@ from brickpart import (
     validate,
 )
 from brickpart import metrics
-from brickpart.constructions import piercing_3d_base, slicing_3d
+from brickpart.constructions import slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts, first_bad_cell
 
 from helpers import (
-    as_pairs, brick_sets, hull, slice_loop_counts, whole_grid_counts, whole_grid_report
+    as_pairs, brick_sets, hull, piercing_3d_base, slice_loop_counts, whole_grid_counts,
+    whole_grid_report,
 )
 
 small_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=8)

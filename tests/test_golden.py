@@ -101,7 +101,7 @@ RANDOM_EXPORT_SHA256 = {
 
 SEARCH = {
     (2, 2, 'piercing', 4, 3): (0, 'status: found\nnodes_explored: 30\ngrid_cap: g=3, m_max=4 (relative to this grid)\n{\n  "dim": 2,\n  "parent": [[0, 3], [0, 3]],\n  "bricks": [\n    [[0, 1], [0, 1]],\n    [[0, 1], [1, 3]],\n    [[1, 3], [0, 1]],\n    [[1, 3], [1, 3]]\n  ],\n  "metadata": {"generator": "search", "d": 2, "k": 2, "mode": "piercing", "grid": 3}\n}\n'),
-    (2, 2, 'piercing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 47\ngrid_cap: g=3, m_max=3 (relative to this grid)\n'),
+    (2, 2, 'piercing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 47\ngrid_cap: g=3, m_max=3 (complete)\n'),
     (3, 2, 'piercing', 7, 3): (0, 'status: exhausted_none\nnodes_explored: 54398\ngrid_cap: g=3, m_max=7 (relative to this grid)\n'),
     (3, 2, 'piercing', 8, 2): (0, 'status: found\nnodes_explored: 8\ngrid_cap: g=2, m_max=8 (relative to this grid)\n{\n  "dim": 3,\n  "parent": [[0, 2], [0, 2], [0, 2]],\n  "bricks": [\n    [[0, 1], [0, 1], [0, 1]],\n    [[0, 1], [0, 1], [1, 2]],\n    [[0, 1], [1, 2], [0, 1]],\n    [[0, 1], [1, 2], [1, 2]],\n    [[1, 2], [0, 1], [0, 1]],\n    [[1, 2], [0, 1], [1, 2]],\n    [[1, 2], [1, 2], [0, 1]],\n    [[1, 2], [1, 2], [1, 2]]\n  ],\n  "metadata": {"generator": "search", "d": 3, "k": 2, "mode": "piercing", "grid": 2}\n}\n'),
     # in d = 2, lines and slabs are the same flats under different ids
@@ -114,15 +114,15 @@ SEARCH = {
     (3, 2, 'piercing', 7, 2): (0, 'status: exhausted_none\nnodes_explored: 22\ngrid_cap: g=2, m_max=7 (relative to this grid)\n'),
     (3, 2, 'slicing', 3, 2): (0, 'status: exhausted_none\nnodes_explored: 30\ngrid_cap: g=2, m_max=3 (relative to this grid)\n'),
     (3, 2, 'slicing', 4, 2): (0, 'status: found\nnodes_explored: 53\ngrid_cap: g=2, m_max=4 (relative to this grid)\n{\n  "dim": 3,\n  "parent": [[0, 2], [0, 2], [0, 2]],\n  "bricks": [\n    [[0, 1], [0, 1], [0, 2]],\n    [[0, 1], [1, 2], [0, 2]],\n    [[1, 2], [0, 1], [0, 2]],\n    [[1, 2], [1, 2], [0, 2]]\n  ],\n  "metadata": {"generator": "search", "d": 3, "k": 2, "mode": "slicing", "grid": 2}\n}\n'),
-    (3, 2, 'slicing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 724\ngrid_cap: g=3, m_max=3 (relative to this grid)\n'),
-    (3, 3, 'slicing', 4, 4): (0, 'status: exhausted_none\nnodes_explored: 112934\ngrid_cap: g=4, m_max=4 (relative to this grid)\n'),
+    (3, 2, 'slicing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 724\ngrid_cap: g=3, m_max=3 (complete)\n'),
+    (3, 3, 'slicing', 4, 4): (0, 'status: exhausted_none\nnodes_explored: 112934\ngrid_cap: g=4, m_max=4 (complete)\n'),
     (3, 3, 'slicing', 5, 4): (0, 'status: found\nnodes_explored: 78435\ngrid_cap: g=4, m_max=5 (relative to this grid)\n{\n  "dim": 3,\n  "parent": [[0, 4], [0, 4], [0, 4]],\n  "bricks": [\n    [[0, 1], [0, 1], [0, 1]],\n    [[0, 1], [0, 4], [1, 4]],\n    [[0, 4], [1, 4], [0, 1]],\n    [[1, 4], [0, 1], [0, 4]],\n    [[1, 4], [1, 4], [1, 4]]\n  ],\n  "metadata": {"generator": "search", "d": 3, "k": 3, "mode": "slicing", "grid": 4}\n}\n'),
 }
 
 # --no-symmetry: every first box is tried, so the counts exceed the pruned ones
 SEARCH_NO_SYMMETRY = {
-    (2, 2, 'piercing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 69\ngrid_cap: g=3, m_max=3 (relative to this grid)\n'),
-    (3, 2, 'slicing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 2493\ngrid_cap: g=3, m_max=3 (relative to this grid)\n'),
+    (2, 2, 'piercing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 69\ngrid_cap: g=3, m_max=3 (complete)\n'),
+    (3, 2, 'slicing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 2493\ngrid_cap: g=3, m_max=3 (complete)\n'),
 }
 
 # sha256 over one line per solution, in the order the engine yields them:

@@ -21,11 +21,10 @@ from brickpart.constructions import (
     grid_partition,
     piercing_2d,
     piercing_3d,
-    piercing_3d_base,
     slicing_3d,
 )
 
-from helpers import brute_force_min_flat
+from helpers import brute_force_min_flat, piercing_3d_base
 
 
 def test_flat_query_validates_axes():

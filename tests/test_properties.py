@@ -10,6 +10,8 @@ from brickpart import (
     Brick,
     BrickPartition,
     FailureKind,
+    Mode,
+    SearchProblem,
     boundary_incidence,
     elementary_piercing_lb,
     min_flat_count,
@@ -28,12 +30,26 @@ from brickpart.constructions import (
 from helpers import (
     brute_force_min_flat,
     first_bad_cell_midpoint,
+    iter_solutions,
     parent_corners_contained,
     random_monotone_remap,
     random_refine_plan,
     volume,
     whole_grid_report,
 )
+
+
+def test_compression_leaves_at_most_one_cell_per_member_on_each_axis(corpus):
+    # the lemma behind SearchProblem.proof_complete: every interior breakpoint
+    # is some member's lower end, so m members compress to at most m cells
+    partitions = list(corpus)
+    for mode, d, m in ((Mode.PIERCING, 2, 9), (Mode.SLICING, 3, 4)):
+        partitions += iter_solutions(SearchProblem(d, 1, mode, m, 3, symmetry_pruning=False))
+    assert len(partitions) == 200 + 322 + 442
+    for P in partitions:
+        for a, axis in enumerate(P.grid.axes):
+            assert set(axis[1:-1]) <= {b.sides[a].lo for b in P.members}
+        assert max(P.grid.shape) <= len(P.members)
 
 
 def test_corpus_is_large_and_valid(corpus):

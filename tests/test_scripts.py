@@ -72,11 +72,11 @@ def test_search_small_values_runs(scripts_on_path, capsys):
     values = [line.split(" = ")[1].split()[0] for line in lines if " = " in line]
     assert values == ["4", "8", "8", "4", "5"]
     assert [line for line in lines if "exhaustion scope:" in line] == [
-        "  exhaustion scope: g=3, m_max=3 (relative to this grid)",
+        "  exhaustion scope: g=3, m_max=3 (complete)",
         "  exhaustion scope: g=4, m_max=7 (relative to this grid)",
         "  exhaustion scope: g=2, m_max=7 (relative to this grid)",
         "  exhaustion scope: g=2, m_max=3 (relative to this grid)",
-        "  exhaustion scope: g=4, m_max=4 (relative to this grid)",
+        "  exhaustion scope: g=4, m_max=4 (complete)",
     ]
 
 

@@ -13,6 +13,7 @@ from brickpart import (
     slicing_number,
     validate,
 )
+from brickpart import search
 from brickpart.search import _Engine
 
 from helpers import (
@@ -100,13 +101,13 @@ def test_grid_refinement_preserves_found():
 
 
 def test_grid_cap_note():
-    # the scope rule's boundary: g = 2*m_max - 1 is complete, one less is not
-    for m, g, scope in ((2, 3, "complete"), (2, 2, "relative to this grid"),
-                        (5, 9, "complete"), (5, 8, "relative to this grid")):
+    # the scope rule's boundary: g = m_max is complete, one less is not
+    for m, g, scope in ((2, 2, "complete"), (2, 1, "relative to this grid"),
+                        (5, 5, "complete"), (5, 4, "relative to this grid")):
         problem = SearchProblem(2, 2, Mode.PIERCING, m, g)
         assert problem.proof_complete == (scope == "complete")
         assert problem.scope() == f"g={g}, m_max={m} ({scope})"
-    assert not SearchProblem(3, 3, Mode.SLICING, 4, 4).proof_complete  # g=4 < 2*4-1
+    assert SearchProblem(3, 3, Mode.SLICING, 4, 4).proof_complete  # g=4 >= m_max=4
 
 
 def test_resource_limit_is_not_exhaustion():
@@ -171,6 +172,11 @@ def test_move_masks_are_the_cells_of_each_box(d, g):
         (2, 3, Mode.PIERCING, 9, 3),  # k = flat_size on lines
         (4, 2, Mode.PIERCING, 16, 2),
         (4, 2, Mode.SLICING, 4, 2),
+        # m_max = 2: the root's placements are the only ones searched
+        (2, 1, Mode.PIERCING, 2, 4),
+        (3, 1, Mode.SLICING, 2, 3),
+        (2, 2, Mode.PIERCING, 2, 4),
+        (3, 2, Mode.SLICING, 2, 2),
     ],
 )
 def test_engine_matches_the_list_slack_oracle(d, k, mode, m, g):
@@ -193,3 +199,38 @@ def test_node_budget_bounds_the_first_anchors_moves():
     for _ in engine.solutions():
         pass
     assert len(engine.moves[0]) == 9
+
+
+def test_engine_matches_the_oracle_when_the_last_box_cache_is_cleared(monkeypatch):
+    # a bound of one entry clears the cache before every new cover
+    monkeypatch.setattr(search, "_LAST_BOX_ENTRIES", 1)
+    engine = _Engine(SearchProblem(2, 1, Mode.PIERCING, 5, 3, symmetry_pruning=False))
+    found = [(engine.nodes, boxes) for boxes in engine.solutions()]
+    assert (found, engine.nodes) == list_slack_search(2, 1, True, 5, 3, False)
+    assert len(engine.last_box) == 1 and len(engine.last_move) <= 1
+
+
+@pytest.mark.parametrize(
+    "d, k, mode, m, g",
+    [
+        (2, 2, Mode.PIERCING, 3, 3),  # exhausts
+        (2, 2, Mode.PIERCING, 4, 3),  # finds
+        (2, 1, Mode.PIERCING, 2, 3),  # m_max = 2, finds
+        (2, 2, Mode.PIERCING, 2, 4),  # m_max = 2, exhausts
+        (3, 2, Mode.SLICING, 4, 2),
+    ],
+)
+def test_every_node_budget_stops_at_its_first_excess_placement(d, k, mode, m, g):
+    # placements counted a cover at a time must stop where one at a time would
+    full = exists_partition(SearchProblem(d, k, mode, m, g))
+    n = full.nodes_explored
+    for budget in range(n + 3):
+        problem = SearchProblem(d, k, mode, m, g, node_budget=budget)
+        if budget >= n:
+            out = exists_partition(problem)
+            assert (out.status, out.nodes_explored) == (full.status, n)
+            assert (out.witness and out.witness.members) == (full.witness and full.witness.members)
+        else:
+            message = f"node budget {budget} exceeded at {budget + 1} placements"
+            with pytest.raises(ResourceLimit, match=f"^{message}$"):
+                exists_partition(problem)
