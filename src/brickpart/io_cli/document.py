@@ -2,12 +2,15 @@
 
 A parsed document is a partition plus metadata: the text carries dim,
 parent, bricks and optional labels/metadata, and `parse_document` builds the
-parent, each member and each side exactly once, straight into a
-`BrickPartition`. The canonical rendering has a stable key order, two-space
-indentation and a final newline. Scalars are JSON integers when integral;
-otherwise strings, either terminating decimals ("0.5") or "p/q". JSON floats
-are rejected so a parsed document is always exact. Documents are not assumed
-to be valid partitions; validation is a separate explicit step.
+parent and each member once, straight into a `BrickPartition`. Every
+distinct typed token pair (the same JSON ints or strings) builds one
+`Interval`, shared by all its occurrences for the duration of the call; a
+pair that fails raises at its first occurrence and is never remembered. The
+canonical rendering has a stable key order, two-space indentation and a
+final newline. Scalars are JSON integers when integral; otherwise strings,
+either terminating decimals ("0.5") or "p/q". JSON floats are rejected so a
+parsed document is always exact. Documents are not assumed to be valid
+partitions; validation is a separate explicit step.
 """
 
 from __future__ import annotations
@@ -79,20 +82,29 @@ def _parse_scalar_value(value: Any, where: str) -> Fraction:
     raise ParseError(f"{where}: expected a scalar, got {type(value).__name__}")
 
 
-def _parse_pair(value: Any, where: str) -> Interval:
+_TOKENS = (int, str)  # exact types: a bool is an int, and True == 1
+_Sides = dict[tuple[type, Any, type, Any], Interval]  # typed token pair -> its side
+
+
+def _parse_pair(value: Any, where: str, sides: _Sides) -> Interval:
     if not isinstance(value, list) or len(value) != 2:
         raise ParseError(f"{where}: expected a [lo, hi] pair")
-    lo = _parse_scalar_value(value[0], f"{where}[0]")
-    hi = _parse_scalar_value(value[1], f"{where}[1]")
-    return Interval(lo, hi)  # raises DegenerateInterval when lo >= hi
+    lo, hi = value
+    key = (type(lo), lo, type(hi), hi)
+    side = sides.get(key) if key[0] in _TOKENS and key[2] in _TOKENS else None
+    if side is None:  # any other token raises here, so a failure is never stored
+        side = sides[key] = Interval(  # raises DegenerateInterval when lo >= hi
+            _parse_scalar_value(lo, f"{where}[0]"), _parse_scalar_value(hi, f"{where}[1]")
+        )
+    return side
 
 
-def _parse_sides(value: Any, dim: int, where: str) -> Brick:
+def _parse_sides(value: Any, dim: int, where: str, sides: _Sides) -> Brick:
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of [lo, hi] pairs")
     if len(value) != dim:
         raise DimensionMismatch(f"{where}: {len(value)} sides for dimension {dim}")
-    return Brick(tuple(_parse_pair(p, f"{where}[{i}]") for i, p in enumerate(value)))
+    return Brick(tuple(_parse_pair(p, f"{where}[{i}]", sides) for i, p in enumerate(value)))
 
 
 _KNOWN_KEYS = {"dim", "parent", "bricks", "labels", "metadata"}
@@ -116,12 +128,13 @@ def parse_document(text: str) -> PartitionDocument:
     dim = raw["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError("dim: expected a positive integer")
-    parent = _parse_sides(raw["parent"], dim, "parent")
+    sides: _Sides = {}  # one Interval per distinct typed token pair, for this call
+    parent = _parse_sides(raw["parent"], dim, "parent", sides)
     bricks_raw = raw["bricks"]
     if not isinstance(bricks_raw, list) or not bricks_raw:
         raise ParseError("bricks: expected a nonempty list")
     bricks = tuple(
-        _parse_sides(b, dim, f"bricks[{i}]") for i, b in enumerate(bricks_raw)
+        _parse_sides(b, dim, f"bricks[{i}]", sides) for i, b in enumerate(bricks_raw)
     )
 
     labels = None

@@ -2,9 +2,12 @@
 
 Exporters never alter geometry: every emitted coordinate is an exact scalar
 rendered at the configured decimal precision, rounding half up in integer
-arithmetic on its numerator and denominator. OBJ export renders each brick
-side's two ends once and builds the eight vertices from them in bit order.
-Output bytes are identical across runs for equal inputs.
+arithmetic on its numerator and denominator. Each side object is rendered
+once, and `parse_document` shares one per distinct token pair: SVG renders a
+side's x and width (or y and height), OBJ its two ends after the exploded
+offset. Each OBJ brick's vertex and face lines then come from one line
+template each, vertices in bit order. Output bytes are identical across runs
+for equal inputs.
 """
 
 from __future__ import annotations
@@ -92,15 +95,16 @@ def _export_svg(P: BrickPartition, options: ExportOptions) -> bytes:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{num(width)}" '
         f'height="{num(height)}" viewBox="0 0 {num(width)} {num(height)}">',
     ]
+    xs, ys = {}, {}  # per side object: its rendered (x, w) or (y, h)
     for i, b in enumerate(P.members):
         bx, by = b.sides
-        x = (bx.lo - px.lo) * scale
-        y = (py.hi - by.hi) * scale  # flip: SVG y grows downward
-        w = (bx.hi - bx.lo) * scale
-        h = (by.hi - by.lo) * scale
+        if (xw := xs.get(id(bx))) is None:
+            xw = xs[id(bx)] = (num((bx.lo - px.lo) * scale), num((bx.hi - bx.lo) * scale))
+        if (yh := ys.get(id(by))) is None:  # flip: SVG y grows downward
+            yh = ys[id(by)] = (num((py.hi - by.hi) * scale), num((by.hi - by.lo) * scale))
         fill = _PALETTE[i % len(_PALETTE)]
         lines.append(
-            f'  <rect x="{num(x)}" y="{num(y)}" width="{num(w)}" height="{num(h)}" '
+            f'  <rect x="{xw[0]}" y="{yh[0]}" width="{xw[1]}" height="{yh[1]}" '
             f'fill="{fill}" fill-opacity="0.55" stroke="#000" stroke-width="1"/>'
         )
     if options.labels and P.labels is not None:
@@ -133,20 +137,28 @@ _CUBE_TRIANGLES = (
 )
 
 
+# A brick's vertex and face lines as templates: vertex j takes end (j >> a) & 1
+# of axis a, field {2a} (lo) or {2a + 1} (hi); face field t is vertex t's index.
+_OBJ_VERTICES = "\n".join(
+    "v " + " ".join(f"{{{2 * a + (j >> a & 1)}}}" for a in range(3)) for j in range(8)
+)
+_OBJ_FACES = "\n".join("f " + " ".join(f"{{{t}}}" for t in tri) for tri in _CUBE_TRIANGLES)
+
+
 def _export_obj(P: BrickPartition, options: ExportOptions) -> bytes:
     num = lambda x: render_decimal(x, options.precision)  # noqa: E731
+    ends = {}  # per (axis, side object): its (lo, hi), moved outward and rendered
+    for a, parent_side in enumerate(P.parent.sides):
+        for side in {id(b.sides[a]): b.sides[a] for b in P.members}.values():
+            offset = (side.midpoint - parent_side.midpoint) * options.exploded
+            ends[a, id(side)] = (num(side.lo + offset), num(side.hi + offset))
     lines = [f"# brick partition, {len(P.members)} members"]
-    vertex_base = 1  # OBJ indices are 1-based
     for i, b in enumerate(P.members):
         label = P.labels[i] if P.labels is not None else f"member_{i}"
-        ends = []  # per axis: the side's (lo, hi), moved outward and rendered
-        for side, parent_side in zip(b.sides, P.parent.sides):
-            offset = (side.midpoint - parent_side.midpoint) * options.exploded
-            ends.append((num(side.lo + offset), num(side.hi + offset)))
-        lines.append(f"o {label}")
-        for j in range(8):
-            lines.append("v " + " ".join(end[(j >> a) & 1] for a, end in enumerate(ends)))
-        for tri in _CUBE_TRIANGLES:
-            lines.append("f " + " ".join(str(vertex_base + t) for t in tri))
-        vertex_base += 8
+        x, y, z = (ends[a, id(side)] for a, side in enumerate(b.sides))
+        lines += (
+            f"o {label}",
+            _OBJ_VERTICES.format(*x, *y, *z),
+            _OBJ_FACES.format(*range(8 * i + 1, 8 * i + 9)),  # OBJ indices are 1-based
+        )
     return ("\n".join(lines) + "\n").encode("utf-8")

@@ -3,14 +3,17 @@
 Everything here recomputes results from definitions, without touching the
 breakpoint-grid code paths it is used to check; `slice_loop_counts` and
 `whole_grid_counts` read only the grid's index boxes, which `test_geometry`
-checks on their own. Brick views, `piercing_3d_base` and `iter_solutions`
-live here because only tests use them.
+checks on their own. `reference_svg` and `reference_obj` render every
+brick's coordinates afresh, one brick at a time. Brick views,
+`piercing_3d_base` and `iter_solutions` live here because only tests use
+them.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from html import escape
 from itertools import combinations, product
 from math import prod
 from random import Random
@@ -19,9 +22,16 @@ from typing import Iterator
 import numpy as np
 from hypothesis import strategies as st
 
-from brickpart import Brick, BrickPartition, FailureKind, Interval
+from brickpart import Brick, BrickPartition, ExportOptions, FailureKind, Interval
 from brickpart.constructions import _PIERCING_3D_BASE, _base
 from brickpart.geometry import BreakpointGrid
+from brickpart.io_cli.export import (
+    _CUBE_TRIANGLES,
+    _PALETTE,
+    SVG_SCALE,
+    _svg_number,
+    render_decimal,
+)
 from brickpart.partition import Failure, ValidationReport
 from brickpart.search import SearchProblem, _Engine
 
@@ -300,3 +310,66 @@ def list_slack_search(d: int, k: int, piercing: bool, m_max: int, g: int, symmet
         dfs()
     assert slack == initial
     return found, nodes
+
+
+def reference_svg(P: BrickPartition, options: ExportOptions) -> bytes:
+    """SVG export computing and rendering every brick's x, y, w and h afresh."""
+    px, py = P.parent.sides
+    scale = SVG_SCALE
+    num = lambda x: _svg_number(x, options.precision)  # noqa: E731
+    width = (px.hi - px.lo) * scale
+    height = (py.hi - py.lo) * scale
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{num(width)}" '
+        f'height="{num(height)}" viewBox="0 0 {num(width)} {num(height)}">',
+    ]
+    for i, b in enumerate(P.members):
+        bx, by = b.sides
+        x = (bx.lo - px.lo) * scale
+        y = (py.hi - by.hi) * scale  # flip: SVG y grows downward
+        w = (bx.hi - bx.lo) * scale
+        h = (by.hi - by.lo) * scale
+        fill = _PALETTE[i % len(_PALETTE)]
+        lines.append(
+            f'  <rect x="{num(x)}" y="{num(y)}" width="{num(w)}" height="{num(h)}" '
+            f'fill="{fill}" fill-opacity="0.55" stroke="#000" stroke-width="1"/>'
+        )
+    if options.labels and P.labels is not None:
+        for b, label in zip(P.members, P.labels):
+            cx = (b.sides[0].midpoint - px.lo) * scale
+            cy = (py.hi - b.sides[1].midpoint) * scale
+            text = escape(label, quote=False)  # a label is text, not markup
+            lines.append(
+                f'  <text x="{num(cx)}" y="{num(cy)}" font-size="12" '
+                f'text-anchor="middle" dominant-baseline="middle">{text}</text>'
+            )
+    # parent outline drawn as a path so <rect> count equals the member count
+    lines.append(
+        f'  <path d="M 0 0 H {num(width)} V {num(height)} H 0 Z" '
+        'fill="none" stroke="#000" stroke-width="2"/>'
+    )
+    lines.append("</svg>")
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def reference_obj(P: BrickPartition, options: ExportOptions) -> bytes:
+    """OBJ export moving and rendering every brick's sides afresh, and
+    joining its vertex and face lines one by one."""
+    num = lambda x: render_decimal(x, options.precision)  # noqa: E731
+    lines = [f"# brick partition, {len(P.members)} members"]
+    vertex_base = 1  # OBJ indices are 1-based
+    for i, b in enumerate(P.members):
+        label = P.labels[i] if P.labels is not None else f"member_{i}"
+        ends = []  # per axis: the side's (lo, hi), moved outward and rendered
+        for side, parent_side in zip(b.sides, P.parent.sides):
+            offset = (side.midpoint - parent_side.midpoint) * options.exploded
+            ends.append((num(side.lo + offset), num(side.hi + offset)))
+        lines.append(f"o {label}")
+        for j in range(8):
+            lines.append("v " + " ".join(end[(j >> a) & 1] for a, end in enumerate(ends)))
+        for tri in _CUBE_TRIANGLES:
+            lines.append("f " + " ".join(str(vertex_base + t) for t in tri))
+        vertex_base += 8
+    return ("\n".join(lines) + "\n").encode("utf-8")

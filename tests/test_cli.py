@@ -374,7 +374,7 @@ def verify_documents(draw):
     for _ in range(draw(st.integers(0, 2))):
         brick = draw(st.sampled_from(boxes))
         side = draw(st.sampled_from(brick))
-        kind = draw(st.integers(0, 7))
+        kind = draw(st.integers(0, 8))
         if kind == 0:  # a malformed scalar
             side[draw(st.integers(0, 1))] = draw(_MALFORMED)
         elif kind == 1:  # lo >= hi
@@ -402,8 +402,17 @@ def verify_documents(draw):
             else:
                 boxes.append(brick)
             doc.pop("labels", None)
-        else:  # a side pushed past the parent
+        elif kind == 7:  # a side pushed past the parent
             side[1] = 9
+        else:  # an earlier pair repeated with one token made a boolean, the
+            # equal one when the token is 0 or 1, so only its type differs
+            pairs = [p for b in [doc.get("parent", []), *boxes] for p in b]
+            if len(pairs) > 1:
+                i = draw(st.integers(1, len(pairs) - 1))
+                pair = pairs[i]
+                pair[:] = pairs[draw(st.integers(0, i - 1))]
+                end = draw(st.sampled_from([e for e in (0, 1) if pair[e] in (0, 1)] or [0, 1]))
+                pair[end] = pair[end] == 1 if pair[end] in (0, 1) else draw(st.booleans())
     return doc
 
 
@@ -418,6 +427,8 @@ def test_verify_on_any_document_exits_cleanly(tmp_path_factory, doc):
         code = main(["verify", str(path)])  # nothing escapes
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 1, 2)
+    if "true" in text or "false" in text:  # a JSON boolean: no string here spells one
+        assert code == 2
     if code == 2:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith("\n")

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from brickpart import (
     validate,
 )
 from brickpart.constructions import piercing_3d, slicing_3d
+from brickpart.geometry import as_scalar
 
 from helpers import as_pairs
 
@@ -151,22 +153,71 @@ def test_labels_survive_emit_and_parse():
     assert parse_document(text).to_partition().labels == ("a", "b", "c", "d")
 
 
-def test_parse_builds_each_interval_once(monkeypatch):
-    P = piercing_3d(3)
-    text = emit_document(P)
-    built = 0
+def _typed_pairs(text):
+    """Every [lo, hi] token pair of a document, parent first, keyed by value and type."""
+    raw = json.loads(text)
+    return [
+        (type(lo), lo, type(hi), hi) for b in [raw["parent"], *raw["bricks"]] for lo, hi in b
+    ]
+
+
+def _count_interval_builds(monkeypatch):
+    built = []
     post_init = Interval.__post_init__
 
     def counting_post_init(self):
-        nonlocal built
-        built += 1
+        built.append(self)
         post_init(self)
 
     monkeypatch.setattr(Interval, "__post_init__", counting_post_init)
-    Q = parse_document(text).to_partition()
-    assert built == P.dim * (len(P.members) + 1)
-    assert Q.members == P.members
+    return built
 
+
+def test_parse_builds_each_interval_once(monkeypatch):
+    P = piercing_3d(3)
+    text = emit_document(P)
+    pairs = _typed_pairs(text)
+    assert len(set(pairs)) < len(pairs)  # the document repeats sides
+    built = _count_interval_builds(monkeypatch)
+    Q = parse_document(text).to_partition()
+    assert len(built) == len(set(pairs))
+    assert Q.members == P.members
+    shared = {}  # each repeated pair is one Interval object
+    sides = [s for b in (Q.parent, *Q.members) for s in b.sides]
+    for pair, side in zip(pairs, sides):
+        assert shared.setdefault(pair, side) is side
+
+
+def test_parse_shares_no_interval_between_calls():
+    text = emit_document(piercing_3d(3))
+    first, second = (parse_document(text).to_partition() for _ in range(2))
+    assert first.members == second.members
+    assert first.members[0].sides[0] is not second.members[0].sides[0]
+
+
+def test_parse_never_matches_a_boolean_to_a_stored_pair():
+    doc = {"dim": 1, "parent": [[0, 2]], "bricks": [[[0, 1]], [[1, 2]], [[True, 2]]]}
+    where = re.escape("bricks[2][0][0]: expected a scalar, got a boolean")
+    with pytest.raises(ParseError, match=f"^{where}$"):
+        parse_document(json.dumps(doc))
+
+
+def test_parse_raises_a_repeated_degenerate_pair_at_its_first_occurrence(monkeypatch):
+    doc = {"dim": 1, "parent": [[0, 2]], "bricks": [[[0, 1]], [[2, 2]], [[2, 2]], [[1.5, 2]]]}
+    built = _count_interval_builds(monkeypatch)
+    for _ in range(2):  # a failure is not remembered by the next call
+        built.clear()
+        with pytest.raises(DegenerateInterval, match=r"got \[2, 2\]"):
+            parse_document(json.dumps(doc))
+        assert len(built) == 3  # the parent, [0, 1] and the first [2, 2]
+
+
+@pytest.mark.parametrize("a, b", [(1, "1"), ("0.5", "1/2"), ("0.5", "2/4")])
+def test_parse_spellings_of_one_scalar_give_equal_sides(a, b):
+    doc = {"dim": 1, "parent": [[0, a]], "bricks": [[[0, b]]]}
+    P = parse_document(json.dumps(doc)).to_partition()
+    assert P.parent.sides == P.members[0].sides
+    assert P.parent.sides[0].hi == as_scalar(b)
 
 
 @pytest.mark.parametrize("label", ["evil\nv 9 9 9\nf 1 2 3", "tab\there", "nul\x00"])

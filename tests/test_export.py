@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 from xml.etree import ElementTree
 
 import pytest
@@ -12,11 +13,35 @@ from brickpart import (
     BrickPartition,
     ExportOptions,
     FigureFormat,
+    emit_document,
     export_figure,
+    parse_document,
 )
-from brickpart.constructions import grid_partition, piercing_2d, piercing_3d
+from brickpart.constructions import grid_partition, piercing_2d, piercing_3d, slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS
 from brickpart.io_cli.export import render_decimal
+
+from helpers import reference_obj, reference_svg
+
+
+@pytest.mark.parametrize("precision", [0, 6])
+@pytest.mark.parametrize("exploded", [Fraction(0), Fraction(1, 3)])
+@pytest.mark.parametrize("labels", [False, True])
+def test_export_matches_the_per_brick_reference(corpus, precision, exploded, labels):
+    options = ExportOptions(precision, exploded, labels)
+    # [0, 1] on every axis of a non-cube parent: exploded, it moves differently on each
+    parent = Brick.from_pairs([(0, 1), (0, 2), (0, 3)])
+    sides = product([(0, 1)], [(0, 1), (1, 2)], [(0, 1), (1, 3)])
+    stack = BrickPartition(parent, tuple(map(Brick.from_pairs, sides)))
+    for P in [piercing_2d(4), piercing_3d(4), slicing_3d(5), stack, *corpus]:
+        if labels and P.labels is None:  # markup in labels must be escaped alike
+            P = BrickPartition(P.parent, P.members, [f"<m{i}&>" for i in range(len(P.members))])
+        if P.dim == 2:
+            fmt, expected = FigureFormat.SVG2D, reference_svg(P, options)
+        else:
+            fmt, expected = FigureFormat.OBJ3D, reference_obj(P, options)
+        parsed = parse_document(emit_document(P)).to_partition()  # equal sides shared
+        assert export_figure(P, fmt, options) == expected == export_figure(parsed, fmt, options)
 
 
 def test_svg_rect_count_equals_member_count():
