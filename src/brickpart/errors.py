@@ -1,15 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each error about an input or a parameter (an unusable document, a bad k,
+axis, codimension, query or export format) is also a `ValueError`; the CLI
+exits 2 on a `ValueError` and 1 on any other `BrickError`.
+"""
 
 
 class BrickError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DegenerateInterval(BrickError):
+class DegenerateInterval(BrickError, ValueError):
     """Interval constructed with lo >= hi (zero or negative length)."""
 
 
-class DimensionMismatch(BrickError):
+class DimensionMismatch(BrickError, ValueError):
     """Objects of different ambient dimensions were combined."""
 
 
@@ -21,19 +26,19 @@ class BrickOutsideParent(BrickError):
         self.members = members
 
 
-class BadAxis(BrickError):
+class BadAxis(BrickError, ValueError):
     """Axis index outside 1..d."""
 
 
-class BadCodimension(BrickError):
+class BadCodimension(BrickError, ValueError):
     """Number of free axes outside 1..d-1."""
 
 
-class QueryOutsideParent(BrickError):
+class QueryOutsideParent(BrickError, ValueError):
     """A flat's fixed coordinate lies outside the parent brick."""
 
 
-class BadK(BrickError):
+class BadK(BrickError, ValueError):
     """Parameter k below the family's minimum."""
 
 
@@ -43,12 +48,12 @@ class ConstructionInvalid(BrickError):
 
 class ResourceLimit(BrickError):
     """A search ran out of its node budget, flat counts would pass their cell cap
-    or numpy 2's limit of 64 array axes, or validation its cap on box corners."""
+    or numpy 2's limit of 64 array axes, or a corner reader its cap on box corners."""
 
 
-class ParseError(BrickError):
+class ParseError(BrickError, ValueError):
     """Malformed partition document."""
 
 
-class BadDimensionForFormat(BrickError):
+class BadDimensionForFormat(BrickError, ValueError):
     """Export format does not support the partition's dimension."""

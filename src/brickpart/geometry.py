@@ -245,7 +245,7 @@ def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:
     return BreakpointGrid(tuple(axes), boxes)
 
 
-_MAX_CORNERS = 1 << 23  # signed corners first_bad_cell may hold
+_MAX_CORNERS = 1 << 23  # signed corners one corner reader may hold
 _GATHER = 1 << 16  # corner coordinates copied by one numpy call in _corners
 
 
@@ -256,13 +256,15 @@ def _corner_count(grid: BreakpointGrid, axes: list[int]) -> tuple[int, np.ndarra
     return sum(int(n) << j for j, n in enumerate(np.bincount(inner.sum(axis=1)))), inner
 
 
-def _corners(grid: BreakpointGrid, axes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _corners(
+    grid: BreakpointGrid, axes: list[int], count: int, inner: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The members' signed index-box corners over the given 0-based axes
-    (ascending): their coordinates, one int32 row per axis, and their int8
-    signs. A half-open box's indicator is the sum of [v <= p] over its
-    corners v, signed -1 per hi end taken; corners with a hi end at the
-    grid's far side lie past every cell and are dropped."""
-    count, inner = _corner_count(grid, axes)
+    (ascending), given `_corner_count`'s count and inner axes for them: their
+    coordinates, one int32 row per axis, and their int8 signs. A half-open
+    box's indicator is the sum of [v <= p] over its corners v, signed -1 per
+    hi end taken; corners with a hi end at the grid's far side lie past every
+    cell and are dropped."""
     n, coords, sign = len(inner), np.empty((len(axes), count), np.int32), np.ones(count, np.int8)
     owner = np.empty(count, np.int32)  # each corner's member
     coords[:, :n], owner[:n] = grid.boxes[:, axes, 0].T, np.arange(n)
@@ -284,9 +286,14 @@ def cell_counts(grid: BreakpointGrid, axes: Sequence[int]) -> np.ndarray:
     0-based axes (ascending), as an int32 array in C order: the members'
     signed corners scattered into it and summed along each axis in turn (a
     summed-area table). The array holds every cell of the projection, so
-    `min_flat_count` caps the projections it asks for.
+    `min_flat_count` caps the projections it asks for. Raises ResourceLimit,
+    before building any corner array, above _MAX_CORNERS.
     """
-    coords, sign = _corners(grid, list(axes))
+    axes = list(axes)
+    count, inner = _corner_count(grid, axes)
+    if count > _MAX_CORNERS:
+        raise ResourceLimit(f"flat counts over {count} corners exceed the cap of {_MAX_CORNERS}")
+    coords, sign = _corners(grid, axes, count, inner)
     counts = np.zeros(tuple(grid.shape[a] for a in axes), dtype=np.int32)
     np.add.at(counts, tuple(coords), sign)
     for a in range(counts.ndim):
@@ -304,10 +311,13 @@ def first_bad_cell(grid: BreakpointGrid) -> tuple[int, ...] | None:
     ResourceLimit, before building any corner array, above _MAX_CORNERS.
     """
     axes = list(range(len(grid.shape)))
-    count = _corner_count(grid, axes)[0] + 1  # and the parent's origin
-    if count > _MAX_CORNERS:
-        raise ResourceLimit(f"validation over {count} corners exceeds the cap of {_MAX_CORNERS}")
-    coords, sign = _corners(grid, axes)
+    count, inner = _corner_count(grid, axes)
+    if count + 1 > _MAX_CORNERS:  # and the parent's origin
+        raise ResourceLimit(
+            f"validation over {count + 1} corners exceeds the cap of {_MAX_CORNERS}"
+        )
+    coords, sign = _corners(grid, axes, count, inner)
+    del inner  # not held through the sort
     order = np.lexsort(coords[::-1])  # axis 0 the primary key
     for row in coords:  # one row at a time: no second copy of them all
         row[:] = row[order]

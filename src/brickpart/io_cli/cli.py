@@ -13,15 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from ..constructions import bounds, grid_partition, piercing_2d, piercing_3d, slicing_3d
-from ..errors import (
-    BadDimensionForFormat,
-    BadK,
-    BrickError,
-    DegenerateInterval,
-    DimensionMismatch,
-    ParseError,
-    ResourceLimit,
-)
+from ..errors import BrickError, ParseError, ResourceLimit
 from ..geometry import format_scalar, parse_scalar
 from ..metrics import FlatQuery, min_flat_count
 from ..partition import BrickPartition, boundary_incidence, validate
@@ -210,17 +202,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        OSError,  # a missing, unreadable or unwritable path
-        ParseError,
-        BadK,
-        BadDimensionForFormat,
-        DegenerateInterval,
-        DimensionMismatch,
-        ValueError,
-    ) as e:
-        # unusable inputs and bad parameters; geometric verification
-        # failures exit 1 from the subcommands themselves
+    except (OSError, ValueError) as e:
+        # unusable paths and inputs and bad parameters (every input error type
+        # in errors.py is a ValueError); verification failures exit 1 from the
+        # subcommands themselves
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BrickError as e:

@@ -8,11 +8,10 @@ met by the flat of any adjacent cell, and flats strictly inside a cell meet
 exactly the cell midpoint's members.
 
 The flat counts over one choice of fixed axes are `cell_counts` on the
-partition's grid, from the same signed corners `validate` reads. A member's
-corners over some axes never outnumber its full ones, so a partition that
-passed `validate` and its corner cap, as `verify` checks first, needs no
-second corner cap; only the projections are capped: their cells
-(_MAX_FLAT_CELLS) and their axes (_MAX_FLAT_AXES, numpy 2's limit of 64).
+partition's grid, from the same signed corners `validate` reads. Each corner
+reader caps its own corners (geometry._MAX_CORNERS), so a partition that was
+never validated cannot ask for more; the projections are capped too: their
+cells (_MAX_FLAT_CELLS) and their axes (_MAX_FLAT_AXES, numpy 2's limit of 64).
 """
 
 from __future__ import annotations
@@ -107,7 +106,8 @@ def min_flat_count(P: BrickPartition, free_axis_count: int) -> FlatProfile:
 
     Raises ResourceLimit, before counting, when a projection has more than
     _MAX_FLAT_AXES axes or the profile's projections together hold more than
-    _MAX_FLAT_CELLS cells.
+    _MAX_FLAT_CELLS cells, and from `cell_counts` when one projection's
+    corners pass its cap.
     """
     d = P.dim
     if not 1 <= free_axis_count <= d - 1:

@@ -152,35 +152,24 @@ def refine(
     "label.1", "label.2", ...
     """
     plan = list(plan)
-    indices = [i for i, _, _ in plan]
-    if len(set(indices)) != len(indices):
+    by_index = {i: (axis, n) for i, axis, n in plan}
+    if len(by_index) != len(plan):
         raise ValueError("plan member indices must be distinct")
-    for i in indices:
+    for i, _, _ in plan:
         if not 0 <= i < len(P.members):
             raise IndexError(f"plan index {i} outside 0..{len(P.members) - 1}")
-    by_index = {i: (axis, n) for i, axis, n in plan}
 
     new_members: list[Brick] = []
     new_labels: list[str] = []
     for i, b in enumerate(P.members):
-        label = P.labels[i] if P.labels is not None else None
-        if i in by_index:
-            axis, n = by_index[i]
-            pieces = cut(b, axis, n)
-            new_members.extend(pieces)
-            if label is not None:
-                new_labels.extend(
-                    [label] if n == 1 else [f"{label}.{j + 1}" for j in range(n)]
-                )
-        else:
-            new_members.append(b)
-            if label is not None:
-                new_labels.append(label)
+        axis, n = by_index.get(i, (None, 1))
+        new_members.extend([b] if axis is None else cut(b, axis, n))
+        if P.labels is not None:
+            label = P.labels[i]
+            new_labels.extend([label] if n == 1 else [f"{label}.{j}" for j in range(1, n + 1)])
 
     refined = BrickPartition(
-        P.parent,
-        tuple(new_members),
-        tuple(new_labels) if P.labels is not None else None,
+        P.parent, tuple(new_members), tuple(new_labels) if P.labels is not None else None
     )
     report = validate(refined)
     if not report.valid:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from brickpart import (
     BrickOutsideParent,
     emit_document,
+    errors,
     format_scalar,
     geometry,
     metrics,
@@ -230,6 +231,30 @@ def test_construct_bad_k_exits_2(capsys):
     code, _, err = run_cli(capsys, "construct", "--family", "piercing3d", "--k", "2")
     assert code == 2
     assert "error" in err
+
+
+INPUT_ERRORS = {
+    "BadAxis", "BadCodimension", "BadDimensionForFormat", "BadK", "DegenerateInterval",
+    "DimensionMismatch", "ParseError", "QueryOutsideParent",
+}
+BRICK_ERRORS = [
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.BrickError)
+]
+
+
+def test_input_errors_are_the_value_errors():
+    assert {cls.__name__ for cls in BRICK_ERRORS if issubclass(cls, ValueError)} == INPUT_ERRORS
+
+
+@pytest.mark.parametrize("cls", BRICK_ERRORS, ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_type(capsys, monkeypatch, cls):
+    def raising(d, k):
+        raise cls("x")
+
+    monkeypatch.setattr(cli, "bounds", raising)
+    code, out, err = run_cli(capsys, "bounds", "--d", "3", "--k", "3")
+    assert (code, out, err) == (2 if cls.__name__ in INPUT_ERRORS else 1, "", "error: x\n")
 
 
 def test_usage_error_exits_2():

@@ -16,7 +16,7 @@ from brickpart import (
     piercing_number,
     slicing_number,
 )
-from brickpart import metrics
+from brickpart import geometry, metrics
 from brickpart.constructions import (
     grid_partition,
     piercing_2d,
@@ -117,6 +117,17 @@ def test_min_flat_count_refuses_projections_above_the_cap(monkeypatch):
     with pytest.raises(ResourceLimit, match=f"over {lines} cells"):
         min_flat_count(P, 1)
     assert min_flat_count(P, 2).minimum >= 3  # planes: rows + cols + planes cells
+
+
+def test_flat_counts_refuse_corners_above_the_cap_without_validation(monkeypatch):
+    # ten stacked copies never pass validate, so only cell_counts' own cap applies
+    P = BrickPartition(Brick.from_pairs([(0, 2)] * 4), (Brick.from_pairs([(0, 1)] * 4),) * 10)
+    monkeypatch.setattr(geometry, "_MAX_CORNERS", 64)
+    with pytest.raises(ResourceLimit, match="^flat counts over 80 corners exceed the cap of 64$"):
+        piercing_number(P)  # 2^3 corners a member over three fixed axes
+    assert slicing_number(P) == 0  # 2 corners a member over one fixed axis
+    monkeypatch.setattr(geometry, "_MAX_CORNERS", 80)
+    assert piercing_number(P) == 0
 
 
 def test_piercing_number_examples():

@@ -280,6 +280,30 @@ def test_refine_rejects_duplicate_indices():
         refine(base, [(0, 1, 2), (0, 2, 2)])
 
 
+def test_refine_rejects_an_index_outside_the_members():
+    base = slicing_3d(3)
+    with pytest.raises(IndexError, match=r"^plan index 7 outside 0\.\.4$"):
+        refine(base, [(0, 1, 2), (7, 1, 2)])
+    with pytest.raises(IndexError, match="plan index -1"):
+        refine(base, [(-1, 1, 2)])
+
+
+def test_refine_keeps_unplanned_members_and_one_piece_labels():
+    base = slicing_3d(3)
+    x1 = base.labels.index("X1")
+    refined = refine(base, [(x1, 1, 1), (base.labels.index("Y1"), 1, 2)])
+    assert refined.labels == ("W0", "X0", "X1", "Y0", "Y1.1", "Y1.2")
+    assert refined.members[x1] == base.members[x1]
+    assert all(refined.members[i] is base.members[i] for i in (0, 1, 3))  # unplanned
+
+
+def test_refine_leaves_an_unlabelled_partition_unlabelled():
+    P = grid_partition(2, 2)
+    refined = refine(P, [(0, 1, 2), (3, 2, 3)])
+    assert refined.labels is None and len(refined) == 7
+    assert refined.members[2] is P.members[1] and refined.members[3] is P.members[2]
+
+
 def test_refine_rejects_overlapping_members():
     square = Brick.from_pairs([(0, 2), (0, 2)])
     P = BrickPartition(square, (square, Brick.from_pairs([(0, 1), (0, 2)])))
