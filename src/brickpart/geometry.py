@@ -96,7 +96,10 @@ def parse_scalar(text: str) -> Fraction:
     than MAX_SCALAR_DIGITS raises ParseError.
     """
     match = _SCALAR.fullmatch(text)
-    if match is None or max(len(run or "") for run in match.groups()) > MAX_SCALAR_DIGITS:
+    if match is None or (  # no digit run is longer than the text
+        len(text) > MAX_SCALAR_DIGITS
+        and max(len(run or "") for run in match.groups()) > MAX_SCALAR_DIGITS
+    ):
         raise ParseError(f"not an integer, decimal or p/q scalar: {text[:40]!r}")
     sign, whole, frac, den = match.groups()
     num, den = int(whole), int(den or 1)
@@ -245,8 +248,15 @@ def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:
     return BreakpointGrid(tuple(axes), boxes)
 
 
-_MAX_CORNERS = 1 << 23  # signed corners one corner reader may hold
+# A corner costs one int32 coordinate per axis, so one corner reader over j
+# axes may hold _MAX_CORNERS·3 // max(3, j) signed corners (_corner_cap): a
+# constant byte budget above three axes, and 2^23 corners at up to three.
+_MAX_CORNERS = 1 << 23
 _GATHER = 1 << 16  # corner coordinates copied by one numpy call in _corners
+
+
+def _corner_cap(axes: list[int]) -> int:
+    return _MAX_CORNERS * 3 // max(3, len(axes))
 
 
 def _corner_count(grid: BreakpointGrid, axes: list[int]) -> tuple[int, np.ndarray]:
@@ -287,12 +297,12 @@ def cell_counts(grid: BreakpointGrid, axes: Sequence[int]) -> np.ndarray:
     signed corners scattered into it and summed along each axis in turn (a
     summed-area table). The array holds every cell of the projection, so
     `min_flat_count` caps the projections it asks for. Raises ResourceLimit,
-    before building any corner array, above _MAX_CORNERS.
+    before building any corner array, above _corner_cap(axes) corners.
     """
     axes = list(axes)
     count, inner = _corner_count(grid, axes)
-    if count > _MAX_CORNERS:
-        raise ResourceLimit(f"flat counts over {count} corners exceed the cap of {_MAX_CORNERS}")
+    if count > (cap := _corner_cap(axes)):
+        raise ResourceLimit(f"flat counts over {count} corners exceed the cap of {cap}")
     coords, sign = _corners(grid, axes, count, inner)
     counts = np.zeros(tuple(grid.shape[a] for a in axes), dtype=np.int32)
     np.add.at(counts, tuple(coords), sign)
@@ -308,14 +318,13 @@ def first_bad_cell(grid: BreakpointGrid) -> tuple[int, ...] | None:
     points <= a cell to its cover count minus one, so the boxes tile the grid
     iff E is zero at every point. Otherwise the first point with E != 0 is
     the first bad cell: every point <= it lies before it. Raises
-    ResourceLimit, before building any corner array, above _MAX_CORNERS.
+    ResourceLimit, before building any corner array, above _corner_cap(axes)
+    corners.
     """
     axes = list(range(len(grid.shape)))
     count, inner = _corner_count(grid, axes)
-    if count + 1 > _MAX_CORNERS:  # and the parent's origin
-        raise ResourceLimit(
-            f"validation over {count + 1} corners exceeds the cap of {_MAX_CORNERS}"
-        )
+    if count + 1 > (cap := _corner_cap(axes)):  # and the parent's origin
+        raise ResourceLimit(f"validation over {count + 1} corners exceeds the cap of {cap}")
     coords, sign = _corners(grid, axes, count, inner)
     del inner  # not held through the sort
     order = np.lexsort(coords[::-1])  # axis 0 the primary key

@@ -2,10 +2,12 @@
 
 A parsed document is a partition plus metadata: the text carries dim,
 parent, bricks and optional labels/metadata, and `parse_document` builds the
-parent and each member once, straight into a `BrickPartition`. Every
-distinct typed token pair (the same JSON ints or strings) builds one
-`Interval`, shared by all its occurrences for the duration of the call; a
-pair that fails raises at its first occurrence and is never remembered. The
+parent and each member once, straight into a `BrickPartition`. For the
+duration of one call, every distinct typed scalar token (the same JSON int
+or string) is parsed once into one `Fraction`, and every distinct typed
+token pair builds one `Interval`, each shared by all its occurrences; a
+token or pair that fails raises at its first occurrence and is never
+remembered, and a bool, float or nested token is never stored. The
 canonical rendering has a stable key order, two-space indentation and a
 final newline. Scalars are JSON integers when integral; otherwise strings,
 either terminating decimals ("0.5") or "p/q". JSON floats are rejected so a
@@ -65,28 +67,31 @@ def emit_document(P: BrickPartition, metadata: dict[str, Any] | None = None) -> 
     return PartitionDocument(P, metadata).emit()
 
 
-def _parse_scalar_value(value: Any, where: str) -> Fraction:
+_TOKENS = (int, str)  # exact types: a bool is an int, and True == 1
+_Scalars = dict[tuple[type, Any], Fraction]  # typed token -> its scalar
+_Sides = dict[tuple[type, Any, type, Any], Interval]  # typed token pair -> its side
+
+
+def _parse_scalar_value(value: Any, where: str, scalars: _Scalars) -> Fraction:
+    key = (type(value), value)
+    if key[0] in _TOKENS:
+        x = scalars.get(key)
+        if x is None:  # a failing token raises here, so it is never stored
+            try:
+                x = scalars[key] = parse_scalar(value) if key[0] is str else Fraction(value)
+            except ParseError as e:
+                raise ParseError(f"{where}: {e}") from e
+        return x
     if isinstance(value, bool):
         raise ParseError(f"{where}: expected a scalar, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise ParseError(
             f"{where}: floats are not exact; quote the value as a decimal or p/q string"
         )
-    if isinstance(value, str):
-        try:
-            return parse_scalar(value)
-        except ParseError as e:
-            raise ParseError(f"{where}: {e}") from e
     raise ParseError(f"{where}: expected a scalar, got {type(value).__name__}")
 
 
-_TOKENS = (int, str)  # exact types: a bool is an int, and True == 1
-_Sides = dict[tuple[type, Any, type, Any], Interval]  # typed token pair -> its side
-
-
-def _parse_pair(value: Any, where: str, sides: _Sides) -> Interval:
+def _parse_pair(value: Any, where: str, sides: _Sides, scalars: _Scalars) -> Interval:
     if not isinstance(value, list) or len(value) != 2:
         raise ParseError(f"{where}: expected a [lo, hi] pair")
     lo, hi = value
@@ -94,17 +99,20 @@ def _parse_pair(value: Any, where: str, sides: _Sides) -> Interval:
     side = sides.get(key) if key[0] in _TOKENS and key[2] in _TOKENS else None
     if side is None:  # any other token raises here, so a failure is never stored
         side = sides[key] = Interval(  # raises DegenerateInterval when lo >= hi
-            _parse_scalar_value(lo, f"{where}[0]"), _parse_scalar_value(hi, f"{where}[1]")
+            _parse_scalar_value(lo, f"{where}[0]", scalars),
+            _parse_scalar_value(hi, f"{where}[1]", scalars),
         )
     return side
 
 
-def _parse_sides(value: Any, dim: int, where: str, sides: _Sides) -> Brick:
+def _parse_sides(value: Any, dim: int, where: str, sides: _Sides, scalars: _Scalars) -> Brick:
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of [lo, hi] pairs")
     if len(value) != dim:
         raise DimensionMismatch(f"{where}: {len(value)} sides for dimension {dim}")
-    return Brick(tuple(_parse_pair(p, f"{where}[{i}]", sides) for i, p in enumerate(value)))
+    return Brick(
+        tuple(_parse_pair(p, f"{where}[{i}]", sides, scalars) for i, p in enumerate(value))
+    )
 
 
 _KNOWN_KEYS = {"dim", "parent", "bricks", "labels", "metadata"}
@@ -128,13 +136,14 @@ def parse_document(text: str) -> PartitionDocument:
     dim = raw["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError("dim: expected a positive integer")
-    sides: _Sides = {}  # one Interval per distinct typed token pair, for this call
-    parent = _parse_sides(raw["parent"], dim, "parent", sides)
+    scalars: _Scalars = {}  # for this call: one Fraction per distinct typed token
+    sides: _Sides = {}  # and one Interval per distinct typed token pair
+    parent = _parse_sides(raw["parent"], dim, "parent", sides, scalars)
     bricks_raw = raw["bricks"]
     if not isinstance(bricks_raw, list) or not bricks_raw:
         raise ParseError("bricks: expected a nonempty list")
     bricks = tuple(
-        _parse_sides(b, dim, f"bricks[{i}]", sides) for i, b in enumerate(bricks_raw)
+        _parse_sides(b, dim, f"bricks[{i}]", sides, scalars) for i, b in enumerate(bricks_raw)
     )
 
     labels = None

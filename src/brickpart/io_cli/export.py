@@ -1,13 +1,15 @@
 """Deterministic figure exporters: SVG for d=2, Wavefront OBJ for d=3.
 
 Exporters never alter geometry: every emitted coordinate is an exact scalar
-rendered at the configured decimal precision, rounding half up in integer
-arithmetic on its numerator and denominator. Each side object is rendered
-once, and `parse_document` shares one per distinct token pair: SVG renders a
-side's x and width (or y and height), OBJ its two ends after the exploded
-offset. Each OBJ brick's vertex and face lines then come from one line
-template each, vertices in bit order. Output bytes are identical across runs
-for equal inputs.
+rendered at the configured decimal precision, rounding half up. Coordinates
+are computed and rendered as unreduced integer ratios (numerator, positive
+denominator), so no `Fraction` is built and no gcd taken. Each side object
+is rendered once, and `parse_document` shares one per distinct token pair:
+SVG renders a side's x and width (or y and height), each (a − b)·48; OBJ its
+two ends, each lo + (lo + hi − parent lo − parent hi)·exploded/2, by one
+code path for any exploded factor. Each OBJ brick's vertex and face lines
+then come from one line template each, vertices in bit order. Output bytes
+are identical across runs for equal inputs.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from html import escape
+from typing import Callable
 
 from ..errors import BadDimensionForFormat
-from ..geometry import MAX_SCALAR_DIGITS
+from ..geometry import MAX_SCALAR_DIGITS, Interval
 from ..partition import BrickPartition
 
 
@@ -39,26 +42,32 @@ class ExportOptions:
             raise ValueError(f"decimal places must be >= 0 and <= {MAX_SCALAR_DIGITS}, got {p}")
 
 
-SVG_SCALE = Fraction(48)  # SVG pixels per geometry unit
+SVG_SCALE = 48  # SVG pixels per geometry unit
+
+
+def ratio_renderer(places: int) -> Callable[[int, int], str]:
+    """Fixed-point decimal rendering of num/den at the given places, for any
+    den > 0, reduced or not, round half up: floor(num/den·10^p + 1/2),
+    computed as (2·num·10^p + den) // (2·den) in plain ints."""
+    unit = 10**places
+
+    def render(num: int, den: int) -> str:
+        quantized = (2 * num * unit + den) // (2 * den)
+        sign = "-" if quantized < 0 else ""
+        whole, frac = divmod(abs(quantized), unit)
+        return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
+
+    return render
 
 
 def render_decimal(x: Fraction, places: int) -> str:
-    """Fixed-point decimal rendering, round half up: floor(x·10^p + 1/2),
-    computed as (2·num·10^p + den) // (2·den) in plain ints."""
-    num, den = x.numerator, x.denominator
-    quantized = (2 * num * 10**places + den) // (2 * den)
-    sign = "-" if quantized < 0 else ""
-    whole, frac = divmod(abs(quantized), 10**places)
-    if places == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{frac:0{places}d}"
+    """A scalar rendered by `ratio_renderer`."""
+    return ratio_renderer(places)(*x.as_integer_ratio())
 
 
-def _svg_number(x: Fraction, places: int) -> str:
-    s = render_decimal(x, places)
-    if "." in s:
-        s = s.rstrip("0").rstrip(".")
-    return s
+def _svg_trimmed(text: str) -> str:
+    """An SVG number: a rendered decimal without its trailing zeros."""
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 _PALETTE = (
@@ -83,42 +92,53 @@ def export_figure(
     raise BadDimensionForFormat(f"unknown format {format!r}")
 
 
+def _twice_midpoint(side: Interval) -> tuple[int, int]:
+    """lo + hi of a side as an unreduced (numerator, denominator) pair."""
+    (ln, ld), (hn, hd) = side.lo.as_integer_ratio(), side.hi.as_integer_ratio()
+    return ln * hd + hn * ld, ld * hd
+
+
 def _export_svg(P: BrickPartition, options: ExportOptions) -> bytes:
     px, py = P.parent.sides
-    scale = SVG_SCALE
-    num = lambda x: _svg_number(x, options.precision)  # noqa: E731
-    width = (px.hi - px.lo) * scale
-    height = (py.hi - py.lo) * scale
+    render = ratio_renderer(options.precision)
+    num = lambda n, d: _svg_trimmed(render(n, d))  # noqa: E731
 
+    def gap(a: Fraction, b: Fraction) -> str:  # (a − b)·scale
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        return num((an * bd - bn * ad) * SVG_SCALE, ad * bd)
+
+    width, height = gap(px.hi, px.lo), gap(py.hi, py.lo)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{num(width)}" '
-        f'height="{num(height)}" viewBox="0 0 {num(width)} {num(height)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
     ]
     xs, ys = {}, {}  # per side object: its rendered (x, w) or (y, h)
     for i, b in enumerate(P.members):
         bx, by = b.sides
         if (xw := xs.get(id(bx))) is None:
-            xw = xs[id(bx)] = (num((bx.lo - px.lo) * scale), num((bx.hi - bx.lo) * scale))
+            xw = xs[id(bx)] = (gap(bx.lo, px.lo), gap(bx.hi, bx.lo))
         if (yh := ys.get(id(by))) is None:  # flip: SVG y grows downward
-            yh = ys[id(by)] = (num((py.hi - by.hi) * scale), num((by.hi - by.lo) * scale))
+            yh = ys[id(by)] = (gap(py.hi, by.hi), gap(by.hi, by.lo))
         fill = _PALETTE[i % len(_PALETTE)]
         lines.append(
             f'  <rect x="{xw[0]}" y="{yh[0]}" width="{xw[1]}" height="{yh[1]}" '
             f'fill="{fill}" fill-opacity="0.55" stroke="#000" stroke-width="1"/>'
         )
     if options.labels and P.labels is not None:
+        (ln, ld), (tn, td) = px.lo.as_integer_ratio(), py.hi.as_integer_ratio()
         for b, label in zip(P.members, P.labels):
-            cx = (b.sides[0].midpoint - px.lo) * scale
-            cy = (py.hi - b.sides[1].midpoint) * scale
+            (xn, xd), (yn, yd) = map(_twice_midpoint, b.sides)  # the center, doubled
+            cx = num((xn * ld - 2 * ln * xd) * SVG_SCALE, 2 * xd * ld)
+            cy = num((2 * tn * yd - yn * td) * SVG_SCALE, 2 * yd * td)
             text = escape(label, quote=False)  # a label is text, not markup
             lines.append(
-                f'  <text x="{num(cx)}" y="{num(cy)}" font-size="12" '
+                f'  <text x="{cx}" y="{cy}" font-size="12" '
                 f'text-anchor="middle" dominant-baseline="middle">{text}</text>'
             )
     # parent outline drawn as a path so <rect> count equals the member count
     lines.append(
-        f'  <path d="M 0 0 H {num(width)} V {num(height)} H 0 Z" '
+        f'  <path d="M 0 0 H {width} V {height} H 0 Z" '
         'fill="none" stroke="#000" stroke-width="2"/>'
     )
     lines.append("</svg>")
@@ -146,12 +166,18 @@ _OBJ_FACES = "\n".join("f " + " ".join(f"{{{t}}}" for t in tri) for tri in _CUBE
 
 
 def _export_obj(P: BrickPartition, options: ExportOptions) -> bytes:
-    num = lambda x: render_decimal(x, options.precision)  # noqa: E731
+    render = ratio_renderer(options.precision)
+    en, ed = options.exploded.as_integer_ratio()
     ends = {}  # per (axis, side object): its (lo, hi), moved outward and rendered
     for a, parent_side in enumerate(P.parent.sides):
+        pn, pd = _twice_midpoint(parent_side)
+        k = 2 * ed * pd
         for side in {id(b.sides[a]): b.sides[a] for b in P.members}.values():
-            offset = (side.midpoint - parent_side.midpoint) * options.exploded
-            ends[a, id(side)] = (num(side.lo + offset), num(side.hi + offset))
+            (ln, ld), (hn, hd) = side.lo.as_integer_ratio(), side.hi.as_integer_ratio()
+            lo, hi, den = ln * hd, hn * ld, ld * hd  # both ends over one denominator
+            # each end + (lo + hi − parent lo − parent hi)·exploded/2, over den·k
+            shift = ((lo + hi) * pd - pn * den) * en
+            ends[a, id(side)] = (render(lo * k + shift, den * k), render(hi * k + shift, den * k))
     lines = [f"# brick partition, {len(P.members)} members"]
     for i, b in enumerate(P.members):
         label = P.labels[i] if P.labels is not None else f"member_{i}"

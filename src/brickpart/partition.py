@@ -106,7 +106,8 @@ def validate(P: BrickPartition) -> ValidationReport:
     lexicographic order reported, with the members covering it).
 
     Raises ResourceLimit, before building any corner array, when the members
-    have more than geometry._MAX_CORNERS (2^23) signed corners inside the grid.
+    have more signed corners inside the grid than geometry._corner_cap allows:
+    2^23 for d <= 3 and 2^23·3 // d above, so at most 3·2^23 int32 coordinates.
     """
     try:
         grid = P.grid

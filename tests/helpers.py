@@ -29,7 +29,7 @@ from brickpart.io_cli.export import (
     _CUBE_TRIANGLES,
     _PALETTE,
     SVG_SCALE,
-    _svg_number,
+    _svg_trimmed,
     render_decimal,
 )
 from brickpart.partition import Failure, ValidationReport
@@ -316,7 +316,7 @@ def reference_svg(P: BrickPartition, options: ExportOptions) -> bytes:
     """SVG export computing and rendering every brick's x, y, w and h afresh."""
     px, py = P.parent.sides
     scale = SVG_SCALE
-    num = lambda x: _svg_number(x, options.precision)  # noqa: E731
+    num = lambda x: _svg_trimmed(render_decimal(x, options.precision))  # noqa: E731
     width = (px.hi - px.lo) * scale
     height = (py.hi - py.lo) * scale
 

@@ -1,6 +1,7 @@
 import io
 import json
 import time
+import tracemalloc
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -89,7 +90,24 @@ def test_verify_refuses_validation_above_the_corner_cap(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     assert code == 1
     assert "valid:" not in out
-    assert err == f"error: validation over {2**40 + 1} corners exceeds the cap of {2**23}\n"
+    # the cap is 2^23 corners up to d = 3 and 2^23·3 // d above: int32 bytes, not corners
+    assert err == f"error: validation over {2**40 + 1} corners exceeds the cap of 629145\n"
+
+
+def test_verify_refuses_a_wide_document_under_the_three_axis_cap(tmp_path, capsys):
+    # 2^21 corners, under 2^23, but 24 int32 coordinates each: about 200 MB
+    doc = tmp_path / "d24.json"
+    sides = [[0, 2]] * 24
+    doc.write_text(json.dumps({"dim": 24, "parent": sides, "bricks": [[[0, 1]] * 21 + sides[:3]]}))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "verify", str(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "valid:" not in out
+    assert err == f"error: validation over {2**21 + 1} corners exceeds the cap of {2**20}\n"
+    assert peak < 2**20  # refused before any corner array
 
 
 def _one_brick_document(path, d):

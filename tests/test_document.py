@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -13,10 +14,12 @@ from brickpart import (
     ParseError,
     emit_document,
     parse_document,
+    random_split_partition,
     validate,
 )
 from brickpart.constructions import piercing_3d, slicing_3d
-from brickpart.geometry import as_scalar
+from brickpart.geometry import as_scalar, parse_scalar
+from brickpart.io_cli import document
 
 from helpers import as_pairs
 
@@ -225,3 +228,59 @@ def test_parse_rejects_unprintable_labels(label):
     doc = {"dim": 1, "parent": [[0, 2]], "bricks": [[[0, 1]], [[1, 2]]], "labels": ["ok", label]}
     with pytest.raises(ParseError, match=r"labels\[1\]"):
         parse_document(json.dumps(doc))
+
+
+def _count_scalar_parses(monkeypatch):
+    parsed = []
+
+    def counting_parse_scalar(text):
+        parsed.append(text)
+        return parse_scalar(text)
+
+    monkeypatch.setattr(document, "parse_scalar", counting_parse_scalar)
+    return parsed
+
+
+def test_parse_parses_each_string_token_once(monkeypatch):
+    text = emit_document(random_split_partition(Random(3), 3, 60))
+    raw = json.loads(text)
+    tokens = [t for b in [raw["parent"], *raw["bricks"]] for pair in b for t in pair]
+    strings = [t for t in tokens if isinstance(t, str)]
+    assert len(set(strings)) < len(strings)  # the document repeats string tokens
+    parsed = _count_scalar_parses(monkeypatch)
+    P = parse_document(text).to_partition()
+    assert sorted(parsed) == sorted(set(strings))
+    shared = {}  # each repeated token is one Fraction object
+    scalars = [x for b in (P.parent, *P.members) for s in b.sides for x in (s.lo, s.hi)]
+    for token, x in zip(tokens, scalars):
+        assert shared.setdefault((type(token), token), x) is x
+
+
+def test_parse_keeps_int_and_string_tokens_apart(monkeypatch):
+    doc = {"dim": 2, "parent": [[0, "1"], [0, 1]], "bricks": [[[0, 1], [0, "1"]]]}
+    parsed = _count_scalar_parses(monkeypatch)
+    P = parse_document(json.dumps(doc)).to_partition()
+    assert parsed == ["1"]
+    (a, b), (c, d) = P.parent.sides, P.members[0].sides
+    assert a.hi == b.hi == 1 and a.hi is not b.hi
+    assert c.hi is b.hi and d.hi is a.hi
+
+
+@pytest.mark.parametrize(
+    "pair, where", [([True, 2], "bricks[1][0][0]"), ([1, True], "bricks[1][0][1]")]
+)
+def test_parse_never_matches_a_boolean_to_a_stored_token(pair, where):
+    doc = {"dim": 1, "parent": [[1, 2]], "bricks": [[[1, 2]], [pair]]}
+    where = re.escape(f"{where}: expected a scalar, got a boolean")
+    with pytest.raises(ParseError, match=f"^{where}$"):
+        parse_document(json.dumps(doc))
+
+
+def test_parse_remembers_no_failing_token(monkeypatch):
+    doc = {"dim": 1, "parent": [[0, "2"]], "bricks": [[[0, "1"]], [["1", "x"]], [["x", "2"]]]}
+    parsed = _count_scalar_parses(monkeypatch)
+    for _ in range(2):  # neither this call nor the next one stores "x"
+        parsed.clear()
+        with pytest.raises(ParseError, match=re.escape("bricks[1][0][1]: not an integer")):
+            parse_document(json.dumps(doc))
+        assert parsed == ["2", "1", "x"]

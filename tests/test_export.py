@@ -4,7 +4,7 @@ from itertools import product
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from brickpart import (
@@ -19,13 +19,23 @@ from brickpart import (
 )
 from brickpart.constructions import grid_partition, piercing_2d, piercing_3d, slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS
-from brickpart.io_cli.export import render_decimal
+from brickpart.io_cli.export import ratio_renderer, render_decimal
 
 from helpers import reference_obj, reference_svg
 
 
-@pytest.mark.parametrize("precision", [0, 6])
-@pytest.mark.parametrize("exploded", [Fraction(0), Fraction(1, 3)])
+def _skewed(P: BrickPartition) -> BrickPartition:
+    """P moved by x -> 2/7·x − 5/3 on every axis: negative, non-dyadic coordinates."""
+    scale, shift = Fraction(2, 7), Fraction(-5, 3)
+
+    def move(b: Brick) -> Brick:
+        return Brick.from_pairs((s.lo * scale + shift, s.hi * scale + shift) for s in b.sides)
+
+    return BrickPartition(move(P.parent), tuple(map(move, P.members)), P.labels)
+
+
+@pytest.mark.parametrize("precision", [0, 6, 40])
+@pytest.mark.parametrize("exploded", [Fraction(0), Fraction(1, 3), Fraction(-1, 3), Fraction(2, 7)])
 @pytest.mark.parametrize("labels", [False, True])
 def test_export_matches_the_per_brick_reference(corpus, precision, exploded, labels):
     options = ExportOptions(precision, exploded, labels)
@@ -33,7 +43,8 @@ def test_export_matches_the_per_brick_reference(corpus, precision, exploded, lab
     parent = Brick.from_pairs([(0, 1), (0, 2), (0, 3)])
     sides = product([(0, 1)], [(0, 1), (1, 2)], [(0, 1), (1, 3)])
     stack = BrickPartition(parent, tuple(map(Brick.from_pairs, sides)))
-    for P in [piercing_2d(4), piercing_3d(4), slicing_3d(5), stack, *corpus]:
+    families = [piercing_2d(4), piercing_3d(4), slicing_3d(5), stack]
+    for P in [*families, *map(_skewed, families + corpus[::40]), *corpus]:
         if labels and P.labels is None:  # markup in labels must be escaped alike
             P = BrickPartition(P.parent, P.members, [f"<m{i}&>" for i in range(len(P.members))])
         if P.dim == 2:
@@ -182,3 +193,17 @@ def _reference_decimal(x: Fraction, places: int) -> str:
 def test_render_decimal_matches_fraction_rounding(num, den, places):
     x = Fraction(num, den)
     assert render_decimal(x, places) == _reference_decimal(x, places)
+
+
+@given(
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 10**4),
+    st.integers(1, 10**6),
+    st.integers(0, 9),
+)
+@example(-5, 2, 3, 0)  # exact negative halves round up, toward zero
+@example(-1, 2, 10**6, 0)
+@example(-3, 20, 7, 1)
+@example(-1, 2000, 4, 3)
+def test_ratio_renderer_reads_unreduced_ratios(num, den, k, places):
+    assert ratio_renderer(places)(k * num, k * den) == render_decimal(Fraction(num, den), places)

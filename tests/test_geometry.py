@@ -96,6 +96,33 @@ def test_scalar_round_trips_at_the_digit_limit():
 
 @pytest.mark.parametrize(
     "text",
+    [
+        "7" * MAX_SCALAR_DIGITS,
+        "-" + "7" * MAX_SCALAR_DIGITS,  # longer than the cap, no run over it
+        "1" * 3000 + "/" + "1" * 3000,
+        "0." + "5" * MAX_SCALAR_DIGITS,
+    ],
+)
+def test_parse_scalar_accepts_digit_runs_up_to_the_limit(text):
+    assert parse_scalar(text) == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "7" * (MAX_SCALAR_DIGITS + 1),
+        "-" + "7" * (MAX_SCALAR_DIGITS + 1),
+        "1/" + "1" * (MAX_SCALAR_DIGITS + 1),
+        "0." + "5" * (MAX_SCALAR_DIGITS + 1),
+    ],
+)
+def test_parse_scalar_rejects_a_digit_run_over_the_limit(text):
+    with pytest.raises(ParseError, match="^not an integer, decimal or p/q scalar"):
+        parse_scalar(text)
+
+
+@pytest.mark.parametrize(
+    "text",
     ["1e2", " 3 ", "1_000", "+1", "", "-", ".5", "5.", "1/0", "1/-2", "2/ 3", "0x10",
      "inf", "nan", "1.5e3", "\u0663", "1" * (MAX_SCALAR_DIGITS + 1), "1e999999999"],
 )
