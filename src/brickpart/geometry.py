@@ -6,9 +6,10 @@ introduces floating point. Bricks are closed sets ("intersects" always means
 nonempty intersection of closed sets), and intervals are nondegenerate by
 construction.
 
-Coordinates are compared once, when `build_grid` compresses each axis to the
-ranks of its sorted distinct endpoints and every member to an integer index
-box. The boxes are stored once, as one read-only int32 array of shape
+Coordinates are compared once, in integers, when `build_grid` compresses each
+axis to the ranks of its distinct endpoints, sorted by floor(x·2^64) (Fractions
+break ties), and every member to an integer index box; `Interval` checks lo < hi
+by cross-multiplication. The boxes are one read-only int32 array of shape
 (members, d, 2) that every reader slices. Cover counts then come from one
 source, `_corners`: the members' signed index-box corners over some of the
 axes, written into one array by one doubling step per axis, so in O(d) numpy
@@ -116,9 +117,11 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", as_scalar(self.lo))
-        object.__setattr__(self, "hi", as_scalar(self.hi))
-        if self.lo >= self.hi:
+        if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
+            object.__setattr__(self, "lo", as_scalar(self.lo))
+            object.__setattr__(self, "hi", as_scalar(self.hi))
+        (p, q), (r, t) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
+        if p * t >= r * q:  # lo >= hi, as denominators are positive
             raise DegenerateInterval(
                 f"need lo < hi, got [{format_scalar(self.lo)}, {format_scalar(self.hi)}]"
             )
@@ -227,14 +230,15 @@ def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:
     # the parent's box first; int32 holds the ranks of up to 2^30 boxes
     axes, boxes = [], np.empty((1 + len(bricks), parent.dim, 2), np.int32)
     for a in range(parent.dim):
-        # each endpoint is keyed by its (numerator, denominator) pair, which
-        # hashes and compares much faster than a Fraction
-        los = [b.sides[a].lo.as_integer_ratio() for b in (parent, *bricks)]
-        his = [b.sides[a].hi.as_integer_ratio() for b in (parent, *bricks)]
-        axis = sorted(Fraction(*r) for r in set(los).union(his))
-        rank = {x.as_integer_ratio(): i for i, x in enumerate(axis)}
-        axes.append(tuple(axis))
-        boxes[:, a, 0], boxes[:, a, 1] = [rank[r] for r in los], [rank[r] for r in his]
+        # x <= y gives floor(x·2^64) <= floor(y·2^64), so (that floor, x) sorts as x does,
+        # comparing Fractions only on equal floors, so |x - y| < 2^-64; ratios hash fast
+        xs = [x for b in (parent, *bricks) for x in (b.sides[a].lo, b.sides[a].hi)]
+        ratios = [x.as_integer_ratio() for x in xs]
+        value = dict(zip(ratios, xs))  # each distinct ratio -> a member's own Fraction
+        axis = sorted(((p << 64) // q, x, (p, q)) for (p, q), x in value.items())
+        rank = {r: i for i, (_, _, r) in enumerate(axis)}
+        axes.append(tuple(x for _, x, _ in axis))
+        boxes[:, a] = np.reshape([rank[r] for r in ratios], (-1, 2))  # (lo, hi) rows
     parent_box, boxes = boxes[0], boxes[1:]
     leaves = (boxes[:, :, 0] < parent_box[:, 0]) | (boxes[:, :, 1] > parent_box[:, 1])
     outside = tuple(np.flatnonzero(leaves.any(axis=1)).tolist())

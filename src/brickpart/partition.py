@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
@@ -127,14 +128,15 @@ def validate(P: BrickPartition) -> ValidationReport:
 def cut(b: Brick, axis: int, n: int) -> list[Brick]:
     """Split b into n equal-length pieces along the 1-based axis.
 
-    n = 1 returns [b] unchanged; all cut coordinates stay exact rationals.
+    n = 1 returns [b] unchanged; point i is (p·t·(n-i) + r·q·i)/(q·t·n), lo = p/q, hi = r/t.
     """
     if not 1 <= axis <= b.dim:
         raise BadAxis(f"axis {axis} outside 1..{b.dim}")
     if n < 1:
         raise ValueError("piece count must be >= 1")
     side = b.sides[axis - 1]
-    points = [side.lo + side.length * i / n for i in range(n + 1)]
+    (p, q), (r, t) = side.lo.as_integer_ratio(), side.hi.as_integer_ratio()
+    points = [Fraction(p * t * (n - i) + r * q * i, q * t * n) for i in range(n + 1)]
     return [
         b.replace_side(axis - 1, Interval(points[i], points[i + 1])) for i in range(n)
     ]

@@ -108,6 +108,26 @@ def first_bad_cell_midpoint(P: BrickPartition):
     return scan([], 0)
 
 
+def reference_index_boxes(parent: Brick, bricks) -> tuple[tuple, list]:
+    """Each axis's distinct endpoints, parent's included, sorted as Fractions,
+    and every brick's [[rank of lo, rank of hi], ...] from a rank map over them."""
+    axes = tuple(
+        tuple(sorted({x for b in (parent, *bricks) for x in (b.sides[a].lo, b.sides[a].hi)}))
+        for a in range(parent.dim)
+    )
+    ranks = [{x: i for i, x in enumerate(axis)} for axis in axes]
+    boxes = [[[r[s.lo], r[s.hi]] for r, s in zip(ranks, b.sides)] for b in bricks]
+    return axes, boxes
+
+
+def reference_cut(b: Brick, axis: int, n: int) -> list[Brick]:
+    """`cut` from its definition: the points lo + length·i/n for i = 0..n on
+    the 1-based axis, in Fraction arithmetic."""
+    side = b.sides[axis - 1]
+    points = [side.lo + side.length * i / n for i in range(n + 1)]
+    return [b.replace_side(axis - 1, Interval(points[i], points[i + 1])) for i in range(n)]
+
+
 def slice_loop_counts(grid: BreakpointGrid, axes) -> np.ndarray:
     """Members covering each cell of the grid's projection onto the given
     0-based axes, as int32 in C order: one slice addition per member."""

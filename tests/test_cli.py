@@ -163,6 +163,36 @@ def test_verify_unparseable_exits_2(tmp_path, capsys):
     assert "error" in err
 
 
+def test_verify_an_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
+    doc = tmp_path / "long.json"
+    doc.write_text('{"dim":1,"parent":[[0,' + "1" * 5000 + ']],"bricks":[[[0,1]]]}')
+    code, out, err = run_cli(capsys, "verify", str(doc))
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: an integer longer than 4300 digits\n"
+
+
+def test_main_runs_after_a_usage_error_in_the_same_process(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--d", "2"])
+    assert exc.value.code == 2
+    assert "required" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, "bounds", "--d", "3", "--k", "5")
+    assert code == 0 and "slicing_lb_3d(d=3, k=5): 9" in out
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_search_out_does_not_carry_over_to_the_next_call(tmp_path, capsys):
+    args = ("search", "--d", "2", "--k", "2", "--mode", "piercing", "--max-bricks", "4", "--grid", "3")
+    witness = tmp_path / "witness.json"
+    code, out, _ = run_cli(capsys, *args, "--out", str(witness))
+    assert code == 0 and '"bricks"' not in out
+    text = witness.read_text()
+    witness.unlink()
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and out.endswith(text)  # the witness goes to stdout this time
+    assert not witness.exists()
+
+
 def test_bounds_output(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--d", "3", "--k", "5")
     assert code == 0

@@ -110,6 +110,13 @@ def test_parse_rejects_malformed_json():
         parse_document("{not json")
 
 
+def test_parse_rejects_an_integer_over_the_digit_limit():
+    text = '{"dim": 1, "parent": [[0, ' + "1" * 5000 + ']], "bricks": [[[0, 1]]]}'
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert str(exc.value) == "invalid JSON: an integer longer than 4300 digits"
+
+
 def test_parse_rejects_floats():
     text = '{"dim": 1, "parent": [[0, 1]], "bricks": [[[0, 0.5]]]}'
     with pytest.raises(ParseError, match="floats"):

@@ -27,8 +27,8 @@ from brickpart.constructions import slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts, first_bad_cell
 
 from helpers import (
-    as_pairs, brick_sets, hull, piercing_3d_base, slice_loop_counts, whole_grid_counts,
-    whole_grid_report,
+    as_pairs, brick_sets, hull, piercing_3d_base, reference_index_boxes, slice_loop_counts,
+    whole_grid_counts, whole_grid_report,
 )
 
 small_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -58,6 +58,22 @@ def test_make_interval_signs():
 def test_interval_rejects_floats():
     with pytest.raises(TypeError):
         Interval(0.0, 1.0)
+    with pytest.raises(TypeError):
+        Interval(Fraction(0), 1.0)
+
+
+def test_interval_coerces_int_and_str_ends():
+    for iv in (Interval(1, "5/2"), Interval("1", Fraction(5, 2)), Interval(Fraction(1), "2.5")):
+        assert (iv.lo, iv.hi) == (1, Fraction(5, 2))
+        assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
+
+
+def test_interval_rejects_equal_huge_ends():
+    with pytest.raises(DegenerateInterval):
+        Interval(Fraction(10**4000, 3), Fraction(2 * 10**4000, 6))
+    with pytest.raises(DegenerateInterval):
+        Interval(Fraction(10**4000 + 1, 3), Fraction(10**4000, 3))
+    assert Interval(Fraction(10**4000, 3), Fraction(10**4000 + 1, 3)).length == Fraction(1, 3)
 
 
 @pytest.mark.parametrize(
@@ -176,6 +192,64 @@ def test_build_grid_slicing_base():
     base = slicing_3d(3)
     grid = build_grid(base.parent, base.members)
     assert all(list(axis) == [0, 1, 2] for axis in grid.axes)
+
+
+# 7^5088 has 4,300 digits, the most a scalar may spell out
+HUGE = 7**5088
+near_scalars = st.builds(  # within 2^-64 of a small scalar: floor(x·2^64) ties
+    lambda x, j: x + Fraction(j, 2**70), small_scalars, st.integers(-64, 64)
+)
+huge_scalars = st.builds(  # a 4,300-digit numerator or denominator, either sign
+    lambda sign, a, b, up: sign * (Fraction(HUGE + a, b) if up else Fraction(a, HUGE + b)),
+    st.sampled_from([1, -1]), st.integers(0, 50), st.integers(1, 50), st.booleans(),
+)
+endpoint_scalars = st.one_of(small_scalars, near_scalars, huge_scalars)
+endpoint_pairs = st.tuples(endpoint_scalars, endpoint_scalars).filter(lambda p: p[0] != p[1])
+
+
+@given(
+    st.integers(min_value=1, max_value=2).flatmap(
+        lambda d: st.lists(
+            st.lists(endpoint_pairs.map(sorted), min_size=d, max_size=d).map(Brick.from_pairs),
+            min_size=1,
+            max_size=10,
+        )
+    )
+)
+def test_build_grid_orders_and_ranks_every_endpoint_exactly(bricks):
+    parent = hull(bricks)
+    grid = build_grid(parent, bricks)
+    axes, boxes = reference_index_boxes(parent, bricks)
+    assert grid.axes == axes
+    assert grid.boxes.tolist() == boxes
+
+
+def test_build_grid_orders_endpoints_within_2_to_the_minus_64():
+    third = Fraction(1, 3)
+    values = [third + Fraction(j, 2**70) for j in (5, -3, 0, 2, -1)] + [third + Fraction(1, HUGE)]
+    assert len({(x.numerator << 64) // x.denominator for x in values}) == 1  # every key ties
+    bricks = [Brick.from_pairs([(0, x)]) for x in values]
+    grid = build_grid(Brick.from_pairs([(0, 1)]), bricks)
+    assert grid.axes == ((0, *sorted(values), 1),)
+    assert [hi for (_, hi), in grid.boxes.tolist()] == [1 + sorted(values).index(x) for x in values]
+
+
+def test_build_grid_peak_does_not_grow_with_one_huge_denominator():
+    # one axis of 5,000 dyadic endpoints, alone and with one endpoint whose
+    # denominator has 4,300 digits; the sort key of each endpoint stays about
+    # 64 bits wider than the endpoint, so that one endpoint widens no other key
+    dyadic = [Fraction(i, 1024) for i in range(5_001)]
+    bricks = [Brick((Interval(lo, hi),)) for lo, hi in zip(dyadic, dyadic[1:])]
+    parent = Brick.from_pairs([(0, dyadic[-1])])
+    peaks = []
+    for extra in ([], [Brick.from_pairs([(0, Fraction(1, HUGE))])]):
+        tracemalloc.start()
+        try:
+            build_grid(parent, bricks + extra)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
 
 
 def test_build_grid_rejects_outside_parent():

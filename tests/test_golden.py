@@ -14,6 +14,7 @@ concatenated documents of each explicit family across its range of k.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import time
 import tracemalloc
@@ -219,6 +220,7 @@ def test_search_set_up_is_bounded_by_the_budget(capsys):
     # [0,128]^3 has 2^21 cells and 3 * 128^2 lines: nothing built before the
     # first placement may grow with them (no cell-row table, no slack per flat)
     args = ("--d", 3, "--k", 2, "--mode", "piercing", "--max-bricks", 2, "--grid", 128)
+    gc.collect()  # earlier tests' garbage is not collected inside the timed call
     start = time.perf_counter()
     assert run_cli(capsys, "search", *args, "--node-budget", 10) == SEARCH_OVER_BUDGET
     assert time.perf_counter() - start < 0.1

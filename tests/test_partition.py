@@ -28,7 +28,7 @@ from brickpart.partition import Failure
 
 from helpers import (
     as_pairs, brick_sets, first_bad_cell_midpoint, hull, parent_corners_contained, piercing_3d_base,
-    volume, whole_grid_report,
+    reference_cut, volume, whole_grid_report,
 )
 
 X1 = Brick.from_pairs([(0, 2), (3, 6), (0, 4)])
@@ -224,6 +224,17 @@ def test_cut_thirds_exact():
     pieces = cut(b, 1, 3)
     lows = [p.sides[0].lo for p in pieces] + [pieces[-1].sides[0].hi]
     assert lows == [0, Fraction(1, 3), Fraction(2, 3), 1]
+
+
+rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**12)
+
+
+@given(rationals, rationals, st.integers(min_value=1, max_value=50), st.integers(1, 2))
+def test_cut_matches_the_length_formula(a, b, n, axis):
+    sides = [(0, 1), (0, 1)]
+    sides[axis - 1] = sorted((a, b + 1 if a == b else b))
+    brick = Brick.from_pairs(sides)
+    assert cut(brick, axis, n) == reference_cut(brick, axis, n)
 
 
 def test_cut_bad_axis():
