@@ -117,9 +117,8 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        if not isinstance(self.lo, Fraction) or not isinstance(self.hi, Fraction):
-            object.__setattr__(self, "lo", as_scalar(self.lo))
-            object.__setattr__(self, "hi", as_scalar(self.hi))
+        object.__setattr__(self, "lo", as_scalar(self.lo))
+        object.__setattr__(self, "hi", as_scalar(self.hi))
         (p, q), (r, t) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
         if p * t >= r * q:  # lo >= hi, as denominators are positive
             raise DegenerateInterval(

@@ -2,14 +2,12 @@
 
 All subcommands read and write the PartitionDocument format. Exit codes:
 0 on success, 1 when verification fails (or a search hits its node budget),
-2 on usage errors including unusable input documents. The argument parser is
-built once per process, which saves time only where one process calls `main` often.
+2 on usage errors including unusable input documents.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -139,7 +137,6 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brickpart",
@@ -201,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (OSError, ValueError) as e:

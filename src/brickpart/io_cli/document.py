@@ -18,12 +18,13 @@ partitions; validation is a separate explicit step.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
 from ..errors import DimensionMismatch, ParseError
-from ..geometry import MAX_SCALAR_DIGITS, Brick, Interval, format_scalar, parse_scalar
+from ..geometry import Brick, Interval, format_scalar, parse_scalar
 from ..partition import BrickPartition
 
 
@@ -124,8 +125,9 @@ def parse_document(text: str) -> PartitionDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
-    except ValueError as e:  # int() refuses longer digit runs than Python's default limit
-        raise ParseError(f"invalid JSON: an integer longer than {MAX_SCALAR_DIGITS} digits") from e
+    except ValueError as e:  # the only other error: int() refuses a digit run over the limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: an integer longer than {limit} digits") from e
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object")
     unknown = set(raw) - _KNOWN_KEYS

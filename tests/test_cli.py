@@ -178,7 +178,6 @@ def test_main_runs_after_a_usage_error_in_the_same_process(capsys):
     assert "required" in capsys.readouterr().err
     code, out, _ = run_cli(capsys, "bounds", "--d", "3", "--k", "5")
     assert code == 0 and "slicing_lb_3d(d=3, k=5): 9" in out
-    assert cli.build_parser() is cli.build_parser()
 
 
 def test_search_out_does_not_carry_over_to_the_next_call(tmp_path, capsys):

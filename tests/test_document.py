@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -115,6 +116,18 @@ def test_parse_rejects_an_integer_over_the_digit_limit():
     with pytest.raises(ParseError) as exc:
         parse_document(text)
     assert str(exc.value) == "invalid JSON: an integer longer than 4300 digits"
+
+
+def test_parse_names_the_interpreters_own_digit_limit():
+    text = '{"dim": 1, "parent": [[0, ' + "1" * 700 + ']], "bricks": [[[0, 1]]]}'
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ParseError) as exc:
+            parse_document(text)
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert str(exc.value) == "invalid JSON: an integer longer than 640 digits"
 
 
 def test_parse_rejects_floats():
