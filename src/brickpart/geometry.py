@@ -251,33 +251,29 @@ def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:
     return BreakpointGrid(tuple(axes), boxes)
 
 
-# A corner costs one int32 coordinate per axis, so one corner reader over j
-# axes may hold _MAX_CORNERS·3 // max(3, j) signed corners (_corner_cap): a
-# constant byte budget above three axes, and 2^23 corners at up to three.
+# A corner costs one int32 coordinate per axis, so `_corners` over j axes
+# refuses more than _MAX_CORNERS·3 // max(3, j) signed corners: a constant
+# byte budget above three axes, and 2^23 corners at up to three.
 _MAX_CORNERS = 1 << 23
 _GATHER = 1 << 16  # corner coordinates copied by one numpy call in _corners
 
 
-def _corner_cap(axes: list[int]) -> int:
-    return _MAX_CORNERS * 3 // max(3, len(axes))
-
-
-def _corner_count(grid: BreakpointGrid, axes: list[int]) -> tuple[int, np.ndarray]:
-    """The members' signed corners over the given axes, 2^j each for j the axes
-    whose hi end is inside the grid, in Python ints; and those axes per member."""
-    inner = grid.boxes[:, axes, 1] < np.array(grid.shape, np.int32)[axes]
-    return sum(int(n) << j for j, n in enumerate(np.bincount(inner.sum(axis=1)))), inner
-
-
 def _corners(
-    grid: BreakpointGrid, axes: list[int], count: int, inner: np.ndarray
+    grid: BreakpointGrid, axes: list[int], refusal: str, spare: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """The members' signed index-box corners over the given 0-based axes
-    (ascending), given `_corner_count`'s count and inner axes for them: their
-    coordinates, one int32 row per axis, and their int8 signs. A half-open
-    box's indicator is the sum of [v <= p] over its corners v, signed -1 per
-    hi end taken; corners with a hi end at the grid's far side lie past every
-    cell and are dropped."""
+    (ascending): their coordinates, one int32 row per axis, and their int8
+    signs. A half-open box's indicator is the sum of [v <= p] over its
+    corners v, signed -1 per hi end taken; corners with a hi end at the
+    grid's far side lie past every cell and are dropped. Raises ResourceLimit,
+    before building any corner array, with `refusal` formatted with the total
+    and the cap, when they and `spare` more (validation's parent origin) pass
+    the cap above.
+    """
+    inner = grid.boxes[:, axes, 1] < np.array(grid.shape, np.int32)[axes]
+    count = sum(int(n) << j for j, n in enumerate(np.bincount(inner.sum(axis=1))))
+    if count + spare > (cap := _MAX_CORNERS * 3 // max(3, len(axes))):
+        raise ResourceLimit(refusal.format(count + spare, cap))
     n, coords, sign = len(inner), np.empty((len(axes), count), np.int32), np.ones(count, np.int8)
     owner = np.empty(count, np.int32)  # each corner's member
     coords[:, :n], owner[:n] = grid.boxes[:, axes, 0].T, np.arange(n)
@@ -299,14 +295,11 @@ def cell_counts(grid: BreakpointGrid, axes: Sequence[int]) -> np.ndarray:
     0-based axes (ascending), as an int32 array in C order: the members'
     signed corners scattered into it and summed along each axis in turn (a
     summed-area table). The array holds every cell of the projection, so
-    `min_flat_count` caps the projections it asks for. Raises ResourceLimit,
-    before building any corner array, above _corner_cap(axes) corners.
+    `min_flat_count` caps the projections it asks for; `_corners` caps the
+    corners.
     """
     axes = list(axes)
-    count, inner = _corner_count(grid, axes)
-    if count > (cap := _corner_cap(axes)):
-        raise ResourceLimit(f"flat counts over {count} corners exceed the cap of {cap}")
-    coords, sign = _corners(grid, axes, count, inner)
+    coords, sign = _corners(grid, axes, "flat counts over {} corners exceed the cap of {}")
     counts = np.zeros(tuple(grid.shape[a] for a in axes), dtype=np.int32)
     np.add.at(counts, tuple(coords), sign)
     for a in range(counts.ndim):
@@ -320,16 +313,12 @@ def first_bad_cell(grid: BreakpointGrid) -> tuple[int, ...] | None:
     E, the members' signed corners minus the parent's origin, sums over the
     points <= a cell to its cover count minus one, so the boxes tile the grid
     iff E is zero at every point. Otherwise the first point with E != 0 is
-    the first bad cell: every point <= it lies before it. Raises
-    ResourceLimit, before building any corner array, above _corner_cap(axes)
-    corners.
+    the first bad cell: every point <= it lies before it. `_corners` caps
+    the corners, the parent's origin counted.
     """
     axes = list(range(len(grid.shape)))
-    count, inner = _corner_count(grid, axes)
-    if count + 1 > (cap := _corner_cap(axes)):  # and the parent's origin
-        raise ResourceLimit(f"validation over {count + 1} corners exceeds the cap of {cap}")
-    coords, sign = _corners(grid, axes, count, inner)
-    del inner  # not held through the sort
+    refusal = "validation over {} corners exceeds the cap of {}"
+    coords, sign = _corners(grid, axes, refusal, spare=1)  # and the parent's origin
     order = np.lexsort(coords[::-1])  # axis 0 the primary key
     for row in coords:  # one row at a time: no second copy of them all
         row[:] = row[order]

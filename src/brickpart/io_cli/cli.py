@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from ..constructions import bounds, grid_partition, piercing_2d, piercing_3d, slicing_3d
 from ..errors import BrickError, ParseError, ResourceLimit
-from ..geometry import format_scalar, parse_scalar
+from ..geometry import format_scalar
 from ..metrics import FlatQuery, min_flat_count
 from ..partition import BrickPartition, boundary_incidence, validate
-from ..search import DEFAULT_NODE_BUDGET, Mode, SearchProblem, exists_partition
+from ..search import DEFAULT_NODE_BUDGET, SearchProblem, exists_partition
 from .document import emit_document, parse_document
-from .export import ExportOptions, FigureFormat, export_figure
+from .export import ExportOptions, export_figure
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -99,7 +98,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     problem = SearchProblem(
         d=args.d,
         k=args.k,
-        mode=Mode(args.mode),
+        mode=args.mode,
         m_max=args.max_bricks,
         g=args.grid,
         symmetry_pruning=not args.no_symmetry,
@@ -125,15 +124,12 @@ def _cmd_export(args: argparse.Namespace) -> int:
     doc = parse_document(Path(args.file).read_text())
     P = doc.to_partition()
     try:
-        exploded = parse_scalar(args.exploded) if args.exploded else Fraction(0)
-    except ParseError as e:
+        options = ExportOptions(args.precision, args.exploded, args.labels)
+    except ParseError as e:  # the one ValueError that the exploded text raises
         raise ParseError(f"--exploded: {e}") from e
-    try:
-        options = ExportOptions(precision=args.precision, exploded=exploded, labels=args.labels)
     except ValueError as e:
         raise ValueError(f"--precision: {e}") from e
-    fmt = FigureFormat.SVG2D if args.format == "svg" else FigureFormat.OBJ3D
-    _write_bytes(export_figure(P, fmt, options), args.out)
+    _write_bytes(export_figure(P, args.format, options), args.out)
     return 0
 
 
@@ -188,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="render a document as SVG (d=2) or OBJ (d=3)")
     p.add_argument("file")
     p.add_argument("--format", required=True, choices=["svg", "obj"])
-    p.add_argument("--exploded", help="OBJ: rational outward translation factor")
+    p.add_argument("--exploded", default="0", help="OBJ: rational outward translation factor")
     p.add_argument("--precision", type=int, default=6)
     p.add_argument("--labels", action="store_true", help="SVG: draw member labels")
     p.add_argument("--out", help="output file (default: stdout)")

@@ -3,11 +3,11 @@
 A parsed document is a partition plus metadata: the text carries dim,
 parent, bricks and optional labels/metadata, and `parse_document` builds the
 parent and each member once, straight into a `BrickPartition`. For the
-duration of one call, every distinct typed scalar token (the same JSON int
-or string) is parsed once into one `Fraction`, and every distinct typed
-token pair builds one `Interval`, each shared by all its occurrences; a
-token or pair that fails raises at its first occurrence and is never
-remembered, and a bool, float or nested token is never stored. The
+duration of one call, every distinct scalar token (the same JSON int or
+string) is parsed once into one `Fraction`, and every distinct token pair
+builds one `Interval`, each shared by all its occurrences; a token or pair
+that fails raises at its first occurrence and is never remembered, and a
+bool, float or nested token is never looked up or stored. The
 canonical rendering has a stable key order, two-space indentation and a
 final newline. Scalars are JSON integers when integral; otherwise strings,
 either terminating decimals ("0.5") or "p/q". JSON floats are rejected so a
@@ -68,18 +68,19 @@ def emit_document(P: BrickPartition, metadata: dict[str, Any] | None = None) -> 
     return PartitionDocument(P, metadata).emit()
 
 
-_TOKENS = (int, str)  # exact types: a bool is an int, and True == 1
-_Scalars = dict[tuple[type, Any], Fraction]  # typed token -> its scalar
-_Sides = dict[tuple[type, Any, type, Any], Interval]  # typed token pair -> its side
+# exact types, checked before any lookup: a bool is an int, and True == 1;
+# an int never equals a str, so the raw tokens are the keys
+_TOKENS = (int, str)
+_Scalars = dict[int | str, Fraction]  # token -> its scalar
+_Sides = dict[tuple[int | str, int | str], Interval]  # token pair -> its side
 
 
 def _parse_scalar_value(value: Any, where: str, scalars: _Scalars) -> Fraction:
-    key = (type(value), value)
-    if key[0] in _TOKENS:
-        x = scalars.get(key)
+    if type(value) in _TOKENS:
+        x = scalars.get(value)
         if x is None:  # a failing token raises here, so it is never stored
             try:
-                x = scalars[key] = parse_scalar(value) if key[0] is str else Fraction(value)
+                x = scalars[value] = parse_scalar(value) if type(value) is str else Fraction(value)
             except ParseError as e:
                 raise ParseError(f"{where}: {e}") from e
         return x
@@ -96,10 +97,9 @@ def _parse_pair(value: Any, where: str, sides: _Sides, scalars: _Scalars) -> Int
     if not isinstance(value, list) or len(value) != 2:
         raise ParseError(f"{where}: expected a [lo, hi] pair")
     lo, hi = value
-    key = (type(lo), lo, type(hi), hi)
-    side = sides.get(key) if key[0] in _TOKENS and key[2] in _TOKENS else None
+    side = sides.get((lo, hi)) if type(lo) in _TOKENS and type(hi) in _TOKENS else None
     if side is None:  # any other token raises here, so a failure is never stored
-        side = sides[key] = Interval(  # raises DegenerateInterval when lo >= hi
+        side = sides[lo, hi] = Interval(  # raises DegenerateInterval when lo >= hi
             _parse_scalar_value(lo, f"{where}[0]", scalars),
             _parse_scalar_value(hi, f"{where}[1]", scalars),
         )
@@ -140,8 +140,8 @@ def parse_document(text: str) -> PartitionDocument:
     dim = raw["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError("dim: expected a positive integer")
-    scalars: _Scalars = {}  # for this call: one Fraction per distinct typed token
-    sides: _Sides = {}  # and one Interval per distinct typed token pair
+    scalars: _Scalars = {}  # for this call: one Fraction per distinct token
+    sides: _Sides = {}  # and one Interval per distinct token pair
     parent = _parse_sides(raw["parent"], dim, "parent", sides, scalars)
     bricks_raw = raw["bricks"]
     if not isinstance(bricks_raw, list) or not bricks_raw:

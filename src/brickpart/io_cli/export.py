@@ -21,7 +21,7 @@ from html import escape
 from typing import Callable
 
 from ..errors import BadDimensionForFormat
-from ..geometry import MAX_SCALAR_DIGITS, Interval
+from ..geometry import MAX_SCALAR_DIGITS, Interval, as_scalar
 from ..partition import BrickPartition
 
 
@@ -33,10 +33,11 @@ class FigureFormat(Enum):
 @dataclass(frozen=True)
 class ExportOptions:
     precision: int = 6  # decimal places for rendered coordinates
-    exploded: Fraction = Fraction(0)  # OBJ: outward translation factor
+    exploded: Fraction = Fraction(0)  # OBJ: outward translation factor, coerced by as_scalar
     labels: bool = False  # SVG: draw member labels at brick centers
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "exploded", as_scalar(self.exploded))
         p = self.precision  # more digits than MAX_SCALAR_DIGITS would not convert to str
         if not 0 <= p <= MAX_SCALAR_DIGITS:
             raise ValueError(f"decimal places must be >= 0 and <= {MAX_SCALAR_DIGITS}, got {p}")
@@ -60,11 +61,6 @@ def ratio_renderer(places: int) -> Callable[[int, int], str]:
     return render
 
 
-def render_decimal(x: Fraction, places: int) -> str:
-    """A scalar rendered by `ratio_renderer`."""
-    return ratio_renderer(places)(*x.as_integer_ratio())
-
-
 def _svg_trimmed(text: str) -> str:
     """An SVG number: a rendered decimal without its trailing zeros."""
     return text.rstrip("0").rstrip(".") if "." in text else text
@@ -77,19 +73,18 @@ _PALETTE = (
 
 
 def export_figure(
-    P: BrickPartition, format: FigureFormat, options: ExportOptions | None = None
+    P: BrickPartition, format: FigureFormat | str, options: ExportOptions | None = None
 ) -> bytes:
-    """Render a partition as SVG (d=2) or OBJ (d=3) bytes."""
+    """Render a partition as SVG (d=2) or OBJ (d=3) bytes; format is coerced
+    by FigureFormat(...), so "svg" or "obj" also serve."""
     options = options or ExportOptions()
-    if format is FigureFormat.SVG2D:
+    if FigureFormat(format) is FigureFormat.SVG2D:
         if P.dim != 2:
             raise BadDimensionForFormat(f"SVG export needs d=2, got d={P.dim}")
         return _export_svg(P, options)
-    if format is FigureFormat.OBJ3D:
-        if P.dim != 3:
-            raise BadDimensionForFormat(f"OBJ export needs d=3, got d={P.dim}")
-        return _export_obj(P, options)
-    raise BadDimensionForFormat(f"unknown format {format!r}")
+    if P.dim != 3:
+        raise BadDimensionForFormat(f"OBJ export needs d=3, got d={P.dim}")
+    return _export_obj(P, options)
 
 
 def _twice_midpoint(side: Interval) -> tuple[int, int]:

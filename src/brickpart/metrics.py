@@ -8,10 +8,10 @@ met by the flat of any adjacent cell, and flats strictly inside a cell meet
 exactly the cell midpoint's members.
 
 The flat counts over one choice of fixed axes are `cell_counts` on the
-partition's grid, from the same signed corners `validate` reads. Each corner
-reader caps its own corners (geometry._MAX_CORNERS), so a partition that was
-never validated cannot ask for more; the projections are capped too: their
-cells (_MAX_FLAT_CELLS) and their axes (_MAX_FLAT_AXES, numpy 2's limit of 64).
+partition's grid, from the same signed corners `validate` reads, and
+geometry._corners caps them, so a partition that was never validated cannot
+ask for more; the projections are capped too: their cells (_MAX_FLAT_CELLS)
+and their axes (_MAX_FLAT_AXES, numpy 2's limit of 64).
 """
 
 from __future__ import annotations

@@ -106,9 +106,8 @@ def validate(P: BrickPartition) -> ValidationReport:
     is a Gap, in two or more an Overlap (the first failing cell in
     lexicographic order reported, with the members covering it).
 
-    Raises ResourceLimit, before building any corner array, when the members
-    have more signed corners inside the grid than geometry._corner_cap allows:
-    2^23 for d <= 3 and 2^23·3 // d above, so at most 3·2^23 int32 coordinates.
+    Raises ResourceLimit, before building any corner array, when the members'
+    signed corners pass the cap that geometry._corners states.
     """
     try:
         grid = P.grid

@@ -77,7 +77,8 @@ class SearchProblem:
     symmetry_pruning restricts only the first box choice to axis-sorted
     extents (axis permutations map solutions to solutions, so every orbit
     keeps a representative); node_budget caps the placements, and running out
-    raises ResourceLimit rather than reporting exhaustion.
+    raises ResourceLimit rather than reporting exhaustion. mode is coerced by
+    Mode(...), so "piercing" or "slicing" also serve.
     """
 
     d: int
@@ -89,6 +90,7 @@ class SearchProblem:
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "mode", Mode(self.mode))  # ValueError if unknown
         if self.d < 1 or self.k < 1 or self.m_max < 1 or self.g < 1:
             raise ValueError("d, k, m_max, and g must all be >= 1")
         if self.mode is Mode.SLICING and self.d < 2:

@@ -30,7 +30,7 @@ from brickpart.io_cli.export import (
     _PALETTE,
     SVG_SCALE,
     _svg_trimmed,
-    render_decimal,
+    ratio_renderer,
 )
 from brickpart.partition import Failure, ValidationReport
 from brickpart.search import SearchProblem, _Engine
@@ -336,7 +336,8 @@ def reference_svg(P: BrickPartition, options: ExportOptions) -> bytes:
     """SVG export computing and rendering every brick's x, y, w and h afresh."""
     px, py = P.parent.sides
     scale = SVG_SCALE
-    num = lambda x: _svg_trimmed(render_decimal(x, options.precision))  # noqa: E731
+    render = ratio_renderer(options.precision)
+    num = lambda x: _svg_trimmed(render(*x.as_integer_ratio()))  # noqa: E731
     width = (px.hi - px.lo) * scale
     height = (py.hi - py.lo) * scale
 
@@ -377,7 +378,8 @@ def reference_svg(P: BrickPartition, options: ExportOptions) -> bytes:
 def reference_obj(P: BrickPartition, options: ExportOptions) -> bytes:
     """OBJ export moving and rendering every brick's sides afresh, and
     joining its vertex and face lines one by one."""
-    num = lambda x: render_decimal(x, options.precision)  # noqa: E731
+    render = ratio_renderer(options.precision)
+    num = lambda x: render(*x.as_integer_ratio())  # noqa: E731
     lines = [f"# brick partition, {len(P.members)} members"]
     vertex_base = 1  # OBJ indices are 1-based
     for i, b in enumerate(P.members):

@@ -13,13 +13,14 @@ from brickpart import (
     BrickPartition,
     ExportOptions,
     FigureFormat,
+    ParseError,
     emit_document,
     export_figure,
     parse_document,
 )
 from brickpart.constructions import grid_partition, piercing_2d, piercing_3d, slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS
-from brickpart.io_cli.export import ratio_renderer, render_decimal
+from brickpart.io_cli.export import ratio_renderer
 
 from helpers import reference_obj, reference_svg
 
@@ -87,6 +88,25 @@ def test_export_options_cap_precision_at_the_scalar_digit_limit():
     with pytest.raises(ValueError, match=f"<= {MAX_SCALAR_DIGITS}, got {MAX_SCALAR_DIGITS + 1}"):
         ExportOptions(precision=MAX_SCALAR_DIGITS + 1)
     assert ExportOptions(precision=MAX_SCALAR_DIGITS).precision == MAX_SCALAR_DIGITS
+
+
+def test_export_options_coerce_exploded_as_a_scalar():
+    with pytest.raises(TypeError, match="floating-point"):
+        ExportOptions(exploded=0.1)
+    P = piercing_3d(4)
+    by_text = export_figure(P, FigureFormat.OBJ3D, ExportOptions(exploded="1/4"))
+    assert by_text == export_figure(P, FigureFormat.OBJ3D, ExportOptions(exploded=Fraction(1, 4)))
+    assert ExportOptions(exploded="-0.5").exploded == Fraction(-1, 2)
+    with pytest.raises(ParseError):
+        ExportOptions(exploded="1e3")
+
+
+def test_export_figure_coerces_the_format_text():
+    P2, P3 = piercing_2d(3), piercing_3d(3)
+    assert export_figure(P3, "obj") == export_figure(P3, FigureFormat.OBJ3D)
+    assert export_figure(P2, "svg") == export_figure(P2, FigureFormat.SVG2D)
+    with pytest.raises(ValueError, match="'png' is not a valid FigureFormat"):
+        export_figure(P2, "png")
 
 
 def test_exports_are_deterministic():
@@ -172,7 +192,7 @@ def test_svg_labels_are_escaped():
     ],
 )
 def test_render_decimal(value, places, text):
-    assert render_decimal(value, places) == text
+    assert ratio_renderer(places)(*value.as_integer_ratio()) == text
 
 
 def _reference_decimal(x: Fraction, places: int) -> str:
@@ -192,7 +212,7 @@ def _reference_decimal(x: Fraction, places: int) -> str:
 )
 def test_render_decimal_matches_fraction_rounding(num, den, places):
     x = Fraction(num, den)
-    assert render_decimal(x, places) == _reference_decimal(x, places)
+    assert ratio_renderer(places)(*x.as_integer_ratio()) == _reference_decimal(x, places)
 
 
 @given(
@@ -206,4 +226,5 @@ def test_render_decimal_matches_fraction_rounding(num, den, places):
 @example(-3, 20, 7, 1)
 @example(-1, 2000, 4, 3)
 def test_ratio_renderer_reads_unreduced_ratios(num, den, k, places):
-    assert ratio_renderer(places)(k * num, k * den) == render_decimal(Fraction(num, den), places)
+    expected = ratio_renderer(places)(*Fraction(num, den).as_integer_ratio())
+    assert ratio_renderer(places)(k * num, k * den) == expected

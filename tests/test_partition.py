@@ -16,6 +16,7 @@ from brickpart import (
     ConstructionInvalid,
     DimensionMismatch,
     FailureKind,
+    ResourceLimit,
     boundary_incidence,
     cut,
     grid_partition,
@@ -23,6 +24,7 @@ from brickpart import (
     refine,
     validate,
 )
+from brickpart import geometry
 from brickpart.constructions import slicing_3d
 from brickpart.partition import Failure
 
@@ -164,6 +166,17 @@ def test_validate_peak_memory_per_corner():
     finally:
         tracemalloc.stop()
     assert peak <= 26 * 205_380
+
+
+def test_validation_cap_counts_the_parent_origin(monkeypatch):
+    # a member has 2^j corners, j its axes ending inside the grid: (1 + 2)^3
+    # over grid_partition(3, 2)'s eight cells, and the parent's origin makes 28
+    P = grid_partition(3, 2)
+    monkeypatch.setattr(geometry, "_MAX_CORNERS", 28)
+    assert validate(P).valid
+    monkeypatch.setattr(geometry, "_MAX_CORNERS", 27)
+    with pytest.raises(ResourceLimit, match="^validation over 28 corners exceeds the cap of 27$"):
+        validate(P)
 
 
 def test_validate_time_grows_linearly_with_the_dimension():

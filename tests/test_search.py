@@ -130,6 +130,16 @@ def test_problem_validation():
             SearchProblem(d, 2, Mode.PIERCING, 1, g)
 
 
+def test_problem_coerces_the_mode_text():
+    # the text runs the piercing search, not the slicing one, which finds 4 bricks
+    by_name = _run(3, 2, "piercing", 4, 2)
+    assert by_name == _run(3, 2, Mode.PIERCING, 4, 2)
+    assert by_name.status is SearchStatus.EXHAUSTED_NONE and by_name.nodes_explored == 14
+    assert SearchProblem(3, 2, "slicing", 4, 2).mode is Mode.SLICING
+    with pytest.raises(ValueError, match="'lines' is not a valid Mode"):
+        SearchProblem(3, 2, "lines", 4, 2)
+
+
 @pytest.mark.parametrize("d, g", [(2, 4), (3, 3)])
 def test_move_masks_are_the_cells_of_each_box(d, g):
     # reference: one bit per cell, at the cell's base-g index; one field
