@@ -92,18 +92,24 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+_SEARCH_FLAGS = {"d": "--d", "k": "--k", "m_max": "--max-bricks", "g": "--grid",
+                 "node_budget": "--node-budget"}  # fmt: skip
+
+
 def _cmd_search(args: argparse.Namespace) -> int:
-    if args.node_budget < 0:
-        raise ValueError(f"--node-budget: must be >= 0, got {args.node_budget}")
-    problem = SearchProblem(
-        d=args.d,
-        k=args.k,
-        mode=args.mode,
-        m_max=args.max_bricks,
-        g=args.grid,
-        symmetry_pruning=not args.no_symmetry,
-        node_budget=args.node_budget,
-    )
+    try:
+        problem = SearchProblem(
+            d=args.d,
+            k=args.k,
+            mode=args.mode,
+            m_max=args.max_bricks,
+            g=args.grid,
+            symmetry_pruning=not args.no_symmetry,
+            node_budget=args.node_budget,
+        )
+    except ValueError as e:  # "<field>: <reason>", reported under the field's flag
+        field, _, reason = str(e).partition(": ")
+        raise ValueError(f"{_SEARCH_FLAGS[field]}: {reason}") from e
     try:
         outcome = exists_partition(problem)
     except ResourceLimit as e:

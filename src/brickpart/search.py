@@ -24,9 +24,24 @@ the cover, and it has a solution only if the free cells form one box R at
 that anchor: every free move is then a sub-box of R, so R comes last in the
 product move order, and the solution is reached after exactly those
 placements. Both depend on the cover alone, not on the slack, so they are
-kept per cover in a dict that is cleared when it holds _LAST_BOX_ENTRIES
+kept per cover in a dict that is cleared when it holds _TABLE_ENTRIES
 covers; the budget is checked while an entry is read, so it still bounds the
 move tables. Node counts and solution order are those of the full DFS.
+
+An exhausted subtree is searched once. Below a placement the DFS depends
+only on the cover, the packed slack and the boxes left (the symmetry filter
+acts on the first box alone), so its placements and solutions do too. A
+subtree searched to its end without a solution keeps its placement count in
+a second table, keyed by those three values, and the DFS adds that count in
+place of entering the subtree again. Node counts and solution order stay
+those of the full DFS, as a subtree that yields a solution is never stored,
+and the budget is checked after the count is added: a count that passes it
+stops the search at budget + 1 placements, where the skipped subtree would
+have. Only subtrees with at least 3 boxes to place are stored; one with 2 is
+a loop over one anchor's moves with a last-box lookup each, and storing those
+too multiplied the entries by 5 and the peak memory by 2 on p(2,3) m=7 g=6
+for no time saved. The table is cleared at _TABLE_ENTRIES entries, as the
+last-box table is.
 
 An ExhaustedNone outcome is a claim about partitions of the grid [0,g]^d,
 and it covers every continuous partition into at most m_max bricks once
@@ -56,7 +71,7 @@ from .partition import BrickPartition
 
 DEFAULT_NODE_BUDGET = 10**8
 _MAX_CELLS = 1 << 26  # the cover mask is a g^d-bit int, built before any placement
-_LAST_BOX_ENTRIES = 1 << 16  # the last-box cache is cleared when it holds this many
+_TABLE_ENTRIES = 1 << 16  # each of the DFS's tables is cleared when it holds this many
 IndexBox = tuple[tuple[int, int], ...]  # half-open (lo, hi) cell-index range per axis
 
 
@@ -78,7 +93,8 @@ class SearchProblem:
     extents (axis permutations map solutions to solutions, so every orbit
     keeps a representative); node_budget caps the placements, and running out
     raises ResourceLimit rather than reporting exhaustion. mode is coerced by
-    Mode(...), so "piercing" or "slicing" also serve.
+    Mode(...), so "piercing" or "slicing" also serve. Any other bad field
+    raises ValueError("<field>: <reason>").
     """
 
     d: int
@@ -91,15 +107,16 @@ class SearchProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", Mode(self.mode))  # ValueError if unknown
-        if self.d < 1 or self.k < 1 or self.m_max < 1 or self.g < 1:
-            raise ValueError("d, k, m_max, and g must all be >= 1")
+        for field in ("d", "k", "m_max", "g"):
+            if (value := getattr(self, field)) < 1:
+                raise ValueError(f"{field}: must be >= 1, got {value}")
         if self.mode is Mode.SLICING and self.d < 2:
-            raise ValueError("slicing mode needs d >= 2")
+            raise ValueError(f"d: slicing mode needs d >= 2, got {self.d}")
         # g^27 > 2^26 for any g >= 2, so the power stays small for every d
         if self.g ** min(self.d, 27) > _MAX_CELLS:
-            raise ValueError(f"--grid {self.g} in d={self.d}: more than 2^26 cells")
+            raise ValueError(f"g: {self.g} in d={self.d} gives more than 2^26 cells")
         if self.node_budget < 0:
-            raise ValueError(f"node budget must be >= 0, got {self.node_budget}")
+            raise ValueError(f"node_budget: must be >= 0, got {self.node_budget}")
 
     @property
     def proof_complete(self) -> bool:
@@ -134,7 +151,9 @@ class _Engine:
     def __init__(self, problem: SearchProblem):
         self.problem = problem
         d, g = problem.d, problem.g
-        self.full = (1 << g**d) - 1  # every cell covered
+        self.cells = g**d
+        self.full = (1 << self.cells) - 1  # every cell covered
+        self.left_bits = problem.m_max.bit_length()
         self.budget = problem.node_budget
         # fixed[a]: the axes that flat class a fixes, every axis but a for lines
         # (piercing) and axis a alone for slabs (slicing). Each class fixes n
@@ -158,6 +177,9 @@ class _Engine:
         # the free cells form one box, whose move is then last_move[cover].
         self.last_box: dict[int, int] = {}
         self.last_move: dict[int, _Move] = {}
+        # The placements of each subtree searched to its end without a
+        # solution, keyed by its (slack, cover, boxes left) packed in one int.
+        self.exhausted: dict[int, int] = {}
 
     def _build_moves(self, anchor: int) -> Iterator[_Move]:
         """Yield the anchor's moves as they are built; keep the list once it is
@@ -185,12 +207,15 @@ class _Engine:
 
     def solutions(self) -> Iterator[list[IndexBox]]:
         """Yield the boxes of each complete k-satisfying partition, in
-        canonical order. self.nodes counts the placements so far."""
-        self.nodes = 0
+        canonical order. self.nodes counts the placements so far, and
+        self.found the solutions yielded so far."""
+        self.nodes = self.found = 0
         slack = self.flat_size - self.problem.k  # every flat's, before any box
         if slack < 0:
             return  # no flat can ever meet k boxes at this grid size
-        yield from self._dfs(0, self.ones * ((1 << self.width - 1) + slack), [])
+        for boxes in self._dfs(0, self.ones * ((1 << self.width - 1) + slack), []):
+            self.found += 1  # before the yield, so a frame resumed after it sees it
+            yield boxes
 
     def _dfs(self, cover: int, slack: int, boxes: list[IndexBox]) -> Iterator[list[IndexBox]]:
         idx = (~cover & (cover + 1)).bit_length() - 1  # the lowest clear bit
@@ -214,7 +239,21 @@ class _Engine:
                 # Complete: every flat has no uncovered cell left, so its slack
                 # >= 0 says it meets at least k boxes.
                 yield boxes + [box]
-            elif left > 2:
+            elif left > 3:
+                key = ((after << self.cells | child) << self.left_bits) + left
+                n = self.exhausted.get(key)
+                if n is None:
+                    nodes, found = self.nodes, self.found
+                    yield from self._dfs(child, after, boxes + [box])
+                    if self.found == found:
+                        if len(self.exhausted) >= _TABLE_ENTRIES:
+                            self.exhausted.clear()
+                        self.exhausted[key] = self.nodes - nodes
+                else:
+                    self.nodes += n
+                    if self.nodes > budget:
+                        self._over_budget()
+            elif left == 3:
                 yield from self._dfs(child, after, boxes + [box])
             elif left == 2:
                 n = self.last_box.get(child) or self._last_box(child)
@@ -231,7 +270,7 @@ class _Engine:
         `cover`, negated if the last of them completes it. The placements are
         counted, and the budget checked, as the anchor's moves are read, so
         the budget bounds this table too."""
-        if len(self.last_box) >= _LAST_BOX_ENTRIES:
+        if len(self.last_box) >= _TABLE_ENTRIES:
             self.last_box.clear()
             self.last_move.clear()
         idx = (~cover & (cover + 1)).bit_length() - 1

@@ -236,7 +236,22 @@ def test_search_rejects_a_grid_above_the_cell_cap(capsys):
     code, out, err = run_cli(capsys, "search", "--d", "2", "--k", "2", "--mode", "piercing",
                              "--max-bricks", "1", "--grid", str(2**13 + 1), "--node-budget", "1")
     assert (code, out) == (2, "")
-    assert err.startswith("error: --grid 8193 in d=2: ")
+    assert err == "error: --grid: 8193 in d=2 gives more than 2^26 cells\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--d", "0", "must be >= 1, got 0"),
+    ("--k", "0", "must be >= 1, got 0"),
+    ("--max-bricks", "-1", "must be >= 1, got -1"),
+    ("--grid", "0", "must be >= 1, got 0"),
+    ("--d", "1", "slicing mode needs d >= 2, got 1"),
+])
+def test_search_names_the_flag_of_each_bad_parameter(capsys, flag, value, message):
+    # SearchProblem owns the rules; the CLI only renames the field to its flag
+    argv = {"--d": "3", "--k": "2", "--mode": "slicing", "--max-bricks": "4", "--grid": "3"}
+    argv[flag] = value
+    code, out, err = run_cli(capsys, "search", *(x for pair in argv.items() for x in pair))
+    assert (code, out, err) == (2, "", f"error: {flag}: {message}\n")
 
 
 def test_search_rejects_negative_node_budget(capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -116,17 +117,23 @@ def test_resource_limit_is_not_exhaustion():
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        SearchProblem(0, 2, Mode.PIERCING, 1, 2)
-    with pytest.raises(ValueError):
-        SearchProblem(1, 2, Mode.SLICING, 1, 2)
-    with pytest.raises(ValueError, match="node budget must be >= 0"):
+    # each refusal names the field at fault, not a CLI flag
+    for args, message in [
+        ((0, 2, Mode.PIERCING, 1, 2), "d: must be >= 1, got 0"),
+        ((2, -1, Mode.PIERCING, 1, 2), "k: must be >= 1, got -1"),
+        ((2, 2, Mode.PIERCING, 0, 2), "m_max: must be >= 1, got 0"),
+        ((2, 2, Mode.PIERCING, 1, 0), "g: must be >= 1, got 0"),
+        ((1, 2, Mode.SLICING, 1, 2), "d: slicing mode needs d >= 2, got 1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SearchProblem(*args)
+    with pytest.raises(ValueError, match="^node_budget: must be >= 0, got -1$"):
         SearchProblem(2, 2, Mode.PIERCING, 1, 2, node_budget=-1)
     assert SearchProblem(2, 2, Mode.PIERCING, 1, 2).node_budget == 10**8
     # the g^d-cell cover mask would be built before the node budget applies
     SearchProblem(2, 2, Mode.PIERCING, 1, 2**13)  # 2^26 cells: the largest allowed
     for d, g in [(3, 3000), (2, 2**13 + 1), (27, 2), (10**9, 2)]:
-        with pytest.raises(ValueError, match=f"--grid {g} in d={d}: more than 2\\^26 cells"):
+        with pytest.raises(ValueError, match=f"^g: {g} in d={d} gives more than 2\\^26 cells$"):
             SearchProblem(d, 2, Mode.PIERCING, 1, g)
 
 
@@ -169,6 +176,26 @@ def test_move_masks_are_the_cells_of_each_box(d, g):
                 assert fields >> w * len(flats) == 0
 
 
+class _Reuses(dict):
+    """An exhausted-subtree table that records the span of placements,
+    (placements before, placements after), that each answered lookup adds."""
+
+    def __init__(self, engine):
+        super().__init__()
+        self.engine, self.spans = engine, []
+
+    def get(self, key, default=None):
+        n = super().get(key, default)
+        if n is not None:
+            self.spans.append((self.engine.nodes, self.engine.nodes + n))
+        return n
+
+
+# each stores exhausted subtrees next to subtrees that yield solutions, and
+# skips some of them, with symmetry pruning on and off
+_REUSING = [(2, 3, Mode.PIERCING, 8, 4), (3, 3, Mode.SLICING, 5, 3)]
+
+
 @pytest.mark.parametrize(
     "d, k, mode, m, g",
     [
@@ -187,14 +214,18 @@ def test_move_masks_are_the_cells_of_each_box(d, g):
         (3, 1, Mode.SLICING, 2, 3),
         (2, 2, Mode.PIERCING, 2, 4),
         (3, 2, Mode.SLICING, 2, 2),
+        *_REUSING,
     ],
 )
 def test_engine_matches_the_list_slack_oracle(d, k, mode, m, g):
     for symmetry in (True, False):
         engine = _Engine(SearchProblem(d, k, mode, m, g, symmetry_pruning=symmetry))
+        engine.exhausted = table = _Reuses(engine)
         found = [(engine.nodes, boxes) for boxes in engine.solutions()]
         expected = list_slack_search(d, k, mode is Mode.PIERCING, m, g, symmetry)
         assert (found, engine.nodes) == expected
+        if (d, k, mode, m, g) in _REUSING:
+            assert table.spans  # the comparison covers skipped subtrees
 
 
 def test_node_budget_bounds_the_first_anchors_moves():
@@ -213,11 +244,23 @@ def test_node_budget_bounds_the_first_anchors_moves():
 
 def test_engine_matches_the_oracle_when_the_last_box_cache_is_cleared(monkeypatch):
     # a bound of one entry clears the cache before every new cover
-    monkeypatch.setattr(search, "_LAST_BOX_ENTRIES", 1)
+    monkeypatch.setattr(search, "_TABLE_ENTRIES", 1)
     engine = _Engine(SearchProblem(2, 1, Mode.PIERCING, 5, 3, symmetry_pruning=False))
     found = [(engine.nodes, boxes) for boxes in engine.solutions()]
     assert (found, engine.nodes) == list_slack_search(2, 1, True, 5, 3, False)
     assert len(engine.last_box) == 1 and len(engine.last_move) <= 1
+
+
+@pytest.mark.parametrize("d, k, mode, m, g", _REUSING)
+def test_engine_matches_the_oracle_when_the_subtree_table_is_cleared(monkeypatch, d, k, mode, m, g):
+    # a bound of one entry clears the table before every new subtree is stored
+    monkeypatch.setattr(search, "_TABLE_ENTRIES", 1)
+    for symmetry in (True, False):
+        engine = _Engine(SearchProblem(d, k, mode, m, g, symmetry_pruning=symmetry))
+        found = [(engine.nodes, boxes) for boxes in engine.solutions()]
+        expected = list_slack_search(d, k, mode is Mode.PIERCING, m, g, symmetry)
+        assert (found, engine.nodes) == expected
+        assert len(engine.exhausted) == 1
 
 
 @pytest.mark.parametrize(
@@ -232,15 +275,33 @@ def test_engine_matches_the_oracle_when_the_last_box_cache_is_cleared(monkeypatc
 )
 def test_every_node_budget_stops_at_its_first_excess_placement(d, k, mode, m, g):
     # placements counted a cover at a time must stop where one at a time would
-    full = exists_partition(SearchProblem(d, k, mode, m, g))
-    n = full.nodes_explored
-    for budget in range(n + 3):
-        problem = SearchProblem(d, k, mode, m, g, node_budget=budget)
-        if budget >= n:
-            out = exists_partition(problem)
-            assert (out.status, out.nodes_explored) == (full.status, n)
-            assert (out.witness and out.witness.members) == (full.witness and full.witness.members)
-        else:
-            message = f"node budget {budget} exceeded at {budget + 1} placements"
-            with pytest.raises(ResourceLimit, match=f"^{message}$"):
-                exists_partition(problem)
+    problem = SearchProblem(d, k, mode, m, g)
+    full = exists_partition(problem)
+    for budget in range(full.nodes_explored + 3):
+        _assert_budget_stops_as_one_at_a_time(replace(problem, node_budget=budget), full)
+
+
+def test_a_node_budget_stops_inside_a_skipped_subtree_at_its_first_excess_placement():
+    # placements added a subtree at a time must stop where one at a time would;
+    # every budget is tried near both ends of each skipped subtree's span
+    problem = SearchProblem(2, 3, Mode.PIERCING, 7, 4)
+    engine = _Engine(problem)
+    engine.exhausted = table = _Reuses(engine)
+    assert list(engine.solutions()) == [] and len(table.spans) == 5
+    full = exists_partition(problem)
+    assert full.nodes_explored == engine.nodes == 2369
+    budgets = {b for span in table.spans for end in span for b in range(end - 2, end + 3)}
+    for budget in sorted(budgets):
+        _assert_budget_stops_as_one_at_a_time(replace(problem, node_budget=budget), full)
+
+
+def _assert_budget_stops_as_one_at_a_time(problem, full):
+    budget, n = problem.node_budget, full.nodes_explored
+    if budget >= n:
+        out = exists_partition(problem)
+        assert (out.status, out.nodes_explored) == (full.status, n)
+        assert (out.witness and out.witness.members) == (full.witness and full.witness.members)
+    else:
+        message = f"node budget {budget} exceeded at {budget + 1} placements"
+        with pytest.raises(ResourceLimit, match=f"^{message}$"):
+            exists_partition(problem)
