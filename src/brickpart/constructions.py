@@ -44,9 +44,9 @@ def bounds(d: int, k: int) -> dict[BoundKind, int]:
     bound; in dimension 3 additionally the 2k-1 slicing lower bound.
     """
     if d < 1:
-        raise ValueError("dimension must be >= 1")
+        raise ValueError("d: dimension must be >= 1")
     if k < 2:
-        raise BadK("bounds are defined for k >= 2")
+        raise BadK("k: bounds are defined for k >= 2")
     out = {BoundKind.ELEMENTARY_PIERCING_LB: elementary_piercing_lb(d, k)}
     out[BoundKind.TRIVIAL_GRID_UB] = k**d
     if d == 3:
@@ -57,9 +57,9 @@ def bounds(d: int, k: int) -> dict[BoundKind, int]:
 def grid_partition(d: int, k: int) -> BrickPartition:
     """[0,k]^d split into k^d unit cells; k-piercing by construction."""
     if d < 1:
-        raise ValueError("dimension must be >= 1")
+        raise ValueError("d: dimension must be >= 1")
     if k < 1:
-        raise BadK("grid partition needs k >= 1")
+        raise BadK("k: grid partition needs k >= 1")
     parent = Brick.from_pairs([(0, k)] * d)
     unit = [Interval(c, c + 1) for c in range(k)]  # shared by every member
     members = tuple(Brick(sides) for sides in product(unit, repeat=d))
@@ -122,14 +122,14 @@ def _refined(rows: tuple[_Row, ...], side: int, k: int) -> BrickPartition:
 def piercing_3d(k: int) -> BrickPartition:
     """k-piercing partition of [0,6]^3 with exactly 12k-15 members (k >= 3)."""
     if k < 3:
-        raise BadK("piercing_3d needs k >= 3")
+        raise BadK("k: piercing_3d needs k >= 3")
     return _refined(_PIERCING_3D_BASE, 6, k)
 
 
 def slicing_3d(k: int) -> BrickPartition:
     """k-slicing partition of [0,2]^3: 4 members at k = 2, 2k-1 for k >= 3."""
     if k < 2:
-        raise BadK("slicing_3d needs k >= 2")
+        raise BadK("k: slicing_3d needs k >= 2")
     return _refined(_SLICING_3D_K2 if k == 2 else _SLICING_3D_BASE, 2, k)
 
 
@@ -167,7 +167,7 @@ def piercing_2d(k: int) -> BrickPartition:
     ConstructionInvalid rather than return unverified bricks.
     """
     if k < 2:
-        raise BadK("piercing_2d needs k >= 2")
+        raise BadK("k: piercing_2d needs k >= 2")
     parent = Brick.from_pairs([(0, 2 * (k - 1))] * 2)
     P = BrickPartition(parent, tuple(Brick.from_pairs(m) for m in _pinwheel(k)))
     report = validate(P)

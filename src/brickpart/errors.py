@@ -2,7 +2,8 @@
 
 Each error about an input or a parameter (an unusable document, a bad k,
 axis, codimension, query or export format) is also a `ValueError`; the CLI
-exits 2 on a `ValueError` and 1 on any other `BrickError`.
+exits 2 on a `ValueError` and 1 on any other `BrickError`. An API refusing a
+parameter says "<field>: <reason>", and the CLI reports it under the field's flag.
 """
 
 

@@ -129,10 +129,6 @@ class Interval:
     def length(self) -> Fraction:
         return self.hi - self.lo
 
-    @property
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def contains(self, x: ScalarLike) -> bool:
         return self.lo <= as_scalar(x) <= self.hi
 

@@ -10,15 +10,34 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
-from ..constructions import bounds, grid_partition, piercing_2d, piercing_3d, slicing_3d
-from ..errors import BrickError, ParseError, ResourceLimit
+from ..constructions import BoundKind, bounds, grid_partition, piercing_2d, piercing_3d, slicing_3d
+from ..errors import BrickError, ResourceLimit
 from ..geometry import format_scalar
 from ..metrics import FlatQuery, min_flat_count
 from ..partition import BrickPartition, boundary_incidence, validate
-from ..search import DEFAULT_NODE_BUDGET, SearchProblem, exists_partition
+from ..search import DEFAULT_NODE_BUDGET, Mode, SearchProblem, exists_partition
 from .document import emit_document, parse_document
-from .export import ExportOptions, export_figure
+from .export import ExportOptions, FigureFormat, export_figure
+
+# Every API the CLI calls refuses a bad parameter as ValueError("<field>: <reason>");
+# the CLI reports it under the field's flag.
+_FLAGS = {"d": "--d", "k": "--k", "m_max": "--max-bricks", "g": "--grid",
+          "node_budget": "--node-budget", "precision": "--precision",
+          "exploded": "--exploded"}  # fmt: skip
+
+
+def _flagged(make: Callable[..., Any], **fields: Any) -> Any:
+    """make(**fields), with a refusal "<field>: <reason>" of a field passed here
+    raised again as "<flag>: <reason>"; any other error passes through as it is."""
+    try:
+        return make(**fields)
+    except ValueError as e:
+        field, _, reason = str(e).partition(": ")
+        if field not in fields or field not in _FLAGS:
+            raise
+        raise ValueError(f"{_FLAGS[field]}: {reason}") from e
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -51,11 +70,12 @@ def _print_flat_count(P: BrickPartition, free_axis_count: int, name: str) -> Non
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.family == "grid":
-        P = grid_partition(args.d, args.k)
+        P = _flagged(grid_partition, d=args.d, k=args.k)
         metadata = {"generator": "grid", "d": args.d, "k": args.k}
     else:  # built per call, so it holds the module's current functions
         build = {"piercing2d": piercing_2d, "piercing3d": piercing_3d, "slicing3d": slicing_3d}
-        P, metadata = build[args.family](args.k), {"generator": args.family, "k": args.k}
+        P = _flagged(build[args.family], k=args.k)
+        metadata = {"generator": args.family, "k": args.k}
     _write_text(emit_document(P, metadata=metadata), args.out)
     return 0
 
@@ -86,30 +106,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+def _printable_bounds(d: int, k: int) -> dict[BoundKind, int]:
+    """bounds(d, k), refused before it is computed if k^d, the largest bound, has
+    more digits than str() converts: k >= 2 makes k^d >= 2^(d·(bits(k) - 1)), so
+    the first test refuses only past the limit, and k^d stays under 2^(8·limit)."""
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if limit and k >= 2 and d >= 1:
+        if d * (k.bit_length() - 1) > 4 * limit or k**d >= 10**limit:
+            raise ValueError(f"d: k^d = {k}^{d} has more than {limit} digits")
+    return bounds(d, k)
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    for kind, value in bounds(args.d, args.k).items():
+    for kind, value in _flagged(_printable_bounds, d=args.d, k=args.k).items():
         print(f"{kind.value}(d={args.d}, k={args.k}): {value}")
     return 0
 
 
-_SEARCH_FLAGS = {"d": "--d", "k": "--k", "m_max": "--max-bricks", "g": "--grid",
-                 "node_budget": "--node-budget"}  # fmt: skip
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
-    try:
-        problem = SearchProblem(
-            d=args.d,
-            k=args.k,
-            mode=args.mode,
-            m_max=args.max_bricks,
-            g=args.grid,
-            symmetry_pruning=not args.no_symmetry,
-            node_budget=args.node_budget,
-        )
-    except ValueError as e:  # "<field>: <reason>", reported under the field's flag
-        field, _, reason = str(e).partition(": ")
-        raise ValueError(f"{_SEARCH_FLAGS[field]}: {reason}") from e
+    problem = _flagged(
+        SearchProblem, d=args.d, k=args.k, mode=args.mode, m_max=args.max_bricks, g=args.grid,
+        symmetry_pruning=not args.no_symmetry, node_budget=args.node_budget
+    )
     try:
         outcome = exists_partition(problem)
     except ResourceLimit as e:
@@ -129,12 +147,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     doc = parse_document(Path(args.file).read_text())
     P = doc.to_partition()
-    try:
-        options = ExportOptions(args.precision, args.exploded, args.labels)
-    except ParseError as e:  # the one ValueError that the exploded text raises
-        raise ParseError(f"--exploded: {e}") from e
-    except ValueError as e:
-        raise ValueError(f"--precision: {e}") from e
+    options = _flagged(
+        ExportOptions, precision=args.precision, exploded=args.exploded, labels=args.labels
+    )
     _write_bytes(export_figure(P, args.format, options), args.out)
     return 0
 
@@ -170,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="exhaustive minimality search on a cell grid")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", required=True, choices=["piercing", "slicing"])
+    p.add_argument("--mode", required=True, choices=[m.value for m in Mode])
     p.add_argument("--max-bricks", type=int, required=True)
     p.add_argument("--grid", type=int, required=True)
     p.add_argument(
@@ -189,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="render a document as SVG (d=2) or OBJ (d=3)")
     p.add_argument("file")
-    p.add_argument("--format", required=True, choices=["svg", "obj"])
+    p.add_argument("--format", required=True, choices=[f.value for f in FigureFormat])
     p.add_argument("--exploded", default="0", help="OBJ: rational outward translation factor")
     p.add_argument("--precision", type=int, default=6)
     p.add_argument("--labels", action="store_true", help="SVG: draw member labels")

@@ -20,7 +20,7 @@ from fractions import Fraction
 from html import escape
 from typing import Callable
 
-from ..errors import BadDimensionForFormat
+from ..errors import BadDimensionForFormat, ParseError
 from ..geometry import MAX_SCALAR_DIGITS, Interval, as_scalar
 from ..partition import BrickPartition
 
@@ -36,11 +36,14 @@ class ExportOptions:
     exploded: Fraction = Fraction(0)  # OBJ: outward translation factor, coerced by as_scalar
     labels: bool = False  # SVG: draw member labels at brick centers
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exploded", as_scalar(self.exploded))
-        p = self.precision  # more digits than MAX_SCALAR_DIGITS would not convert to str
-        if not 0 <= p <= MAX_SCALAR_DIGITS:
-            raise ValueError(f"decimal places must be >= 0 and <= {MAX_SCALAR_DIGITS}, got {p}")
+    def __post_init__(self) -> None:  # a refusal reads "<field>: <reason>"
+        try:
+            object.__setattr__(self, "exploded", as_scalar(self.exploded))
+        except ParseError as e:
+            raise ParseError(f"exploded: {e}") from e
+        p, top = self.precision, MAX_SCALAR_DIGITS  # more digits would not convert to str
+        if not 0 <= p <= top:
+            raise ValueError(f"precision: decimal places must be >= 0 and <= {top}, got {p}")
 
 
 SVG_SCALE = 48  # SVG pixels per geometry unit

@@ -71,6 +71,7 @@ from .partition import BrickPartition
 
 DEFAULT_NODE_BUDGET = 10**8
 _MAX_CELLS = 1 << 26  # the cover mask is a g^d-bit int, built before any placement
+_MAX_AXES = _MAX_CELLS.bit_length() - 1  # the most axes of a g >= 2 grid under the cap
 _TABLE_ENTRIES = 1 << 16  # each of the DFS's tables is cleared when it holds this many
 IndexBox = tuple[tuple[int, int], ...]  # half-open (lo, hi) cell-index range per axis
 
@@ -113,8 +114,10 @@ class SearchProblem:
         if self.mode is Mode.SLICING and self.d < 2:
             raise ValueError(f"d: slicing mode needs d >= 2, got {self.d}")
         # g^27 > 2^26 for any g >= 2, so the power stays small for every d
-        if self.g ** min(self.d, 27) > _MAX_CELLS:
+        if self.g ** min(self.d, _MAX_AXES + 1) > _MAX_CELLS:
             raise ValueError(f"g: {self.g} in d={self.d} gives more than 2^26 cells")
+        if self.d > _MAX_AXES:  # only at g = 1; the set-up builds d·(d-1) axis tuples
+            raise ValueError(f"d: must be <= {_MAX_AXES}, got {self.d}")
         if self.node_budget < 0:
             raise ValueError(f"node_budget: must be >= 0, got {self.node_budget}")
 

@@ -359,8 +359,8 @@ def reference_svg(P: BrickPartition, options: ExportOptions) -> bytes:
         )
     if options.labels and P.labels is not None:
         for b, label in zip(P.members, P.labels):
-            cx = (b.sides[0].midpoint - px.lo) * scale
-            cy = (py.hi - b.sides[1].midpoint) * scale
+            cx = ((b.sides[0].lo + b.sides[0].hi) / 2 - px.lo) * scale
+            cy = (py.hi - (b.sides[1].lo + b.sides[1].hi) / 2) * scale
             text = escape(label, quote=False)  # a label is text, not markup
             lines.append(
                 f'  <text x="{num(cx)}" y="{num(cy)}" font-size="12" '
@@ -386,7 +386,7 @@ def reference_obj(P: BrickPartition, options: ExportOptions) -> bytes:
         label = P.labels[i] if P.labels is not None else f"member_{i}"
         ends = []  # per axis: the side's (lo, hi), moved outward and rendered
         for side, parent_side in zip(b.sides, P.parent.sides):
-            offset = (side.midpoint - parent_side.midpoint) * options.exploded
+            offset = (side.lo + side.hi - parent_side.lo - parent_side.hi) / 2 * options.exploded
             ends.append((num(side.lo + offset), num(side.hi + offset)))
         lines.append(f"o {label}")
         for j in range(8):

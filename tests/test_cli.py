@@ -1,5 +1,7 @@
+import argparse
 import io
 import json
+import sys
 import time
 import tracemalloc
 import weakref
@@ -259,6 +261,100 @@ def test_search_rejects_negative_node_budget(capsys):
                              "--max-bricks", "4", "--grid", "3", "--node-budget", "-5")
     assert (code, out) == (2, "")
     assert "--node-budget" in err
+
+
+_SEARCH = ("search", "--k", "1", "--mode", "piercing", "--max-bricks", "1")
+
+
+@pytest.mark.parametrize("argv, flag, reason", [
+    ((*_SEARCH, "--d", "27", "--grid", "1"), "--d", "must be <= 26, got 27"),
+    ((*_SEARCH, "--d", "2", "--grid", "2", "--node-budget", "-5"), "--node-budget", "must be >= 0, got -5"),
+    (("export", "{doc}", "--format", "svg", "--precision", "-1"), "--precision",
+     "decimal places must be >= 0 and <= 4300, got -1"),
+    (("export", "{doc}", "--format", "obj", "--exploded", "1e3"), "--exploded",
+     "not an integer, decimal or p/q scalar: '1e3'"),
+    (("construct", "--family", "grid", "--d", "0", "--k", "2"), "--d", "dimension must be >= 1"),
+    (("construct", "--family", "grid", "--d", "2", "--k", "0"), "--k", "grid partition needs k >= 1"),
+    (("construct", "--family", "piercing2d", "--k", "1"), "--k", "piercing_2d needs k >= 2"),
+    (("construct", "--family", "piercing3d", "--k", "2"), "--k", "piercing_3d needs k >= 3"),
+    (("construct", "--family", "slicing3d", "--k", "1"), "--k", "slicing_3d needs k >= 2"),
+    (("bounds", "--d", "0", "--k", "3"), "--d", "dimension must be >= 1"),
+    (("bounds", "--d", "3", "--k", "1"), "--k", "bounds are defined for k >= 2"),
+    (("bounds", "--d", "4300", "--k", "10"), "--d", "k^d = 10^4300 has more than 4300 digits"),
+    (("bounds", "--d", "20000", "--k", "3"), "--d", "k^d = 3^20000 has more than 4300 digits"),
+])  # fmt: skip
+def test_each_refusal_names_its_flag(tmp_path, capsys, argv, flag, reason):
+    # every API names the field it refuses; the CLI renames it to the flag
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"dim": 2, "parent": [[0, 1], [0, 1]], "bricks": [[[0, 1], [0, 1]]]}\n')
+    code, out, err = run_cli(capsys, *(str(doc) if a == "{doc}" else a for a in argv))
+    assert (code, out, err) == (2, "", f"error: {flag}: {reason}\n")
+
+
+def test_each_flag_of_the_table_is_an_option_of_every_subcommand_passing_its_field(
+    tmp_path, capsys, monkeypatch
+):
+    passed = []  # the fields of each _flagged call
+    flagged = cli._flagged
+
+    def recording(make, **fields):
+        passed.append(fields)
+        return flagged(make, **fields)
+
+    monkeypatch.setattr(cli, "_flagged", recording)
+    doc = tmp_path / "doc.json"
+    runs = [
+        ("construct", "--family", "grid", "--d", "2", "--k", "2", "--out", str(doc)),
+        ("construct", "--family", "slicing3d", "--k", "3"),
+        ("bounds", "--d", "3", "--k", "3"),
+        ("search", "--d", "2", "--k", "2", "--mode", "piercing", "--max-bricks", "4", "--grid", "2"),
+        ("export", str(doc), "--format", "svg"),
+    ]
+    subcommands = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    seen = set()
+    for command, *argv in runs:
+        passed.clear()
+        assert run_cli(capsys, command, *argv)[0] == 0
+        (fields,) = passed
+        options = subcommands[command]._option_string_actions
+        assert {cli._FLAGS[f] for f in fields.keys() & cli._FLAGS} <= options.keys()
+        seen |= fields.keys()
+    assert cli._FLAGS.keys() <= seen  # and no entry is a field that no subcommand passes
+
+
+def test_a_refusal_of_a_field_the_call_did_not_pass_keeps_its_name(capsys, monkeypatch):
+    def raising(d, k):
+        raise ValueError("g: x")  # a field of the table, but not one that bounds takes
+
+    monkeypatch.setattr(cli, "bounds", raising)
+    assert run_cli(capsys, "bounds", "--d", "3", "--k", "3") == (2, "", "error: g: x\n")
+
+
+def test_bounds_prints_up_to_the_digit_limit(capsys):
+    code, out, err = run_cli(capsys, "bounds", "--d", "4299", "--k", "10")
+    assert (code, err) == (0, "") and f"trivial_grid_ub(d=4299, k=10): 1{'0' * 4299}\n" in out
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        code, out, err = run_cli(capsys, "bounds", "--d", "4300", "--k", "10")
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert (code, err) == (0, "") and f"trivial_grid_ub(d=4300, k=10): 1{'0' * 4300}\n" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--d", "10000000", "--k", "3"),
+    ("search", "--d", "4000", "--k", "1", "--mode", "piercing", "--max-bricks", "1", "--grid", "1",
+     "--node-budget", "0"),
+])  # fmt: skip
+def test_refusals_come_before_the_work(capsys, argv):
+    # refused before k^d (15.8 M bits) or the search's d·(d-1) axis tuples are built
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "") and err.startswith("error: --d: ") and err.count("\n") == 1
 
 
 def test_export_svg(tmp_path, capsys):

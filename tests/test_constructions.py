@@ -86,6 +86,28 @@ def test_piercing_3d_rejects_small_k():
         piercing_3d(2)
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (bounds, (0, 3), "d: dimension must be >= 1"),
+    (bounds, (3, 1), "k: bounds are defined for k >= 2"),
+    (grid_partition, (0, 2), "d: dimension must be >= 1"),
+    (grid_partition, (2, 0), "k: grid partition needs k >= 1"),
+    (piercing_3d, (2,), "k: piercing_3d needs k >= 3"),
+    (slicing_3d, (1,), "k: slicing_3d needs k >= 2"),
+    (piercing_2d, (1,), "k: piercing_2d needs k >= 2"),
+], ids=lambda x: x.__name__ if callable(x) else None)  # fmt: skip
+def test_each_refusal_starts_with_its_field(build, args, message):
+    # the CLI reads the field and reports the refusal under its flag
+    with pytest.raises(ValueError) as e:
+        build(*args)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("d, k", product(range(1, 7), range(2, 7)))
+def test_the_grid_bound_is_the_largest_bound(d, k):
+    # so the CLI's digit limit need only check k^d before it prints them
+    assert max(bounds(d, k).values()) == k**d
+
+
 @pytest.mark.parametrize("k", range(3, 16))
 def test_piercing_3d_family_invariants(k):
     P = piercing_3d(k)

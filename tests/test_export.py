@@ -90,6 +90,16 @@ def test_export_options_cap_precision_at_the_scalar_digit_limit():
     assert ExportOptions(precision=MAX_SCALAR_DIGITS).precision == MAX_SCALAR_DIGITS
 
 
+def test_export_options_refusals_start_with_their_field():
+    # the CLI reads the field and reports the refusal under its flag
+    with pytest.raises(ValueError) as e:
+        ExportOptions(precision=-1)
+    assert str(e.value) == f"precision: decimal places must be >= 0 and <= {MAX_SCALAR_DIGITS}, got -1"
+    with pytest.raises(ParseError) as e:
+        ExportOptions(exploded="1e3")
+    assert str(e.value) == "exploded: not an integer, decimal or p/q scalar: '1e3'"
+
+
 def test_export_options_coerce_exploded_as_a_scalar():
     with pytest.raises(TypeError, match="floating-point"):
         ExportOptions(exploded=0.1)

@@ -37,7 +37,7 @@ small_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=8)
 def test_make_interval_basic():
     iv = Interval(0, 6)
     assert (iv.lo, iv.hi) == (0, 6)
-    assert iv.length == 6 and iv.midpoint == 3
+    assert iv.length == 6
 
 
 def test_make_interval_rejects_zero_length():

@@ -16,12 +16,17 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import brickpart
 from brickpart import Interval, emit_document, random_split_partition
 from brickpart.constructions import piercing_2d, piercing_3d
 from brickpart.io_cli.cli import main
@@ -236,6 +241,20 @@ def test_search_set_up_is_bounded_by_the_budget(capsys):
 @pytest.mark.parametrize("d, k", sorted(BOUNDS))
 def test_bounds_are_golden(capsys, d, k):
     assert run_cli(capsys, "bounds", "--d", d, "--k", k) == BOUNDS[d, k]
+
+
+def test_the_module_entry_point_exits_with_the_cli_code():
+    # `python -m brickpart` runs __main__.py, whose sys.exit passes main's code on
+    path = [str(Path(brickpart.__file__).parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+    def run(*argv):
+        argv = [sys.executable, "-m", "brickpart", *argv]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True)
+        return done.returncode, done.stdout, done.stderr
+
+    assert run("bounds", "--d", "3", "--k", "5") == (*BOUNDS[3, 5], "")
+    assert run("bounds", "--d", "3", "--k", "1") == (2, "", "error: --k: bounds are defined for k >= 2\n")
 
 
 @pytest.mark.parametrize("name", sorted(FAMILY_SHA256))

@@ -137,6 +137,14 @@ def test_problem_validation():
             SearchProblem(d, 2, Mode.PIERCING, 1, g)
 
 
+def test_problem_refuses_more_axes_than_a_grid_under_the_cap_can_have():
+    # g = 1 passes the cell cap for any d, but the set-up builds d·(d-1) axis tuples
+    with pytest.raises(ValueError, match="^d: must be <= 26, got 27$"):
+        SearchProblem(27, 1, Mode.PIERCING, 1, 1)
+    outcome = _run(26, 1, Mode.PIERCING, 1, 1)
+    assert outcome.status is SearchStatus.FOUND and outcome.nodes_explored == 1
+
+
 def test_problem_coerces_the_mode_text():
     # the text runs the piercing search, not the slicing one, which finds 4 bricks
     by_name = _run(3, 2, "piercing", 4, 2)
