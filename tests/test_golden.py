@@ -123,6 +123,9 @@ SEARCH = {
     (3, 2, 'slicing', 3, 3): (0, 'status: exhausted_none\nnodes_explored: 724\ngrid_cap: g=3, m_max=3 (complete)\n'),
     (3, 3, 'slicing', 4, 4): (0, 'status: exhausted_none\nnodes_explored: 112934\ngrid_cap: g=4, m_max=4 (complete)\n'),
     (3, 3, 'slicing', 5, 4): (0, 'status: found\nnodes_explored: 78435\ngrid_cap: g=4, m_max=5 (relative to this grid)\n{\n  "dim": 3,\n  "parent": [[0, 4], [0, 4], [0, 4]],\n  "bricks": [\n    [[0, 1], [0, 1], [0, 1]],\n    [[0, 1], [0, 4], [1, 4]],\n    [[0, 4], [1, 4], [0, 1]],\n    [[1, 4], [0, 1], [0, 4]],\n    [[1, 4], [1, 4], [1, 4]]\n  ],\n  "metadata": {"generator": "search", "d": 3, "k": 3, "mode": "slicing", "grid": 4}\n}\n'),
+    # larger grids than the benchmark's: the free-move table's keys grow with g^d
+    (3, 3, 'slicing', 5, 5): (0, 'status: found\nnodes_explored: 909427\ngrid_cap: g=5, m_max=5 (complete)\n{\n  "dim": 3,\n  "parent": [[0, 5], [0, 5], [0, 5]],\n  "bricks": [\n    [[0, 1], [0, 1], [0, 1]],\n    [[0, 1], [0, 5], [1, 5]],\n    [[0, 5], [1, 5], [0, 1]],\n    [[1, 5], [0, 1], [0, 5]],\n    [[1, 5], [1, 5], [1, 5]]\n  ],\n  "metadata": {"generator": "search", "d": 3, "k": 3, "mode": "slicing", "grid": 5}\n}\n'),
+    (2, 3, 'piercing', 7, 7): (0, 'status: exhausted_none\nnodes_explored: 13527892\ngrid_cap: g=7, m_max=7 (complete)\n'),
 }
 
 # --no-symmetry: every first box is tried, so the counts exceed the pruned ones
