@@ -25,8 +25,26 @@ that anchor: every free move is then a sub-box of R, so R comes last in the
 product move order, and the solution is reached after exactly those
 placements. Both depend on the cover alone, not on the slack, so they are
 kept per cover in a dict that is cleared when it holds _TABLE_ENTRIES
-covers; the budget is checked while an entry is read, so it still bounds the
-move tables. Node counts and solution order are those of the full DFS.
+covers; the budget is checked while an anchor's moves are first built, so it
+still bounds the move tables. Node counts and solution order are those of the
+full DFS.
+
+Each anchor's free moves are found once per cover of its orthant. Every move
+at anchor c lies inside the anchor's last move, its orthant [c, g)^d, so
+which moves miss the cover depends only on the cover inside that orthant. An
+anchor's first visit filters its moves as they are built; after that, a frame
+iterates the tuple of the anchor's moves that miss the cover, in move order,
+from a table keyed by (cover & orthant) << g^d | anchor, and tests no move
+against the cover. The last-box count is such a tuple's length, and the last
+box, when the free cells form one, is its last move. The table is cleared
+when the moves it holds would pass _TABLE_ENTRIES, and a longer tuple is not
+kept, so it never holds more than _TABLE_ENTRIES moves.
+
+The DFS is one loop over an explicit stack of frames, each (its free-move
+iterator, cover, packed slack, boxes left, exhausted-table key, placements
+and solutions at entry). The placement count lives in a local and is
+written to self.nodes before every table lookup, every yield and at the end,
+so the tables and the caller see the count the search has.
 
 An exhausted subtree is searched once. Below a placement the DFS depends
 only on the cover, the packed slack and the boxes left (the symmetry filter
@@ -63,7 +81,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise, product
 from math import prod
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import ResourceLimit
 from .geometry import Brick
@@ -166,129 +184,181 @@ class _Engine:
         self.fixed = [tuple(b for b in range(d) if (b != a) == lines) for a in range(d)]
         n = len(self.fixed[0])
         self.flat_size, self.class_size = g ** (d - n), g**n
-        self.places = [g ** (n - 1 - j) for j in range(n)]  # base-g place values
         self.strides = [g ** (d - 1 - a) for a in range(d)]  # cell index place values
         # spans[lo]: every side (lo, hi) starting at lo, shared by all boxes
         self.spans = [[(lo, hi) for hi in range(lo + 1, g + 1)] for lo in range(g)]
         self.width = self.flat_size.bit_length() + 1  # bits per packed slack field
         self.ones = _repunit(d * self.class_size, self.width, 0)  # bit 0 of every field
         self.guards = self.ones << self.width - 1
+        # a fixed axis's steps between the fields of its flats: width times its
+        # base-g place value among the class's fixed axes
+        self.steps = [self.width * g ** (n - 1 - j) for j in range(n)]
+        # factors[step, lo, hi]: the repunit of side (lo, hi) at a cell stride
+        # or a flat step, filled as moves are built, so the budget bounds it too
+        self.factors: dict[tuple[int, int, int], int] = {}
         # Candidate boxes per anchor cell. Each anchor's list is built while
         # its first visit runs, so the node budget also bounds the table.
         self.moves: dict[int, list[_Move]] = {}
+        # The anchor's moves that miss a cover, keyed by the cover inside the
+        # anchor's orthant and the anchor; `held` counts the moves they hold.
+        self.free: dict[int, tuple[_Move, ...]] = {}
+        self.held = 0
         # The last box's placements on each cover it is placed on, negated when
-        # the free cells form one box, whose move is then last_move[cover].
+        # the free cells form one box, the last free move at the cover's anchor.
         self.last_box: dict[int, int] = {}
-        self.last_move: dict[int, _Move] = {}
         # The placements of each subtree searched to its end without a
         # solution, keyed by its (slack, cover, boxes left) packed in one int.
         self.exhausted: dict[int, int] = {}
 
-    def _build_moves(self, anchor: int) -> Iterator[_Move]:
-        """Yield the anchor's moves as they are built; keep the list once it is
-        complete. It is never empty (the unit cell is a move), and anchors rise
-        along a DFS path, so `self.moves.get(idx) or` builds each anchor once."""
-        w = self.width
+    def _build_moves(self, anchor: int, cover: int = 0) -> Iterator[_Move]:
+        """Yield the anchor's moves that miss `cover` as they are built; keep
+        the whole list once it is complete. It is never empty (the unit cell
+        is a move), and anchors rise along a DFS path, so an anchor missing
+        from self.moves has no other build under way."""
+        factors = self.factors
         corner = [anchor // stride % self.problem.g for stride in self.strides]
         moves: list[_Move] = []
         for box in product(*(self.spans[c] for c in corner)):
             # one bit per cell; each cell has its own exponent, so no carries
-            mask = prod(_repunit(hi - lo, s, lo * s) for s, (lo, hi) in zip(self.strides, box))
+            mask = 1
+            for step, (lo, hi) in zip(self.strides, box):
+                if (f := factors.get((step, lo, hi))) is None:
+                    f = factors[step, lo, hi] = _repunit(hi - lo, step, lo * step)
+                mask *= f
             volume = prod(hi - lo for lo, hi in box)
             packed = 0
             for a, axes in enumerate(self.fixed):
-                met, count = 1 << w * a * self.class_size, 1  # class-a flats the box meets
-                for b, place in zip(axes, self.places):
+                met = count = 1  # the class-a flats the box meets, from class a's first field
+                for b, step in zip(axes, self.steps):
                     lo, hi = box[b]
-                    met *= _repunit(hi - lo, w * place, w * lo * place)
+                    if (f := factors.get((step, lo, hi))) is None:
+                        f = factors[step, lo, hi] = _repunit(hi - lo, step, lo * step)
+                    met *= f
                     count *= hi - lo
-                packed += (1 - volume // count) * met  # 1 - the box's cells on each flat
+                # 1 - the box's cells on each flat, shifted to class a's fields
+                # last: a shift is linear in the bits, a product by 2^n is not
+                packed += (1 - volume // count) * met << self.width * a * self.class_size
             move = (box, mask, packed)
             moves.append(move)
-            yield move
+            if not cover & mask:
+                yield move
         self.moves[anchor] = moves
+
+    def _free_moves(self, cover: int, idx: int) -> tuple[_Move, ...]:
+        """The moves at anchor idx, whose list is complete, that miss `cover`,
+        in move order. Every move lies inside the anchor's last one, its
+        orthant, so only the cover inside it is part of the key."""
+        moves = self.moves[idx]
+        key = (cover & moves[-1][1]) << self.cells | idx
+        free = self.free.get(key)
+        if free is None:
+            free = tuple([m for m in moves if not cover & m[1]])
+            if self.held + len(free) > _TABLE_ENTRIES:
+                self.free.clear()
+                self.held = 0
+            if len(free) <= _TABLE_ENTRIES:
+                self.free[key] = free
+                self.held += len(free)
+        return free
 
     def solutions(self) -> Iterator[list[IndexBox]]:
         """Yield the boxes of each complete k-satisfying partition, in
-        canonical order. self.nodes counts the placements so far, and
-        self.found the solutions yielded so far."""
-        self.nodes = self.found = 0
+        canonical order. self.nodes counts the placements so far."""
+        self.nodes = 0
         slack = self.flat_size - self.problem.k  # every flat's, before any box
         if slack < 0:
             return  # no flat can ever meet k boxes at this grid size
-        for boxes in self._dfs(0, self.ones * ((1 << self.width - 1) + slack), []):
-            self.found += 1  # before the yield, so a frame resumed after it sees it
-            yield boxes
-
-    def _dfs(self, cover: int, slack: int, boxes: list[IndexBox]) -> Iterator[list[IndexBox]]:
-        idx = (~cover & (cover + 1)).bit_length() - 1  # the lowest clear bit
-        moves: Iterable[_Move] = self.moves.get(idx) or self._build_moves(idx)
-        if not boxes and self.problem.symmetry_pruning:
+        slack = self.ones * ((1 << self.width - 1) + slack)
+        guards, full, budget, cells, left_bits = (
+            self.guards, self.full, self.budget, self.cells, self.left_bits)
+        moves, last_box, exhausted = self.moves, self.last_box, self.exhausted
+        free_moves = self._free_moves
+        it: Iterator[_Move] = iter(moves.get(0) or self._build_moves(0))
+        if self.problem.symmetry_pruning:
             # the first box only: extents sorted along the axes (cover is 0 here)
-            moves = (m for m in moves if all(a[1] - a[0] <= b[1] - b[0] for a, b in pairwise(m[0])))
-        guards, full, budget = self.guards, self.full, self.budget
-        left = self.problem.m_max - len(boxes)  # boxes that may still be placed, this one included
-        for box, mask, packed in moves:
-            if cover & mask:
-                continue
-            self.nodes += 1
-            if self.nodes > budget:
-                self._over_budget()
-            after = slack + packed
-            if after & guards != guards:
-                continue  # some flat's slack fell below 0
-            child = cover | mask
-            if child == full:
-                # Complete: every flat has no uncovered cell left, so its slack
-                # >= 0 says it meets at least k boxes.
-                yield boxes + [box]
-            elif left > 3:
-                key = ((after << self.cells | child) << self.left_bits) + left
-                n = self.exhausted.get(key)
-                if n is None:
-                    nodes, found = self.nodes, self.found
-                    yield from self._dfs(child, after, boxes + [box])
-                    if self.found == found:
-                        if len(self.exhausted) >= _TABLE_ENTRIES:
-                            self.exhausted.clear()
-                        self.exhausted[key] = self.nodes - nodes
-                else:
-                    self.nodes += n
-                    if self.nodes > budget:
-                        self._over_budget()
-            elif left == 3:
-                yield from self._dfs(child, after, boxes + [box])
-            elif left == 2:
-                n = self.last_box.get(child) or self._last_box(child)
-                self.nodes += n if n > 0 else -n
-                if self.nodes > budget:
+            it = (m for m in it if all(a[1] - a[0] <= b[1] - b[0] for a, b in pairwise(m[0])))
+        # The frame being searched: its free moves, cover, packed slack, boxes
+        # that may still be placed (this one included), exhausted-table key
+        # (None if it is not stored), and placements and solutions at entry.
+        cover, left, key, entry_nodes, entry_found = 0, self.problem.m_max, None, 0, 0
+        stack: list[tuple[Iterator[_Move], int, int, int, int | None, int, int]] = []
+        boxes: list[IndexBox] = []  # the boxes placed on the path to this frame
+        nodes = found = 0
+        while True:
+            for box, mask, packed in it:
+                nodes += 1
+                if nodes > budget:
                     self._over_budget()
-                if n < 0:  # the free cells form one box, the last move counted
-                    last, _, last_packed = self.last_move[child]
-                    if (after + last_packed) & guards == guards:
-                        yield boxes + [box, last]
+                after = slack + packed
+                if after & guards != guards:
+                    continue  # some flat's slack fell below 0
+                self.nodes = nodes
+                child = cover | mask
+                if child == full:
+                    # Complete: every flat has no uncovered cell left, so its
+                    # slack >= 0 says it meets at least k boxes.
+                    found += 1
+                    yield boxes + [box]
+                elif left == 2:
+                    n = last_box.get(child) or self._last_box(child)
+                    nodes += n if n > 0 else -n
+                    if nodes > budget:
+                        self._over_budget()
+                    if n < 0:  # the free cells form one box, the last free move
+                        self.nodes = nodes
+                        idx = (~child & (child + 1)).bit_length() - 1
+                        last, _, last_packed = free_moves(child, idx)[-1]
+                        if (after + last_packed) & guards == guards:
+                            found += 1
+                            yield boxes + [box, last]
+                elif left > 2:
+                    child_key = None
+                    if left > 3:
+                        child_key = ((after << cells | child) << left_bits) + left
+                        n = exhausted.get(child_key)
+                        if n is not None:
+                            nodes += n
+                            if nodes > budget:
+                                self._over_budget()
+                            continue
+                    stack.append((it, cover, slack, left, key, entry_nodes, entry_found))
+                    boxes.append(box)
+                    idx = (~child & (child + 1)).bit_length() - 1  # the lowest clear bit
+                    if idx in moves:
+                        it = iter(free_moves(child, idx))
+                    else:  # the anchor's first visit
+                        it = self._build_moves(idx, child)
+                    cover, slack, left, key = child, after, left - 1, child_key
+                    entry_nodes, entry_found = nodes, found
+                    break
+            else:  # the frame's moves are spent
+                if key is not None and found == entry_found:
+                    if len(exhausted) >= _TABLE_ENTRIES:
+                        exhausted.clear()
+                    exhausted[key] = nodes - entry_nodes
+                if not stack:
+                    break
+                it, cover, slack, left, key, entry_nodes, entry_found = stack.pop()
+                boxes.pop()
+        self.nodes = nodes
 
     def _last_box(self, cover: int) -> int:
-        """Fill and return last_box[cover]: the anchor's moves that miss
-        `cover`, negated if the last of them completes it. The placements are
-        counted, and the budget checked, as the anchor's moves are read, so
-        the budget bounds this table too."""
+        """Fill and return last_box[cover]: the number of moves at the
+        cover's anchor that miss it, negated if the last of them completes
+        it. On the anchor's first visit the placements are counted, and the
+        budget checked, as its moves are built, so the budget bounds them."""
         if len(self.last_box) >= _TABLE_ENTRIES:
             self.last_box.clear()
-            self.last_move.clear()
         idx = (~cover & (cover + 1)).bit_length() - 1
-        room, n, last = self.budget - self.nodes, 0, None
-        for move in self.moves.get(idx) or self._build_moves(idx):
-            if not cover & move[1]:
-                n += 1
+        if idx not in self.moves:
+            room = self.budget - self.nodes
+            for n, _ in enumerate(self._build_moves(idx, cover), 1):
                 if n > room:
                     self._over_budget()
-                last = move
-        # the unit cell at idx is free, so last is set; if the free cells form
-        # one box, that box is a move at idx and the last free one
-        if last[1] == self.full ^ cover:
-            self.last_move[cover] = last
-            n = -n
+        free = self._free_moves(cover, idx)
+        # the unit cell at idx is free; if the free cells form one box, that
+        # box is a move at idx and the last free one
+        n = -len(free) if free[-1][1] == self.full ^ cover else len(free)
         self.last_box[cover] = n
         return n
 

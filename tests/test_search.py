@@ -256,19 +256,72 @@ def test_engine_matches_the_oracle_when_the_last_box_cache_is_cleared(monkeypatc
     engine = _Engine(SearchProblem(2, 1, Mode.PIERCING, 5, 3, symmetry_pruning=False))
     found = [(engine.nodes, boxes) for boxes in engine.solutions()]
     assert (found, engine.nodes) == list_slack_search(2, 1, True, 5, 3, False)
-    assert len(engine.last_box) == 1 and len(engine.last_move) <= 1
+    assert len(engine.last_box) == 1 and engine.held <= 1
 
 
 @pytest.mark.parametrize("d, k, mode, m, g", _REUSING)
 def test_engine_matches_the_oracle_when_the_subtree_table_is_cleared(monkeypatch, d, k, mode, m, g):
-    # a bound of one entry clears the table before every new subtree is stored
+    # a bound of one entry clears the table before every new subtree is stored,
+    # and keeps only one-move tuples in the free-move table
     monkeypatch.setattr(search, "_TABLE_ENTRIES", 1)
     for symmetry in (True, False):
         engine = _Engine(SearchProblem(d, k, mode, m, g, symmetry_pruning=symmetry))
         found = [(engine.nodes, boxes) for boxes in engine.solutions()]
         expected = list_slack_search(d, k, mode is Mode.PIERCING, m, g, symmetry)
         assert (found, engine.nodes) == expected
-        assert len(engine.exhausted) == 1
+        assert len(engine.exhausted) == 1 and engine.held <= 1
+
+
+class _Hits(dict):
+    """A free-move table that counts the lookups it answers."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        free = super().get(key, default)
+        self.hits += free is not None
+        return free
+
+
+@pytest.mark.parametrize("d, k, mode, m, g", [(2, 2, Mode.PIERCING, 5, 4), (3, 2, Mode.SLICING, 4, 3)])
+def test_free_moves_are_the_anchors_moves_that_miss_the_cover(d, k, mode, m, g):
+    # every cover a frame of the search was entered with, against every anchor
+    # it leaves free: the table answers for covers that differ outside the
+    # anchor's orthant, and must give what filtering the moves gives
+    covers = []
+    engine = _Engine(SearchProblem(d, k, mode, m, g, symmetry_pruning=False))
+    free_moves = engine._free_moves
+    engine._free_moves = lambda cover, idx: covers.append(cover) or free_moves(cover, idx)
+    assert list(engine.solutions())
+    engine = _Engine(SearchProblem(d, k, mode, m, g))
+    engine.free = table = _Hits()
+    for anchor in range(g**d):
+        moves = list(engine._build_moves(anchor))
+        for cover in dict.fromkeys(covers):
+            if not cover >> anchor & 1:
+                expected = tuple(move for move in moves if not cover & move[1])
+                assert engine._free_moves(cover, anchor) == expected
+    assert len(set(covers)) > 100 and table.hits > len(table)
+
+
+def test_free_move_table_holds_at_most_its_bound_in_moves(monkeypatch):
+    monkeypatch.setattr(search, "_TABLE_ENTRIES", 16)
+
+    class Bounded(dict):
+        clears = 0
+
+        def __setitem__(self, key, free):
+            super().__setitem__(key, free)
+            assert sum(map(len, self.values())) <= 16
+
+        def clear(self):
+            self.clears += 1
+            super().clear()
+
+    engine = _Engine(SearchProblem(2, 3, Mode.PIERCING, 7, 4))
+    engine.free = table = Bounded()
+    assert list(engine.solutions()) == [] and engine.nodes == 2369
+    assert table.clears > 0 and engine.held == sum(map(len, table.values()))
 
 
 @pytest.mark.parametrize(
@@ -301,6 +354,31 @@ def test_a_node_budget_stops_inside_a_skipped_subtree_at_its_first_excess_placem
     full = exists_partition(problem)
     assert full.nodes_explored == engine.nodes == 2369
     budgets = {b for span in table.spans for end in span for b in range(end - 2, end + 3)}
+    for budget in sorted(budgets):
+        _assert_budget_stops_as_one_at_a_time(replace(problem, node_budget=budget), full)
+
+
+def test_a_node_budget_stops_inside_a_last_box_count_that_the_free_table_answers():
+    # counts read from a free-move tuple, not from the last-box cache, must stop
+    # where one at a time would; the last span places the witness's last box
+    problem = SearchProblem(2, 2, Mode.PIERCING, 5, 4)
+    engine = _Engine(problem)
+    engine.free = table = _Hits()
+    last_box, spans = engine._last_box, []
+
+    def counted(cover):
+        hits = table.hits
+        n = last_box(cover)
+        if table.hits > hits:
+            spans.append((engine.nodes, engine.nodes + abs(n)))
+        return n
+
+    engine._last_box = counted
+    first = next(engine.solutions())  # where exists_partition stops
+    assert spans == [(61, 70), (71, 77), (78, 81), (83, 92)]
+    full = exists_partition(problem)
+    assert full.witness == engine.witness_partition(first) and full.nodes_explored == engine.nodes == 92
+    budgets = {b for span in spans for end in span for b in range(end - 2, end + 3)}
     for budget in sorted(budgets):
         _assert_budget_stops_as_one_at_a_time(replace(problem, node_budget=budget), full)
 
