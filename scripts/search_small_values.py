@@ -18,12 +18,13 @@ from brickpart import (
 )
 
 CASES = [
-    # name, d, k, mode, largest m that must exhaust, grid
-    ("p(2,2)", 2, 2, Mode.PIERCING, 3, 3),
-    ("p(2,3)", 2, 3, Mode.PIERCING, 7, 4),
-    ("p(3,2)", 3, 2, Mode.PIERCING, 7, 2),
-    ("s(3,2)", 3, 2, Mode.SLICING, 3, 2),
-    ("s(3,3)", 3, 3, Mode.SLICING, 4, 4),
+    # name, d, k, mode, largest m that must exhaust, its grid, the witness's grid;
+    # exhaustion at g >= m is a complete proof, and a witness on any grid is one
+    ("p(2,2)", 2, 2, Mode.PIERCING, 3, 3, 3),
+    ("p(2,3)", 2, 3, Mode.PIERCING, 7, 7, 4),
+    ("p(3,2)", 3, 2, Mode.PIERCING, 7, 2, 2),
+    ("s(3,2)", 3, 2, Mode.SLICING, 3, 3, 2),
+    ("s(3,3)", 3, 3, Mode.SLICING, 4, 4, 4),
 ]
 
 
@@ -33,11 +34,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     symmetry = not args.no_symmetry
 
-    for name, d, k, mode, m_none, g in CASES:
+    for name, d, k, mode, m_none, g, g_found in CASES:
         t0 = time.perf_counter()
         problem = SearchProblem(d, k, mode, m_none, g, symmetry)
+        # the uniform search cannot reach p(3,2)'s cube g=7
+        assert problem.proof_complete is (name != "p(3,2)"), name
         below = exists_partition(problem)
-        above = exists_partition(SearchProblem(d, k, mode, m_none + 1, g, symmetry))
+        above = exists_partition(SearchProblem(d, k, mode, m_none + 1, g_found, symmetry))
         elapsed = time.perf_counter() - t0
         assert below.status is SearchStatus.EXHAUSTED_NONE
         assert above.status is SearchStatus.FOUND

@@ -13,17 +13,10 @@ from .constructions import (
     slicing_3d,
 )
 from .errors import (
-    BadAxis,
-    BadCodimension,
-    BadDimensionForFormat,
-    BadK,
     BrickError,
     BrickOutsideParent,
     ConstructionInvalid,
-    DegenerateInterval,
-    DimensionMismatch,
     ParseError,
-    QueryOutsideParent,
     ResourceLimit,
 )
 from .geometry import (

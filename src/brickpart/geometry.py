@@ -29,9 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    BrickOutsideParent, DegenerateInterval, DimensionMismatch, ParseError, ResourceLimit
-)
+from .errors import BrickOutsideParent, ParseError, ResourceLimit
 
 Point = tuple[Fraction, ...]
 ScalarLike = Fraction | int | str
@@ -121,7 +119,7 @@ class Interval:
         object.__setattr__(self, "hi", as_scalar(self.hi))
         (p, q), (r, t) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
         if p * t >= r * q:  # lo >= hi, as denominators are positive
-            raise DegenerateInterval(
+            raise ValueError(
                 f"need lo < hi, got [{format_scalar(self.lo)}, {format_scalar(self.hi)}]"
             )
 
@@ -145,7 +143,7 @@ class Brick:
     def __post_init__(self) -> None:
         sides = tuple(self.sides)
         if not sides:
-            raise DimensionMismatch("a brick needs at least one side")
+            raise ValueError("a brick needs at least one side")
         object.__setattr__(self, "sides", sides)
 
     @classmethod
@@ -159,7 +157,7 @@ class Brick:
 
     def contains_point(self, point: Sequence[ScalarLike]) -> bool:
         if len(point) != self.dim:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"point has {len(point)} coordinates, brick has dimension {self.dim}"
             )
         return all(s.contains(c) for s, c in zip(self.sides, point))
@@ -172,7 +170,7 @@ class Brick:
 
     def translate(self, offset: Sequence[ScalarLike]) -> "Brick":
         if len(offset) != self.dim:
-            raise DimensionMismatch("offset dimension differs from brick dimension")
+            raise ValueError("offset dimension differs from brick dimension")
         return Brick(
             tuple(
                 Interval(s.lo + as_scalar(o), s.hi + as_scalar(o))
@@ -221,7 +219,7 @@ def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:
     bricks = tuple(bricks)
     for idx, b in enumerate(bricks):
         if b.dim != parent.dim:
-            raise DimensionMismatch(f"brick {idx} has dimension {b.dim}, parent has {parent.dim}")
+            raise ValueError(f"brick {idx} has dimension {b.dim}, parent has {parent.dim}")
     # the parent's box first; int32 holds the ranks of up to 2^30 boxes
     axes, boxes = [], np.empty((1 + len(bricks), parent.dim, 2), np.int32)
     for a in range(parent.dim):

@@ -220,8 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError) as e:
-        # unusable paths and inputs and bad parameters (every input error type
-        # in errors.py is a ValueError); verification failures exit 1 from the
+        # unusable paths, bad parameters (ValueError) and bad documents
+        # (ParseError, a ValueError); verification failures exit 1 from the
         # subcommands themselves
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from ..errors import DimensionMismatch, ParseError
+from ..errors import ParseError
 from ..geometry import Brick, Interval, format_scalar, parse_scalar
 from ..partition import BrickPartition
 
@@ -99,10 +99,12 @@ def _parse_pair(value: Any, where: str, sides: _Sides, scalars: _Scalars) -> Int
     lo, hi = value
     side = sides.get((lo, hi)) if type(lo) in _TOKENS and type(hi) in _TOKENS else None
     if side is None:  # any other token raises here, so a failure is never stored
-        side = sides[lo, hi] = Interval(  # raises DegenerateInterval when lo >= hi
-            _parse_scalar_value(lo, f"{where}[0]", scalars),
-            _parse_scalar_value(hi, f"{where}[1]", scalars),
-        )
+        x = _parse_scalar_value(lo, f"{where}[0]", scalars)
+        y = _parse_scalar_value(hi, f"{where}[1]", scalars)
+        try:
+            side = sides[lo, hi] = Interval(x, y)
+        except ValueError as e:  # lo >= hi
+            raise ParseError(f"{where}: {e}") from e
     return side
 
 
@@ -110,7 +112,7 @@ def _parse_sides(value: Any, dim: int, where: str, sides: _Sides, scalars: _Scal
     if not isinstance(value, list):
         raise ParseError(f"{where}: expected a list of [lo, hi] pairs")
     if len(value) != dim:
-        raise DimensionMismatch(f"{where}: {len(value)} sides for dimension {dim}")
+        raise ParseError(f"{where}: {len(value)} sides for dimension {dim}")
     return Brick(
         tuple(_parse_pair(p, f"{where}[{i}]", sides, scalars) for i, p in enumerate(value))
     )

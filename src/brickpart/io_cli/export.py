@@ -20,7 +20,7 @@ from fractions import Fraction
 from html import escape
 from typing import Callable
 
-from ..errors import BadDimensionForFormat, ParseError
+from ..errors import ParseError
 from ..geometry import MAX_SCALAR_DIGITS, Interval, as_scalar
 from ..partition import BrickPartition
 
@@ -83,10 +83,10 @@ def export_figure(
     options = options or ExportOptions()
     if FigureFormat(format) is FigureFormat.SVG2D:
         if P.dim != 2:
-            raise BadDimensionForFormat(f"SVG export needs d=2, got d={P.dim}")
+            raise ValueError(f"SVG export needs d=2, got d={P.dim}")
         return _export_svg(P, options)
     if P.dim != 3:
-        raise BadDimensionForFormat(f"OBJ export needs d=3, got d={P.dim}")
+        raise ValueError(f"OBJ export needs d=3, got d={P.dim}")
     return _export_obj(P, options)
 
 

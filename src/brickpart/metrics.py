@@ -23,7 +23,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import BadCodimension, DimensionMismatch, QueryOutsideParent, ResourceLimit
+from .errors import ResourceLimit
 from .geometry import as_scalar, cell_counts
 from .partition import BrickPartition
 
@@ -50,7 +50,7 @@ class FlatQuery:
             raise ValueError("a flat needs at least one fixed axis")
         axes = sorted(free + tuple(a for a, _ in fixed))
         if axes != list(range(1, len(axes) + 1)):
-            raise DimensionMismatch("free and fixed axes must partition 1..d")
+            raise ValueError("free and fixed axes must partition 1..d")
         object.__setattr__(self, "free_axes", free)
         object.__setattr__(self, "fixed_coords", fixed)
 
@@ -62,10 +62,10 @@ class FlatQuery:
 def hit_members(P: BrickPartition, q: FlatQuery) -> tuple[int, ...]:
     """Indices of members whose closed brick the flat meets."""
     if q.dim != P.dim:
-        raise DimensionMismatch(f"query dimension {q.dim} differs from partition's {P.dim}")
+        raise ValueError(f"query dimension {q.dim} differs from partition's {P.dim}")
     for a, c in q.fixed_coords:
         if not P.parent.sides[a - 1].contains(c):
-            raise QueryOutsideParent(
+            raise ValueError(
                 f"axis {a} coordinate {c} outside parent {P.parent.sides[a - 1]!r}"
             )
     return tuple(
@@ -111,7 +111,7 @@ def min_flat_count(P: BrickPartition, free_axis_count: int) -> FlatProfile:
     """
     d = P.dim
     if not 1 <= free_axis_count <= d - 1:
-        raise BadCodimension(f"free axis count {free_axis_count} outside 1..{d - 1}")
+        raise ValueError(f"free axis count {free_axis_count} outside 1..{d - 1}")
     if d - free_axis_count > _MAX_FLAT_AXES:
         raise ResourceLimit(
             f"flat counts over {d - free_axis_count} axes exceed the cap of {_MAX_FLAT_AXES}"

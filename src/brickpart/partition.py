@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadAxis, BrickOutsideParent, ConstructionInvalid, DimensionMismatch
+from .errors import BrickOutsideParent, ConstructionInvalid
 from .geometry import BreakpointGrid, Brick, Interval, Point, build_grid, first_bad_cell
 
 
@@ -46,7 +46,7 @@ class BrickPartition:
             raise ValueError("a partition needs at least one member")
         for m in members:
             if m.dim != self.parent.dim:
-                raise DimensionMismatch(
+                raise ValueError(
                     f"member dimension {m.dim} differs from parent dimension {self.parent.dim}"
                 )
         object.__setattr__(self, "members", members)
@@ -130,7 +130,7 @@ def cut(b: Brick, axis: int, n: int) -> list[Brick]:
     n = 1 returns [b] unchanged; point i is (p·t·(n-i) + r·q·i)/(q·t·n), lo = p/q, hi = r/t.
     """
     if not 1 <= axis <= b.dim:
-        raise BadAxis(f"axis {axis} outside 1..{b.dim}")
+        raise ValueError(f"axis {axis} outside 1..{b.dim}")
     if n < 1:
         raise ValueError("piece count must be >= 1")
     side = b.sides[axis - 1]

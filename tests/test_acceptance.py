@@ -107,18 +107,22 @@ def test_criterion_4_piercing_2d_family():
 def test_criterion_5_search_oracle_small_values():
     t0 = time.perf_counter()
     cases = [
-        # name, d, k, mode, exhaust_at_m, grid, proven_minimum
-        ("p(2,2)", 2, 2, Mode.PIERCING, 3, 3, 4),
-        ("p(2,3)", 2, 3, Mode.PIERCING, 7, 4, 8),
-        ("p(3,2)", 3, 2, Mode.PIERCING, 7, 2, 8),
-        ("s(3,2)", 3, 2, Mode.SLICING, 3, 2, 4),
-        ("s(3,3)", 3, 3, Mode.SLICING, 4, 4, 5),
+        # name, d, k, mode, exhaust_at_m, its grid, the witness's grid, proven_minimum
+        ("p(2,2)", 2, 2, Mode.PIERCING, 3, 3, 3, 4),
+        ("p(2,3)", 2, 3, Mode.PIERCING, 7, 7, 4, 8),
+        ("p(3,2)", 3, 2, Mode.PIERCING, 7, 2, 2, 8),
+        ("s(3,2)", 3, 2, Mode.SLICING, 3, 3, 2, 4),
+        ("s(3,3)", 3, 3, Mode.SLICING, 4, 4, 4, 5),
     ]
-    for name, d, k, mode, m_none, g, proven in cases:
+    for name, d, k, mode, m_none, g, g_found, proven in cases:
         run_start = time.perf_counter()
-        out = exists_partition(SearchProblem(d, k, mode, m_none, g))
+        problem = SearchProblem(d, k, mode, m_none, g)
+        # exhaustion at g >= m_none covers every partition; p(3,2)'s cube g=7
+        # is out of the uniform search's reach, so its proof is grid-relative
+        assert problem.proof_complete is (name != "p(3,2)"), name
+        out = exists_partition(problem)
         assert out.status is SearchStatus.EXHAUSTED_NONE, name
-        found = exists_partition(SearchProblem(d, k, mode, m_none + 1, g))
+        found = exists_partition(SearchProblem(d, k, mode, m_none + 1, g_found))
         assert found.status is SearchStatus.FOUND, name
         assert len(found.witness) == proven
         assert validate(found.witness).valid

@@ -391,10 +391,7 @@ def test_construct_bad_k_exits_2(capsys):
     assert "error" in err
 
 
-INPUT_ERRORS = {
-    "BadAxis", "BadCodimension", "BadDimensionForFormat", "BadK", "DegenerateInterval",
-    "DimensionMismatch", "ParseError", "QueryOutsideParent",
-}
+INPUT_ERRORS = {"ParseError"}
 BRICK_ERRORS = [
     cls for cls in vars(errors).values()
     if isinstance(cls, type) and issubclass(cls, errors.BrickError)
@@ -405,14 +402,21 @@ def test_input_errors_are_the_value_errors():
     assert {cls.__name__ for cls in BRICK_ERRORS if issubclass(cls, ValueError)} == INPUT_ERRORS
 
 
-@pytest.mark.parametrize("cls", BRICK_ERRORS, ids=lambda cls: cls.__name__)
+def test_errors_defines_one_type_per_kind_of_refusal():
+    assert {cls.__name__ for cls in BRICK_ERRORS} == {
+        "BrickError", "BrickOutsideParent", "ConstructionInvalid", "ResourceLimit", "ParseError"
+    }
+
+
+@pytest.mark.parametrize("cls", [*BRICK_ERRORS, ValueError], ids=lambda cls: cls.__name__)
 def test_exit_code_follows_the_error_type(capsys, monkeypatch, cls):
     def raising(d, k):
         raise cls("x")
 
     monkeypatch.setattr(cli, "bounds", raising)
     code, out, err = run_cli(capsys, "bounds", "--d", "3", "--k", "3")
-    assert (code, out, err) == (2 if cls.__name__ in INPUT_ERRORS else 1, "", "error: x\n")
+    expected = 2 if cls is ValueError or cls.__name__ in INPUT_ERRORS else 1
+    assert (code, out, err) == (expected, "", "error: x\n")
 
 
 def test_usage_error_exits_2():
@@ -465,6 +469,14 @@ def test_construct_piercing2d_builds_one_grid(capsys, grid_builds):
     # the self-check runs validate and the piercing oracle on one grid
     assert run_cli(capsys, "construct", "--family", "piercing2d", "--k", "5")[0] == 0
     assert len(grid_builds) == 1
+
+
+def test_verify_names_the_place_of_a_degenerate_side(tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    bricks = [[[0, 2], [0, 2]], [[1, 1], [0, 1]]]
+    doc.write_text(json.dumps({"dim": 2, "parent": [[0, 2], [0, 2]], "bricks": bricks}))
+    code, out, err = run_cli(capsys, "verify", str(doc))
+    assert (code, out, err) == (2, "", "error: bricks[1][0]: need lo < hi, got [1, 1]\n")
 
 
 @pytest.mark.parametrize("scalar", ["1e999999999", "1e2", " 3 ", "1_000", "+1"])

@@ -3,7 +3,6 @@ from itertools import combinations, product
 import pytest
 
 from brickpart import (
-    BadK,
     BoundKind,
     ConstructionInvalid,
     bounds,
@@ -82,7 +81,7 @@ def test_piercing_3d_k10():
 
 
 def test_piercing_3d_rejects_small_k():
-    with pytest.raises(BadK):
+    with pytest.raises(ValueError, match=r"^k: piercing_3d needs k >= 3$"):
         piercing_3d(2)
 
 
@@ -142,7 +141,7 @@ def test_slicing_3d_k7():
 
 
 def test_slicing_3d_rejects_small_k():
-    with pytest.raises(BadK):
+    with pytest.raises(ValueError, match=r"^k: slicing_3d needs k >= 2$"):
         slicing_3d(1)
 
 
@@ -178,7 +177,7 @@ def test_piercing_2d_k6_count():
 
 
 def test_piercing_2d_rejects_small_k():
-    with pytest.raises(BadK):
+    with pytest.raises(ValueError, match=r"^k: piercing_2d needs k >= 2$"):
         piercing_2d(1)
 
 
@@ -232,7 +231,7 @@ def test_bounds_slicing_only_in_3d():
 
 
 def test_bounds_rejects_small_k():
-    with pytest.raises(BadK):
+    with pytest.raises(ValueError, match=r"^k: bounds are defined for k >= 2$"):
         bounds(3, 1)
 
 

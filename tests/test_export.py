@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from brickpart import (
-    BadDimensionForFormat,
     Brick,
     BrickPartition,
     ExportOptions,
@@ -72,9 +71,9 @@ def test_obj_vertex_count_is_8_per_member():
 
 
 def test_dimension_checks():
-    with pytest.raises(BadDimensionForFormat):
+    with pytest.raises(ValueError, match=r"^SVG export needs d=2, got d=3$"):
         export_figure(piercing_3d(3), FigureFormat.SVG2D)
-    with pytest.raises(BadDimensionForFormat):
+    with pytest.raises(ValueError, match=r"^OBJ export needs d=3, got d=2$"):
         export_figure(piercing_2d(3), FigureFormat.OBJ3D)
 
 

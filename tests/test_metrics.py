@@ -3,12 +3,9 @@ from fractions import Fraction
 import pytest
 
 from brickpart import (
-    BadCodimension,
     Brick,
     BrickPartition,
-    DimensionMismatch,
     FlatQuery,
-    QueryOutsideParent,
     ResourceLimit,
     count_intersections,
     hit_members,
@@ -28,9 +25,9 @@ from helpers import brute_force_min_flat, piercing_3d_base
 
 
 def test_flat_query_validates_axes():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"^free and fixed axes must partition 1\.\.d$"):
         FlatQuery((1,), ((1, Fraction(0)),))  # axis 1 both free and fixed
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"^free and fixed axes must partition 1\.\.d$"):
         FlatQuery((2,), ((4, Fraction(0)),))  # axes 2,4 are not 1..d
     with pytest.raises(ValueError):
         FlatQuery((), ((1, Fraction(0)),))
@@ -67,13 +64,13 @@ def test_count_line_on_cut_plane_of_refined_partition():
 
 def test_count_rejects_query_outside_parent():
     P = grid_partition(2, 2)
-    with pytest.raises(QueryOutsideParent):
+    with pytest.raises(ValueError, match=r"^axis 2 coordinate 5 outside parent \[0, 2\]$"):
         count_intersections(P, FlatQuery((1,), ((2, 5),)))
 
 
 def test_count_rejects_dimension_mismatch():
     P = grid_partition(2, 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"^query dimension 3 differs from partition's 2$"):
         count_intersections(P, FlatQuery((1,), ((2, 1), (3, 1))))
 
 
@@ -99,11 +96,11 @@ def test_min_flat_count_piercing_k3_with_witness():
 
 def test_min_flat_count_rejects_bad_codimension():
     P = grid_partition(2, 2)
-    with pytest.raises(BadCodimension):
+    with pytest.raises(ValueError, match=r"^free axis count 0 outside 1\.\.1$"):
         min_flat_count(P, 0)
-    with pytest.raises(BadCodimension):
+    with pytest.raises(ValueError, match=r"^free axis count 2 outside 1\.\.1$"):
         min_flat_count(P, 2)
-    with pytest.raises(BadCodimension):
+    with pytest.raises(ValueError, match=r"^free axis count 1 outside 1\.\.0$"):
         piercing_number(grid_partition(1, 3))
 
 

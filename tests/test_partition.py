@@ -9,12 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from brickpart import (
-    BadAxis,
     Brick,
     BrickOutsideParent,
     BrickPartition,
     ConstructionInvalid,
-    DimensionMismatch,
     FailureKind,
     ResourceLimit,
     boundary_incidence,
@@ -217,7 +215,7 @@ def test_validate_is_exact_beyond_int64():
 
 def test_validate_dimension_mismatch():
     # validate takes a partition, and one of mixed dimensions cannot be formed
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"^member dimension 2 differs from parent dimension 1$"):
         BrickPartition(Brick.from_pairs([(0, 1)]), [Brick.from_pairs([(0, 1), (0, 1)])])
 
 
@@ -251,9 +249,9 @@ def test_cut_matches_the_length_formula(a, b, n, axis):
 
 
 def test_cut_bad_axis():
-    with pytest.raises(BadAxis):
+    with pytest.raises(ValueError, match=r"^axis 0 outside 1\.\.3$"):
         cut(X1, 0, 2)
-    with pytest.raises(BadAxis):
+    with pytest.raises(ValueError, match=r"^axis 4 outside 1\.\.3$"):
         cut(X1, 4, 2)
 
 
