@@ -1,11 +1,11 @@
 """Exception types shared across the package.
 
-One refusal type per kind of input: a bad parameter raises `ValueError` (an
-API refusing a named field says "<field>: <reason>", and the CLI reports it
-under the field's flag); a bad document raises `ParseError` naming its place;
-a resource cap raises `ResourceLimit`; an internal bug raises
-`ConstructionInvalid`. The CLI exits 2 on a `ValueError` (`ParseError` is one)
-and 1 on any other `BrickError`.
+One refusal type per kind of input: a bad parameter raises a plain `ValueError`
+("<field>: <reason>" from an API refusing a named field, reported under the
+field's flag); a bad document raises `ParseError` naming its place, and only
+`parse_document` raises it; a resource cap raises `ResourceLimit`; an internal
+bug raises `ConstructionInvalid`; a float coordinate, as in Python, `TypeError`.
+The CLI exits 2 on a `ValueError` (`ParseError` is one), 1 on any other `BrickError`.
 """
 
 

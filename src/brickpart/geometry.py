@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BrickOutsideParent, ParseError, ResourceLimit
+from .errors import BrickOutsideParent, ResourceLimit
 
 Point = tuple[Fraction, ...]
 ScalarLike = Fraction | int | str
@@ -38,8 +38,8 @@ ScalarLike = Fraction | int | str
 def as_scalar(value: ScalarLike) -> Fraction:
     """Coerce ints, Fractions, and strings ("3", "0.5", "2/7") to exact scalars.
 
-    Strings follow the document grammar of `parse_scalar`. Floats are
-    rejected: they would silently break exactness.
+    Strings follow `parse_scalar`'s grammar, and bad text raises its ValueError.
+    Floats raise TypeError: they would silently break exactness.
     """
     if isinstance(value, Fraction):
         return value
@@ -92,14 +92,14 @@ def parse_scalar(text: str) -> Fraction:
     """Inverse of format_scalar: "3", "-0.25" or "p/q" with q nonzero.
 
     Anything else (a "+" sign, spaces, an exponent, "_") or a digit run longer
-    than MAX_SCALAR_DIGITS raises ParseError.
+    than MAX_SCALAR_DIGITS raises ValueError; the document reader locates it.
     """
     match = _SCALAR.fullmatch(text)
     if match is None or (  # no digit run is longer than the text
         len(text) > MAX_SCALAR_DIGITS
         and max(len(run or "") for run in match.groups()) > MAX_SCALAR_DIGITS
     ):
-        raise ParseError(f"not an integer, decimal or p/q scalar: {text[:40]!r}")
+        raise ValueError(f"not an integer, decimal or p/q scalar: {text[:40]!r}")
     sign, whole, frac, den = match.groups()
     num, den = int(whole), int(den or 1)
     if frac:

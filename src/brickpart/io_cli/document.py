@@ -81,7 +81,7 @@ def _parse_scalar_value(value: Any, where: str, scalars: _Scalars) -> Fraction:
         if x is None:  # a failing token raises here, so it is never stored
             try:
                 x = scalars[value] = parse_scalar(value) if type(value) is str else Fraction(value)
-            except ParseError as e:
+            except ValueError as e:
                 raise ParseError(f"{where}: {e}") from e
         return x
     if isinstance(value, bool):

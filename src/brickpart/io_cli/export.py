@@ -20,7 +20,6 @@ from fractions import Fraction
 from html import escape
 from typing import Callable
 
-from ..errors import ParseError
 from ..geometry import MAX_SCALAR_DIGITS, Interval, as_scalar
 from ..partition import BrickPartition
 
@@ -39,8 +38,8 @@ class ExportOptions:
     def __post_init__(self) -> None:  # a refusal reads "<field>: <reason>"
         try:
             object.__setattr__(self, "exploded", as_scalar(self.exploded))
-        except ParseError as e:
-            raise ParseError(f"exploded: {e}") from e
+        except ValueError as e:
+            raise ValueError(f"exploded: {e}") from e
         p, top = self.precision, MAX_SCALAR_DIGITS  # more digits would not convert to str
         if not 0 <= p <= top:
             raise ValueError(f"precision: decimal places must be >= 0 and <= {top}, got {p}")

@@ -159,7 +159,7 @@ def refine(
         raise ValueError("plan member indices must be distinct")
     for i, _, _ in plan:
         if not 0 <= i < len(P.members):
-            raise IndexError(f"plan index {i} outside 0..{len(P.members) - 1}")
+            raise ValueError(f"plan index {i} outside 0..{len(P.members) - 1}")
 
     new_members: list[Brick] = []
     new_labels: list[str] = []

@@ -56,10 +56,8 @@ those of the full DFS, as a subtree that yields a solution is never stored,
 and the budget is checked after the count is added: a count that passes it
 stops the search at budget + 1 placements, where the skipped subtree would
 have. Only subtrees with at least 3 boxes to place are stored; one with 2 is
-a loop over one anchor's moves with a last-box lookup each, and storing those
-too multiplied the entries by 5 and the peak memory by 2 on p(2,3) m=7 g=6
-for no time saved. The table is cleared at _TABLE_ENTRIES entries, as the
-last-box table is.
+a loop over one anchor's moves with a last-box lookup each. The table is
+cleared at _TABLE_ENTRIES entries, as the last-box table is.
 
 An ExhaustedNone outcome is a claim about partitions of the grid [0,g]^d,
 and it covers every continuous partition into at most m_max bricks once
@@ -203,9 +201,9 @@ class _Engine:
         # anchor's orthant and the anchor; `held` counts the moves they hold.
         self.free: dict[int, tuple[_Move, ...]] = {}
         self.held = 0
-        # The last box's placements on each cover it is placed on, negated when
-        # the free cells form one box, the last free move at the cover's anchor.
-        self.last_box: dict[int, int] = {}
+        # The last box's placements on each cover it is placed on, and the last
+        # free move at the cover's anchor if the free cells form that one box.
+        self.last_box: dict[int, tuple[int, _Move | None]] = {}
         # The placements of each subtree searched to its end without a
         # solution, keyed by its (slack, cover, boxes left) packed in one int.
         self.exhausted: dict[int, int] = {}
@@ -300,17 +298,14 @@ class _Engine:
                     found += 1
                     yield boxes + [box]
                 elif left == 2:
-                    n = last_box.get(child) or self._last_box(child)
-                    nodes += n if n > 0 else -n
+                    n, last = last_box.get(child) or self._last_box(child)
+                    nodes += n
                     if nodes > budget:
                         self._over_budget()
-                    if n < 0:  # the free cells form one box, the last free move
+                    if last is not None and (after + last[2]) & guards == guards:
                         self.nodes = nodes
-                        idx = (~child & (child + 1)).bit_length() - 1
-                        last, _, last_packed = free_moves(child, idx)[-1]
-                        if (after + last_packed) & guards == guards:
-                            found += 1
-                            yield boxes + [box, last]
+                        found += 1
+                        yield boxes + [box, last[0]]
                 elif left > 2:
                     child_key = None
                     if left > 3:
@@ -342,10 +337,10 @@ class _Engine:
                 boxes.pop()
         self.nodes = nodes
 
-    def _last_box(self, cover: int) -> int:
-        """Fill and return last_box[cover]: the number of moves at the
-        cover's anchor that miss it, negated if the last of them completes
-        it. On the anchor's first visit the placements are counted, and the
+    def _last_box(self, cover: int) -> tuple[int, _Move | None]:
+        """Fill and return last_box[cover]: the count of the moves at the
+        cover's anchor that miss it, and the last if it completes the cover,
+        else None. On the anchor's first visit they are counted, and the
         budget checked, as its moves are built, so the budget bounds them."""
         if len(self.last_box) >= _TABLE_ENTRIES:
             self.last_box.clear()
@@ -358,9 +353,9 @@ class _Engine:
         free = self._free_moves(cover, idx)
         # the unit cell at idx is free; if the free cells form one box, that
         # box is a move at idx and the last free one
-        n = -len(free) if free[-1][1] == self.full ^ cover else len(free)
-        self.last_box[cover] = n
-        return n
+        last = free[-1] if free[-1][1] == self.full ^ cover else None
+        entry = self.last_box[cover] = (len(free), last)
+        return entry
 
     def _over_budget(self) -> None:
         """Stop as the per-placement check would: at the budget's first excess placement."""

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import sys
@@ -7,6 +8,7 @@ import tracemalloc
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -406,6 +408,26 @@ def test_errors_defines_one_type_per_kind_of_refusal():
     assert {cls.__name__ for cls in BRICK_ERRORS} == {
         "BrickError", "BrickOutsideParent", "ConstructionInvalid", "ResourceLimit", "ParseError"
     }
+
+
+def _raised_names():
+    """(file under brickpart/, raised name) for every `raise X` or `raise X(...)`
+    in the package's source."""
+    root = Path(errors.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+                yield path.relative_to(root).as_posix(), name
+
+
+def test_only_the_document_reader_raises_parse_error_and_no_parameter_is_a_lookup_error():
+    # a bad document is a located ParseError; a bad parameter, from any API, a ValueError
+    raised = list(_raised_names())
+    assert {f for f, name in raised if name == "ParseError"} == {"io_cli/document.py"}
+    assert [(f, n) for f, n in raised if n in ("IndexError", "KeyError", "LookupError")] == []
+    assert {"ValueError", "ResourceLimit", "ConstructionInvalid"} <= {n for _, n in raised}
 
 
 @pytest.mark.parametrize("cls", [*BRICK_ERRORS, ValueError], ids=lambda cls: cls.__name__)

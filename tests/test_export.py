@@ -12,7 +12,6 @@ from brickpart import (
     BrickPartition,
     ExportOptions,
     FigureFormat,
-    ParseError,
     emit_document,
     export_figure,
     parse_document,
@@ -94,8 +93,9 @@ def test_export_options_refusals_start_with_their_field():
     with pytest.raises(ValueError) as e:
         ExportOptions(precision=-1)
     assert str(e.value) == f"precision: decimal places must be >= 0 and <= {MAX_SCALAR_DIGITS}, got -1"
-    with pytest.raises(ParseError) as e:
+    with pytest.raises(ValueError) as e:
         ExportOptions(exploded="1e3")
+    assert type(e.value) is ValueError  # a bad option, not a bad document
     assert str(e.value) == "exploded: not an integer, decimal or p/q scalar: '1e3'"
 
 
@@ -106,8 +106,9 @@ def test_export_options_coerce_exploded_as_a_scalar():
     by_text = export_figure(P, FigureFormat.OBJ3D, ExportOptions(exploded="1/4"))
     assert by_text == export_figure(P, FigureFormat.OBJ3D, ExportOptions(exploded=Fraction(1, 4)))
     assert ExportOptions(exploded="-0.5").exploded == Fraction(-1, 2)
-    with pytest.raises(ParseError):
+    with pytest.raises(ValueError, match=r"^exploded: not an integer, decimal or p/q scalar: '1e3'$") as e:
         ExportOptions(exploded="1e3")
+    assert type(e.value) is ValueError
 
 
 def test_export_figure_coerces_the_format_text():

@@ -31,6 +31,10 @@ def test_flat_query_validates_axes():
         FlatQuery((2,), ((4, Fraction(0)),))  # axes 2,4 are not 1..d
     with pytest.raises(ValueError):
         FlatQuery((), ((1, Fraction(0)),))
+    with pytest.raises(ValueError) as e:  # a bad coordinate text is a bad parameter
+        FlatQuery((1,), ((2, "x"),))
+    assert type(e.value) is ValueError
+    assert str(e.value) == "not an integer, decimal or p/q scalar: 'x'"
 
 
 def test_flat_query_accepts_mapping():

@@ -304,10 +304,12 @@ def test_refine_rejects_duplicate_indices():
 
 def test_refine_rejects_an_index_outside_the_members():
     base = slicing_3d(3)
-    with pytest.raises(IndexError, match=r"^plan index 7 outside 0\.\.4$"):
+    with pytest.raises(ValueError, match=r"^plan index 7 outside 0\.\.4$") as e:
         refine(base, [(0, 1, 2), (7, 1, 2)])
-    with pytest.raises(IndexError, match="plan index -1"):
+    assert type(e.value) is ValueError
+    with pytest.raises(ValueError, match=r"^plan index -1 outside 0\.\.4$") as e:
         refine(base, [(-1, 1, 2)])
+    assert type(e.value) is ValueError
 
 
 def test_refine_keeps_unplanned_members_and_one_piece_labels():

@@ -370,7 +370,7 @@ def test_a_node_budget_stops_inside_a_last_box_count_that_the_free_table_answers
         hits = table.hits
         n = last_box(cover)
         if table.hits > hits:
-            spans.append((engine.nodes, engine.nodes + abs(n)))
+            spans.append((engine.nodes, engine.nodes + n[0]))
         return n
 
     engine._last_box = counted
