@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import product
 
 from .errors import ConstructionInvalid
-from .geometry import Brick, Interval
+from .geometry import Brick, Interval, corner_cap
 from .metrics import piercing_number
 from .partition import BrickPartition, refine, validate
 
@@ -54,12 +54,19 @@ def bounds(d: int, k: int) -> dict[BoundKind, int]:
     return out
 
 
+def _check_size(d: int, count: int, formula: str) -> None:
+    """Refuse more members than `validate` could check: each has a corner."""
+    if count > (cap := corner_cap(d)):
+        raise ValueError(f"k: {formula} members exceed the {cap} corners validation can check")
+
+
 def grid_partition(d: int, k: int) -> BrickPartition:
     """[0,k]^d split into k^d unit cells; k-piercing by construction."""
     if d < 1:
         raise ValueError("d: dimension must be >= 1")
     if k < 1:
         raise ValueError("k: grid partition needs k >= 1")
+    _check_size(d, k ** min(d, 24), f"k^d = {k}^{d}")  # 2^24 passes every cap
     parent = Brick.from_pairs([(0, k)] * d)
     unit = [Interval(c, c + 1) for c in range(k)]  # shared by every member
     members = tuple(Brick(sides) for sides in product(unit, repeat=d))
@@ -123,6 +130,7 @@ def piercing_3d(k: int) -> BrickPartition:
     """k-piercing partition of [0,6]^3 with exactly 12k-15 members (k >= 3)."""
     if k < 3:
         raise ValueError("k: piercing_3d needs k >= 3")
+    _check_size(3, 12 * k - 15, f"12k-15 = {12 * k - 15}")
     return _refined(_PIERCING_3D_BASE, 6, k)
 
 
@@ -130,6 +138,7 @@ def slicing_3d(k: int) -> BrickPartition:
     """k-slicing partition of [0,2]^3: 4 members at k = 2, 2k-1 for k >= 3."""
     if k < 2:
         raise ValueError("k: slicing_3d needs k >= 2")
+    _check_size(3, 2 * k - 1, f"2k-1 = {2 * k - 1}")
     return _refined(_SLICING_3D_K2 if k == 2 else _SLICING_3D_BASE, 2, k)
 
 
@@ -168,6 +177,7 @@ def piercing_2d(k: int) -> BrickPartition:
     """
     if k < 2:
         raise ValueError("k: piercing_2d needs k >= 2")
+    _check_size(2, 4 * (k - 1), f"4(k-1) = {4 * (k - 1)}")
     parent = Brick.from_pairs([(0, 2 * (k - 1))] * 2)
     P = BrickPartition(parent, tuple(Brick.from_pairs(m) for m in _pinwheel(k)))
     report = validate(P)

@@ -246,10 +246,15 @@ def build_grid(parent: Brick, bricks: Iterable[Brick]) -> BreakpointGrid:
 
 
 # A corner costs one int32 coordinate per axis, so `_corners` over j axes
-# refuses more than _MAX_CORNERS·3 // max(3, j) signed corners: a constant
-# byte budget above three axes, and 2^23 corners at up to three.
+# refuses more than corner_cap(j) signed corners: a constant byte budget
+# above three axes, and 2^23 corners at up to three.
 _MAX_CORNERS = 1 << 23
 _GATHER = 1 << 16  # corner coordinates copied by one numpy call in _corners
+
+
+def corner_cap(axes: int) -> int:
+    """The most signed corners that `_corners` builds over this many axes."""
+    return _MAX_CORNERS * 3 // max(3, axes)
 
 
 def _corners(
@@ -266,7 +271,7 @@ def _corners(
     """
     inner = grid.boxes[:, axes, 1] < np.array(grid.shape, np.int32)[axes]
     count = sum(int(n) << j for j, n in enumerate(np.bincount(inner.sum(axis=1))))
-    if count + spare > (cap := _MAX_CORNERS * 3 // max(3, len(axes))):
+    if count + spare > (cap := corner_cap(len(axes))):
         raise ResourceLimit(refusal.format(count + spare, cap))
     n, coords, sign = len(inner), np.empty((len(axes), count), np.int32), np.ones(count, np.int8)
     owner = np.empty(count, np.int32)  # each corner's member

@@ -284,6 +284,16 @@ _SEARCH = ("search", "--k", "1", "--mode", "piercing", "--max-bricks", "1")
     (("bounds", "--d", "3", "--k", "1"), "--k", "bounds are defined for k >= 2"),
     (("bounds", "--d", "4300", "--k", "10"), "--d", "k^d = 10^4300 has more than 4300 digits"),
     (("bounds", "--d", "20000", "--k", "3"), "--d", "k^d = 3^20000 has more than 4300 digits"),
+    (("construct", "--family", "grid", "--d", "40", "--k", "2"), "--k",
+     "k^d = 2^40 members exceed the 629145 corners validation can check"),
+    (("construct", "--family", "grid", "--d", "3", "--k", "204"), "--k",
+     "k^d = 204^3 members exceed the 8388608 corners validation can check"),
+    (("construct", "--family", "piercing3d", "--k", "699052"), "--k",
+     "12k-15 = 8388609 members exceed the 8388608 corners validation can check"),
+    (("construct", "--family", "slicing3d", "--k", "4194305"), "--k",
+     "2k-1 = 8388609 members exceed the 8388608 corners validation can check"),
+    (("construct", "--family", "piercing2d", "--k", "2097154"), "--k",
+     "4(k-1) = 8388612 members exceed the 8388608 corners validation can check"),
 ])  # fmt: skip
 def test_each_refusal_names_its_flag(tmp_path, capsys, argv, flag, reason):
     # every API names the field it refuses; the CLI renames it to the flag
