@@ -23,6 +23,7 @@ first group's or a gap of its own, and it is never appended as a corner.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -85,19 +86,19 @@ def format_scalar(x: ScalarLike) -> str:
 
 # -digits, -digits.digits or -digits/digits with a nonzero denominator
 _SCALAR = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/(0*[1-9][0-9]*))?")
-MAX_SCALAR_DIGITS = 4300  # Python's default int <-> str limit, so format_scalar's too
+MAX_SCALAR_DIGITS = 4300  # Python's default int <-> str limit, export's cap on decimal places
 
 
 def parse_scalar(text: str) -> Fraction:
     """Inverse of format_scalar: "3", "-0.25" or "p/q" with q nonzero.
 
-    Anything else (a "+" sign, spaces, an exponent, "_") or a digit run longer
-    than MAX_SCALAR_DIGITS raises ValueError; the document reader locates it.
+    Anything else (a "+" sign, spaces, an exponent, "_") or a digit run over the
+    interpreter's int <-> str limit raises ValueError; the document reader locates it.
     """
     match = _SCALAR.fullmatch(text)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
     if match is None or (  # no digit run is longer than the text
-        len(text) > MAX_SCALAR_DIGITS
-        and max(len(run or "") for run in match.groups()) > MAX_SCALAR_DIGITS
+        limit and len(text) > limit and max(len(run or "") for run in match.groups()) > limit
     ):
         raise ValueError(f"not an integer, decimal or p/q scalar: {text[:40]!r}")
     sign, whole, frac, den = match.groups()

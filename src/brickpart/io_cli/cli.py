@@ -69,14 +69,11 @@ def _print_flat_count(P: BrickPartition, free_axis_count: int, name: str) -> Non
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.family == "grid":
-        P = _flagged(grid_partition, d=args.d, k=args.k)
-        metadata = {"generator": "grid", "d": args.d, "k": args.k}
-    else:  # built per call, so it holds the module's current functions
-        build = {"piercing2d": piercing_2d, "piercing3d": piercing_3d, "slicing3d": slicing_3d}
-        P = _flagged(build[args.family], k=args.k)
-        metadata = {"generator": args.family, "k": args.k}
-    _write_text(emit_document(P, metadata=metadata), args.out)
+    build = {"grid": grid_partition, "piercing2d": piercing_2d, "piercing3d": piercing_3d,
+             "slicing3d": slicing_3d}  # built per call, so it holds the current functions
+    fields = {"d": args.d, "k": args.k} if args.family == "grid" else {"k": args.k}
+    P = _flagged(build[args.family], **fields)
+    _write_text(emit_document(P, metadata={"generator": args.family, **fields}), args.out)
     return 0
 
 

@@ -18,16 +18,18 @@ packed deltas (1 - its cells on each flat, in [1 - flat_size, 0]) and is
 pruned iff a guard bit clears. A live field holds >= H and flat_size < H, so
 every field stays in [1, 2H - 1]: none borrows from or carries into the next.
 
-The last box is counted, not searched. Once a placement leaves one box to
-place, the last level's placements are the next anchor's moves that miss
-the cover, and it has a solution only if the free cells form one box R at
-that anchor: every free move is then a sub-box of R, so R comes last in the
-product move order, and the solution is reached after exactly those
-placements. Both depend on the cover alone, not on the slack, so they are
-kept per cover in a dict that is cleared when it holds _TABLE_ENTRIES
-covers; the budget is checked while an anchor's moves are first built, so it
-still bounds the move tables. Node counts and solution order are those of the
-full DFS.
+The last box is counted, not searched, once its anchor's moves are built.
+Once a placement leaves one box to place, the last level's placements are
+the next anchor's moves that miss the cover, and it has a solution only if
+the free cells form one box R at that anchor: every free move is then a
+sub-box of R, so R comes last in the product move order, and the solution is
+reached after exactly those placements. Both depend on the cover alone, not
+on the slack, so they are kept per cover in a dict that is cleared when it
+holds _TABLE_ENTRIES covers. A cover that no table answers is searched one
+box at a time: on the anchor's first visit the DFS places the last box as
+the moves are built, reaching R last, after the same placements. So only
+the DFS builds moves and checks the budget, which bounds the move tables,
+and node counts and solution order are those of the full DFS.
 
 Each anchor's free moves are found once per cover of its orthant. Every move
 at anchor c lies inside the anchor's last move, its orthant [c, g)^d, so
@@ -44,7 +46,7 @@ The DFS is one loop over an explicit stack of frames, each (its free-move
 iterator, cover, packed slack, boxes left, exhausted-table key, placements
 and solutions at entry). The placement count lives in a local and is
 written to self.nodes before every table lookup, every yield and at the end,
-so the tables and the caller see the count the search has.
+so a reader of self.nodes sees the count the search has.
 
 An exhausted subtree is searched once. Below a placement the DFS depends
 only on the cover, the packed slack and the boxes left (the symmetry filter
@@ -242,11 +244,13 @@ class _Engine:
                 yield move
         self.moves[anchor] = moves
 
-    def _free_moves(self, cover: int, idx: int) -> tuple[_Move, ...]:
-        """The moves at anchor idx, whose list is complete, that miss `cover`,
-        in move order. Every move lies inside the anchor's last one, its
+    def _free_moves(self, cover: int, idx: int) -> Iterator[_Move] | tuple[_Move, ...]:
+        """The moves at anchor idx that miss `cover`, in move order: built
+        as they are yielded on the anchor's first visit, else a tuple from
+        the free table. Every move lies inside the anchor's last one, its
         orthant, so only the cover inside it is part of the key."""
-        moves = self.moves[idx]
+        if (moves := self.moves.get(idx)) is None:
+            return self._build_moves(idx, cover)
         key = (cover & moves[-1][1]) << self.cells | idx
         free = self.free.get(key)
         if free is None:
@@ -269,9 +273,8 @@ class _Engine:
         slack = self.ones * ((1 << self.width - 1) + slack)
         guards, full, budget, cells, left_bits = (
             self.guards, self.full, self.budget, self.cells, self.left_bits)
-        moves, last_box, exhausted = self.moves, self.last_box, self.exhausted
-        free_moves = self._free_moves
-        it: Iterator[_Move] = iter(moves.get(0) or self._build_moves(0))
+        last_box, exhausted, free_moves = self.last_box, self.exhausted, self._free_moves
+        it: Iterator[_Move] = iter(free_moves(0, 0))
         if self.problem.symmetry_pruning:
             # the first box only: extents sorted along the axes (cover is 0 here)
             it = (m for m in it if all(a[1] - a[0] <= b[1] - b[0] for a, b in pairwise(m[0])))
@@ -297,8 +300,8 @@ class _Engine:
                     # slack >= 0 says it meets at least k boxes.
                     found += 1
                     yield boxes + [box]
-                elif left == 2:
-                    n, last = last_box.get(child) or self._last_box(child)
+                elif left == 2 and (entry := last_box.get(child) or self._last_box(child)):
+                    n, last = entry
                     nodes += n
                     if nodes > budget:
                         self._over_budget()
@@ -306,7 +309,7 @@ class _Engine:
                         self.nodes = nodes
                         found += 1
                         yield boxes + [box, last[0]]
-                elif left > 2:
+                elif left > 1:  # left == 2 only on the next anchor's first visit
                     child_key = None
                     if left > 3:
                         child_key = ((after << cells | child) << left_bits) + left
@@ -319,10 +322,7 @@ class _Engine:
                     stack.append((it, cover, slack, left, key, entry_nodes, entry_found))
                     boxes.append(box)
                     idx = (~child & (child + 1)).bit_length() - 1  # the lowest clear bit
-                    if idx in moves:
-                        it = iter(free_moves(child, idx))
-                    else:  # the anchor's first visit
-                        it = self._build_moves(idx, child)
+                    it = iter(free_moves(child, idx))
                     cover, slack, left, key = child, after, left - 1, child_key
                     entry_nodes, entry_found = nodes, found
                     break
@@ -337,19 +337,16 @@ class _Engine:
                 boxes.pop()
         self.nodes = nodes
 
-    def _last_box(self, cover: int) -> tuple[int, _Move | None]:
+    def _last_box(self, cover: int) -> tuple[int, _Move | None] | None:
         """Fill and return last_box[cover]: the count of the moves at the
         cover's anchor that miss it, and the last if it completes the cover,
-        else None. On the anchor's first visit they are counted, and the
-        budget checked, as its moves are built, so the budget bounds them."""
-        if len(self.last_box) >= _TABLE_ENTRIES:
-            self.last_box.clear()
+        else None. None on the anchor's first visit, whose moves are not
+        built yet: the DFS then places the last box one move at a time."""
         idx = (~cover & (cover + 1)).bit_length() - 1
         if idx not in self.moves:
-            room = self.budget - self.nodes
-            for n, _ in enumerate(self._build_moves(idx, cover), 1):
-                if n > room:
-                    self._over_budget()
+            return None
+        if len(self.last_box) >= _TABLE_ENTRIES:
+            self.last_box.clear()
         free = self._free_moves(cover, idx)
         # the unit cell at idx is free; if the free cells form one box, that
         # box is a move at idx and the last free one

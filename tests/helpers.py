@@ -11,7 +11,9 @@ them.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from html import escape
 from itertools import combinations, product
@@ -174,6 +176,18 @@ def hull(bricks) -> Brick:
             for a in range(bricks[0].dim)
         ]
     )
+
+
+@contextmanager
+def int_max_str_digits(limit: int) -> Iterator[None]:
+    """Run the block under the interpreter's int <-> str digit limit (0: none),
+    restoring the limit after it."""
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 def as_pairs(b: Brick) -> tuple[tuple[Fraction, Fraction], ...]:

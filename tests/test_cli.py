@@ -2,7 +2,6 @@ import argparse
 import ast
 import io
 import json
-import sys
 import time
 import tracemalloc
 import weakref
@@ -29,7 +28,7 @@ from brickpart import (
 from brickpart.io_cli import cli
 from brickpart.io_cli.cli import main
 
-from helpers import as_pairs, whole_grid_report
+from helpers import as_pairs, int_max_str_digits, whole_grid_report
 
 
 def run_cli(capsys, *args):
@@ -173,6 +172,27 @@ def test_verify_an_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", str(doc))
     assert (code, out) == (2, "")
     assert err == "error: invalid JSON: an integer longer than 4300 digits\n"
+
+
+def test_verify_refuses_a_quoted_integer_over_the_interpreters_digit_limit(tmp_path, capsys):
+    doc = tmp_path / "long.json"
+    doc.write_text('{"dim":1,"parent":[[0,"' + "1" * 1000 + '"]],"bricks":[[[0,1]]]}')
+    with int_max_str_digits(640):
+        code, out, err = run_cli(capsys, "verify", str(doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: parent[0][1]: not an integer, decimal or p/q scalar: {'1' * 40!r}\n"
+
+
+def test_verify_reads_quoted_and_bare_integers_alike_with_no_digit_limit(tmp_path, capsys):
+    doc, side = tmp_path / "long.json", "1" * 5000
+    results = []
+    for text in (f'"{side}"', side):
+        doc.write_text('{"dim":1,"parent":[[0,' + text + ']],"bricks":[[[0,' + text + ']]]}')
+        with int_max_str_digits(0):  # no limit
+            results.append(run_cli(capsys, "verify", str(doc)))
+    code, out, err = results[0]
+    assert results[1] == results[0] and (code, err) == (0, "")
+    assert out.startswith("dim: 1\nmembers: 1\nvalid: yes\n")
 
 
 def test_main_runs_after_a_usage_error_in_the_same_process(capsys):
@@ -347,12 +367,8 @@ def test_a_refusal_of_a_field_the_call_did_not_pass_keeps_its_name(capsys, monke
 def test_bounds_prints_up_to_the_digit_limit(capsys):
     code, out, err = run_cli(capsys, "bounds", "--d", "4299", "--k", "10")
     assert (code, err) == (0, "") and f"trivial_grid_ub(d=4299, k=10): 1{'0' * 4299}\n" in out
-    default = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # no limit
-    try:
+    with int_max_str_digits(0):  # no limit
         code, out, err = run_cli(capsys, "bounds", "--d", "4300", "--k", "10")
-    finally:
-        sys.set_int_max_str_digits(default)
     assert (code, err) == (0, "") and f"trivial_grid_ub(d=4300, k=10): 1{'0' * 4300}\n" in out
 
 

@@ -1,6 +1,5 @@
 import json
 import re
-import sys
 from fractions import Fraction
 from random import Random
 
@@ -20,7 +19,7 @@ from brickpart.constructions import piercing_3d, slicing_3d
 from brickpart.geometry import as_scalar, parse_scalar
 from brickpart.io_cli import document
 
-from helpers import as_pairs
+from helpers import as_pairs, int_max_str_digits
 
 
 def test_emit_slicing_k2_document():
@@ -118,13 +117,8 @@ def test_parse_rejects_an_integer_over_the_digit_limit():
 
 def test_parse_names_the_interpreters_own_digit_limit():
     text = '{"dim": 1, "parent": [[0, ' + "1" * 700 + ']], "bricks": [[[0, 1]]]}'
-    default = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        with pytest.raises(ParseError) as exc:
-            parse_document(text)
-    finally:
-        sys.set_int_max_str_digits(default)
+    with int_max_str_digits(640), pytest.raises(ParseError) as exc:
+        parse_document(text)
     assert str(exc.value) == "invalid JSON: an integer longer than 640 digits"
 
 
@@ -150,6 +144,25 @@ def test_parse_rejects_floats():
 def test_parse_rejects_structural_errors(text):
     with pytest.raises(ParseError):
         parse_document(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dim": 1, "parent": 5, "bricks": [[[0, 1]]]}',
+         "parent: expected a list of [lo, hi] pairs"),
+        ('{"dim": 1, "parent": [[0, 1]], "bricks": [[[0, 1, 2]]]}',
+         "bricks[0][0]: expected a [lo, hi] pair"),
+        ('{"dim": 1, "parent": [[0, null]], "bricks": [[[0, 1]]]}',
+         "parent[0][1]: expected a scalar, got NoneType"),
+        ('{"dim": 1, "parent": [[0, 1]], "bricks": [[[0, 1]]], "labels": [1]}',
+         "labels: expected a list of strings"),
+    ],
+)
+def test_parse_names_the_place_of_each_shape_error(text, message):
+    with pytest.raises(ParseError) as e:
+        parse_document(text)
+    assert type(e.value) is ParseError and str(e.value) == message
 
 
 def test_parse_error_carries_field_context():

@@ -24,8 +24,8 @@ from brickpart.constructions import slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts, first_bad_cell
 
 from helpers import (
-    as_pairs, brick_sets, hull, piercing_3d_base, reference_index_boxes, slice_loop_counts,
-    whole_grid_counts, whole_grid_report,
+    as_pairs, brick_sets, hull, int_max_str_digits, piercing_3d_base, reference_index_boxes,
+    slice_loop_counts, whole_grid_counts, whole_grid_report,
 )
 
 small_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -135,6 +135,34 @@ def test_parse_scalar_rejects_a_digit_run_over_the_limit(text):
         parse_scalar(text)
     assert type(e.value) is ValueError  # a bad parameter, not a located document error
     assert str(e.value) == f"not an integer, decimal or p/q scalar: {text[:40]!r}"
+
+
+def test_parse_scalar_follows_the_interpreters_digit_limit():
+    with int_max_str_digits(640):
+        with pytest.raises(ValueError) as e:
+            parse_scalar("7" * 641)
+        assert parse_scalar("-" + "7" * 640) == -int("7" * 640)
+    assert type(e.value) is ValueError
+    assert str(e.value) == f"not an integer, decimal or p/q scalar: {'7' * 40!r}"
+    with int_max_str_digits(0):  # no limit
+        assert parse_scalar("0." + "5" * 5000) == Fraction(int("5" * 5000), 10**5000)
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: Brick(()), "a brick needs at least one side"),
+        (lambda: Brick.from_pairs([(0, 1)]).contains_point((0, 0)),
+         "point has 2 coordinates, brick has dimension 1"),
+        (lambda: Brick.from_pairs([(0, 1), (0, 1)]).translate((1,)),
+         "offset dimension differs from brick dimension"),
+    ],
+    ids=["no-side", "point-dimension", "offset-dimension"],
+)
+def test_brick_refuses_a_bad_parameter_with_a_plain_value_error(refused, message):
+    with pytest.raises(ValueError) as e:
+        refused()
+    assert type(e.value) is ValueError and str(e.value) == message
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,12 @@ def test_flat_query_validates_axes():
     assert str(e.value) == "not an integer, decimal or p/q scalar: 'x'"
 
 
+def test_flat_query_refuses_a_flat_with_no_fixed_axis():
+    with pytest.raises(ValueError) as e:
+        FlatQuery((1, 2), ())
+    assert type(e.value) is ValueError and str(e.value) == "a flat needs at least one fixed axis"
+
+
 def test_flat_query_accepts_mapping():
     q = FlatQuery((1,), ((2, 4), (3, 2)))
     assert q.free_axes == (1,)

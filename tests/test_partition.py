@@ -213,6 +213,12 @@ def test_validate_is_exact_beyond_int64():
     assert not any(b.contains_point(failure.point) for b in members)
 
 
+def test_partition_refuses_an_empty_member_list():
+    with pytest.raises(ValueError) as e:
+        BrickPartition(Brick.from_pairs([(0, 1)]), ())
+    assert type(e.value) is ValueError and str(e.value) == "a partition needs at least one member"
+
+
 def test_validate_dimension_mismatch():
     # validate takes a partition, and one of mixed dimensions cannot be formed
     with pytest.raises(ValueError, match=r"^member dimension 2 differs from parent dimension 1$"):

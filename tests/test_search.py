@@ -1,3 +1,5 @@
+import ast
+import inspect
 from dataclasses import replace
 from itertools import product
 
@@ -358,29 +360,90 @@ def test_a_node_budget_stops_inside_a_skipped_subtree_at_its_first_excess_placem
         _assert_budget_stops_as_one_at_a_time(replace(problem, node_budget=budget), full)
 
 
-def test_a_node_budget_stops_inside_a_last_box_count_that_the_free_table_answers():
-    # counts read from a free-move tuple, not from the last-box cache, must stop
-    # where one at a time would; the last span places the witness's last box
-    problem = SearchProblem(2, 2, Mode.PIERCING, 5, 4)
+def _assert_last_box_counts_stop_as_one_at_a_time(problem, nodes):
+    # counts read from a free-move tuple, not from the last-box cache, up to the
+    # first witness at `nodes`, must stop where one at a time would; every budget
+    # is tried near both ends of each count's span, and the spans are returned
     engine = _Engine(problem)
     engine.free = table = _Hits()
     last_box, spans = engine._last_box, []
 
     def counted(cover):
         hits = table.hits
-        n = last_box(cover)
-        if table.hits > hits:
-            spans.append((engine.nodes, engine.nodes + n[0]))
-        return n
+        entry = last_box(cover)  # None on the anchor's first visit: the DFS descends
+        if entry is not None and table.hits > hits:
+            spans.append((engine.nodes, engine.nodes + entry[0]))
+        return entry
 
     engine._last_box = counted
     first = next(engine.solutions())  # where exists_partition stops
-    assert spans == [(61, 70), (71, 77), (78, 81), (83, 92)]
     full = exists_partition(problem)
-    assert full.witness == engine.witness_partition(first) and full.nodes_explored == engine.nodes == 92
+    assert full.witness == engine.witness_partition(first) and full.nodes_explored == engine.nodes == nodes
     budgets = {b for span in spans for end in span for b in range(end - 2, end + 3)}
     for budget in sorted(budgets):
         _assert_budget_stops_as_one_at_a_time(replace(problem, node_budget=budget), full)
+    return spans
+
+
+def test_a_node_budget_stops_inside_a_last_box_count_that_the_free_table_answers():
+    # an anchor's first visit places the last box one move at a time, so only a
+    # revisited anchor is counted; this span places the witness's last box
+    problem = SearchProblem(2, 2, Mode.PIERCING, 5, 4)
+    assert _assert_last_box_counts_stop_as_one_at_a_time(problem, 92) == [(83, 92)]
+
+
+def test_a_node_budget_stops_inside_each_of_many_last_box_counts():
+    problem = SearchProblem(2, 3, Mode.PIERCING, 8, 4)
+    spans = _assert_last_box_counts_stop_as_one_at_a_time(problem, 4293)
+    assert len(spans) == 22 and spans[:2] == [(51, 54), (58, 61)]
+
+
+class _Forgets(dict):
+    """A table that never stores, so every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+@pytest.mark.parametrize(
+    "d, k, mode, m, g",
+    [
+        (2, 2, Mode.PIERCING, 5, 4),
+        (2, 3, Mode.PIERCING, 8, 4),
+        (3, 3, Mode.SLICING, 5, 3),
+        (3, 2, Mode.PIERCING, 7, 2),
+    ],
+)
+def test_engine_matches_the_oracle_when_no_table_answers(d, k, mode, m, g):
+    # with every table a miss, the DFS searches each frame one box at a time;
+    # what the tables answer elsewhere must be what that search finds
+    for symmetry in (True, False):
+        engine = _Engine(SearchProblem(d, k, mode, m, g, symmetry_pruning=symmetry))
+        engine.free, engine.exhausted, engine.last_box = _Forgets(), _Forgets(), _Forgets()
+        engine._last_box = lambda cover: None
+        found = [(engine.nodes, boxes) for boxes in engine.solutions()]
+        expected = list_slack_search(d, k, mode is Mode.PIERCING, m, g, symmetry)
+        assert (found, engine.nodes) == expected
+
+
+def test_only_the_dfs_builds_moves_and_checks_the_budget():
+    # the tables are caches: a miss descends, so no lookup builds moves or stops
+    # the search on its own
+    engine = next(
+        node for node in ast.parse(inspect.getsource(search)).body
+        if isinstance(node, ast.ClassDef) and node.name == "_Engine"
+    )
+    read: dict[str, set[str]] = {}  # each method's self.<attr> references
+    for method in engine.body:
+        if isinstance(method, ast.FunctionDef):
+            read[method.name] = {
+                node.attr for node in ast.walk(method)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            }
+    assert {name for name, attrs in read.items() if "_build_moves" in attrs} == {"_free_moves"}
+    assert {name for name, attrs in read.items() if "_over_budget" in attrs} == {"solutions"}
+    assert read["_last_box"] & {"nodes", "budget"} == set()
 
 
 def _assert_budget_stops_as_one_at_a_time(problem, full):
