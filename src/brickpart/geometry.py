@@ -86,7 +86,7 @@ def format_scalar(x: ScalarLike) -> str:
 
 # -digits, -digits.digits or -digits/digits with a nonzero denominator
 _SCALAR = re.compile(r"(-?)([0-9]+)(?:\.([0-9]+)|/(0*[1-9][0-9]*))?")
-MAX_SCALAR_DIGITS = 4300  # Python's default int <-> str limit, export's cap on decimal places
+MAX_SCALAR_DIGITS = 4300  # Python's default int <-> str limit; export caps decimal places at it
 
 
 def parse_scalar(text: str) -> Fraction:
@@ -116,8 +116,9 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", as_scalar(self.lo))
-        object.__setattr__(self, "hi", as_scalar(self.hi))
+        if type(self.lo) is not Fraction or type(self.hi) is not Fraction:
+            object.__setattr__(self, "lo", as_scalar(self.lo))
+            object.__setattr__(self, "hi", as_scalar(self.hi))
         (p, q), (r, t) = self.lo.as_integer_ratio(), self.hi.as_integer_ratio()
         if p * t >= r * q:  # lo >= hi, as denominators are positive
             raise ValueError(
@@ -142,10 +143,10 @@ class Brick:
     sides: tuple[Interval, ...]
 
     def __post_init__(self) -> None:
-        sides = tuple(self.sides)
-        if not sides:
+        if type(self.sides) is not tuple:
+            object.__setattr__(self, "sides", tuple(self.sides))
+        if not self.sides:
             raise ValueError("a brick needs at least one side")
-        object.__setattr__(self, "sides", sides)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[ScalarLike]]) -> "Brick":

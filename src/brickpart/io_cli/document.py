@@ -5,14 +5,17 @@ parent, bricks and optional labels/metadata, and `parse_document` builds the
 parent and each member once, straight into a `BrickPartition`. For the
 duration of one call, every distinct scalar token (the same JSON int or
 string) is parsed once into one `Fraction`, and every distinct token pair
-builds one `Interval`, each shared by all its occurrences; a token or pair
-that fails raises at its first occurrence and is never remembered, and a
-bool, float or nested token is never looked up or stored. The
-canonical rendering has a stable key order, two-space indentation and a
-final newline. Scalars are JSON integers when integral; otherwise strings,
-either terminating decimals ("0.5") or "p/q". JSON floats are rejected so a
-parsed document is always exact. Documents are not assumed to be valid
-partitions; validation is a separate explicit step.
+builds one `Interval`, each shared by all its occurrences. A stored pair of
+plain tokens costs an exact-type check and one lookup, and no location
+string; every other pair takes the one miss path, which locates a token or
+pair that fails at its first occurrence and never remembers it. A bool,
+float or nested token is never looked up or stored. Emission renders each
+scalar object once per call, and a parsed document holds one per distinct
+token. The canonical rendering has a stable key order, two-space
+indentation and a final newline. Scalars are JSON integers when integral;
+otherwise strings, either terminating decimals ("0.5") or "p/q". JSON
+floats are rejected so a parsed document is always exact. Documents are not
+assumed to be valid partitions; validation is a separate explicit step.
 """
 
 from __future__ import annotations
@@ -40,27 +43,27 @@ class PartitionDocument:
     def emit(self) -> str:
         """Canonical text: bricks in document order (one per line), scalars
         canonical, stable key order, newline-terminated."""
-        P = self.partition
-        entries = [f'"dim": {P.dim}']
-        entries.append(f'"parent": {_sides_text(P.parent)}')
-        brick_lines = ",\n".join(f"    {_sides_text(b)}" for b in P.members)
+        P, texts = self.partition, {}  # per scalar object (all alive): its JSON text
+
+        def scalar_text(x: Fraction) -> str:
+            # format_scalar writes only digits, "-", "." and "/": nothing to escape
+            if id(x) not in texts:
+                texts[id(x)] = str(x.numerator) if x.denominator == 1 else f'"{format_scalar(x)}"'
+            return texts[id(x)]
+
+        def sides_text(b: Brick) -> str:
+            return "[" + ", ".join(
+                [f"[{scalar_text(s.lo)}, {scalar_text(s.hi)}]" for s in b.sides]
+            ) + "]"
+
+        entries = [f'"dim": {P.dim}', f'"parent": {sides_text(P.parent)}']
+        brick_lines = ",\n".join([f"    {sides_text(b)}" for b in P.members])
         entries.append('"bricks": [\n' + brick_lines + "\n  ]")
         if P.labels is not None:
             entries.append(f'"labels": {json.dumps(list(P.labels))}')
         if self.metadata is not None:
             entries.append(f'"metadata": {json.dumps(self.metadata)}')
         return "{\n  " + ",\n  ".join(entries) + "\n}\n"
-
-
-def _scalar_text(x: Fraction) -> str:
-    # format_scalar writes only digits, "-", "." and "/": nothing to escape
-    return str(x.numerator) if x.denominator == 1 else f'"{format_scalar(x)}"'
-
-
-def _sides_text(b: Brick) -> str:
-    return "[" + ", ".join(
-        f"[{_scalar_text(s.lo)}, {_scalar_text(s.hi)}]" for s in b.sides
-    ) + "]"
 
 
 def emit_document(P: BrickPartition, metadata: dict[str, Any] | None = None) -> str:
@@ -75,36 +78,34 @@ _Scalars = dict[int | str, Fraction]  # token -> its scalar
 _Sides = dict[tuple[int | str, int | str], Interval]  # token pair -> its side
 
 
-def _parse_scalar_value(value: Any, where: str, scalars: _Scalars) -> Fraction:
+def _parse_scalar_value(value: Any, pair: str, end: int, scalars: _Scalars) -> Fraction:
     if type(value) in _TOKENS:
         x = scalars.get(value)
         if x is None:  # a failing token raises here, so it is never stored
             try:
                 x = scalars[value] = parse_scalar(value) if type(value) is str else Fraction(value)
             except ValueError as e:
-                raise ParseError(f"{where}: {e}") from e
+                raise ParseError(f"{pair}[{end}]: {e}") from e
         return x
     if isinstance(value, bool):
-        raise ParseError(f"{where}: expected a scalar, got a boolean")
+        raise ParseError(f"{pair}[{end}]: expected a scalar, got a boolean")
     if isinstance(value, float):
         raise ParseError(
-            f"{where}: floats are not exact; quote the value as a decimal or p/q string"
+            f"{pair}[{end}]: floats are not exact; quote the value as a decimal or p/q string"
         )
-    raise ParseError(f"{where}: expected a scalar, got {type(value).__name__}")
+    raise ParseError(f"{pair}[{end}]: expected a scalar, got {type(value).__name__}")
 
 
 def _parse_pair(value: Any, where: str, sides: _Sides, scalars: _Scalars) -> Interval:
+    """A pair that is not stored: built and stored, or located when it fails."""
     if not isinstance(value, list) or len(value) != 2:
         raise ParseError(f"{where}: expected a [lo, hi] pair")
     lo, hi = value
-    side = sides.get((lo, hi)) if type(lo) in _TOKENS and type(hi) in _TOKENS else None
-    if side is None:  # any other token raises here, so a failure is never stored
-        x = _parse_scalar_value(lo, f"{where}[0]", scalars)
-        y = _parse_scalar_value(hi, f"{where}[1]", scalars)
-        try:
-            side = sides[lo, hi] = Interval(x, y)
-        except ValueError as e:  # lo >= hi
-            raise ParseError(f"{where}: {e}") from e
+    x, y = _parse_scalar_value(lo, where, 0, scalars), _parse_scalar_value(hi, where, 1, scalars)
+    try:  # both tokens are plain here, and a failing pair is never stored
+        side = sides[lo, hi] = Interval(x, y)
+    except ValueError as e:  # lo >= hi
+        raise ParseError(f"{where}: {e}") from e
     return side
 
 
@@ -113,9 +114,15 @@ def _parse_sides(value: Any, dim: int, where: str, sides: _Sides, scalars: _Scal
         raise ParseError(f"{where}: expected a list of [lo, hi] pairs")
     if len(value) != dim:
         raise ParseError(f"{where}: {len(value)} sides for dimension {dim}")
-    return Brick(
-        tuple(_parse_pair(p, f"{where}[{i}]", sides, scalars) for i, p in enumerate(value))
-    )
+    out = []
+    for i, p in enumerate(value):  # a stored pair of plain tokens is a hit, never located
+        if type(p) is list and len(p) == 2 and type(p[0]) in _TOKENS and type(p[1]) in _TOKENS:
+            side = sides.get((p[0], p[1]))
+            if side is not None:
+                out.append(side)
+                continue
+        out.append(_parse_pair(p, f"{where}[{i}]", sides, scalars))
+    return Brick(tuple(out))
 
 
 _KNOWN_KEYS = {"dim", "parent", "bricks", "labels", "metadata"}

@@ -7,13 +7,15 @@ denominator), so no `Fraction` is built and no gcd taken. Each side object
 is rendered once, and `parse_document` shares one per distinct token pair:
 SVG renders a side's x and width (or y and height), each (a − b)·48; OBJ its
 two ends, each lo + (lo + hi − parent lo − parent hi)·exploded/2, by one
-code path for any exploded factor. Each OBJ brick's vertex and face lines
-then come from one line template each, vertices in bit order. Output bytes
-are identical across runs for equal inputs.
+code path for any exploded factor. Each OBJ brick's vertex lines, in bit
+order, and face lines then come from one f-string over its six rendered
+ends and its eight vertex indices, each index converted to text once. Output
+bytes are identical across runs for equal inputs.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -40,8 +42,9 @@ class ExportOptions:
             object.__setattr__(self, "exploded", as_scalar(self.exploded))
         except ValueError as e:
             raise ValueError(f"exploded: {e}") from e
-        p, top = self.precision, MAX_SCALAR_DIGITS  # more digits would not convert to str
-        if not 0 <= p <= top:
+        limit = sys.get_int_max_str_digits() or MAX_SCALAR_DIGITS  # 0: no limit
+        p, top = self.precision, min(MAX_SCALAR_DIGITS, limit)
+        if not 0 <= p <= top:  # more places would not convert to str
             raise ValueError(f"precision: decimal places must be >= 0 and <= {top}, got {p}")
 
 
@@ -58,7 +61,7 @@ def ratio_renderer(places: int) -> Callable[[int, int], str]:
         quantized = (2 * num * unit + den) // (2 * den)
         sign = "-" if quantized < 0 else ""
         whole, frac = divmod(abs(quantized), unit)
-        return f"{sign}{whole}.{frac:0{places}d}" if places else f"{sign}{whole}"
+        return f"{sign}{whole}.{str(frac).zfill(places)}" if places else f"{sign}{whole}"
 
     return render
 
@@ -142,26 +145,6 @@ def _export_svg(P: BrickPartition, options: ExportOptions) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-# Cube triangulation over corners indexed by bits (bit a set = hi on axis a),
-# outward-facing counterclockwise winding, 0-based local indices.
-_CUBE_TRIANGLES = (
-    (0, 2, 3), (0, 3, 1),  # z = lo
-    (4, 5, 7), (4, 7, 6),  # z = hi
-    (0, 1, 5), (0, 5, 4),  # y = lo
-    (2, 6, 7), (2, 7, 3),  # y = hi
-    (0, 4, 6), (0, 6, 2),  # x = lo
-    (1, 3, 7), (1, 7, 5),  # x = hi
-)
-
-
-# A brick's vertex and face lines as templates: vertex j takes end (j >> a) & 1
-# of axis a, field {2a} (lo) or {2a + 1} (hi); face field t is vertex t's index.
-_OBJ_VERTICES = "\n".join(
-    "v " + " ".join(f"{{{2 * a + (j >> a & 1)}}}" for a in range(3)) for j in range(8)
-)
-_OBJ_FACES = "\n".join("f " + " ".join(f"{{{t}}}" for t in tri) for tri in _CUBE_TRIANGLES)
-
-
 def _export_obj(P: BrickPartition, options: ExportOptions) -> bytes:
     render = ratio_renderer(options.precision)
     en, ed = options.exploded.as_integer_ratio()
@@ -178,10 +161,17 @@ def _export_obj(P: BrickPartition, options: ExportOptions) -> bytes:
     lines = [f"# brick partition, {len(P.members)} members"]
     for i, b in enumerate(P.members):
         label = P.labels[i] if P.labels is not None else f"member_{i}"
-        x, y, z = (ends[a, id(side)] for a, side in enumerate(b.sides))
-        lines += (
-            f"o {label}",
-            _OBJ_VERTICES.format(*x, *y, *z),
-            _OBJ_FACES.format(*range(8 * i + 1, 8 * i + 9)),  # OBJ indices are 1-based
+        (x0, x1), (y0, y1), (z0, z1) = (ends[a, id(side)] for a, side in enumerate(b.sides))
+        v0, v1, v2, v3, v4, v5, v6, v7 = map(str, range(8 * i + 1, 8 * i + 9))  # OBJ is 1-based
+        lines.append(
+            f"o {label}\n"  # vertex j takes end (j >> a) & 1 of axis a
+            f"v {x0} {y0} {z0}\nv {x1} {y0} {z0}\nv {x0} {y1} {z0}\nv {x1} {y1} {z0}\n"
+            f"v {x0} {y0} {z1}\nv {x1} {y0} {z1}\nv {x0} {y1} {z1}\nv {x1} {y1} {z1}\n"
+            f"f {v0} {v2} {v3}\nf {v0} {v3} {v1}\n"  # z = lo; outward, counterclockwise
+            f"f {v4} {v5} {v7}\nf {v4} {v7} {v6}\n"  # z = hi
+            f"f {v0} {v1} {v5}\nf {v0} {v5} {v4}\n"  # y = lo
+            f"f {v2} {v6} {v7}\nf {v2} {v7} {v3}\n"  # y = hi
+            f"f {v0} {v4} {v6}\nf {v0} {v6} {v2}\n"  # x = lo
+            f"f {v1} {v3} {v7}\nf {v1} {v7} {v5}"  # x = hi
         )
     return ("\n".join(lines) + "\n").encode("utf-8")

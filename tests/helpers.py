@@ -27,13 +27,7 @@ from hypothesis import strategies as st
 from brickpart import Brick, BrickPartition, ExportOptions, FailureKind, Interval
 from brickpart.constructions import _PIERCING_3D_BASE, _base
 from brickpart.geometry import BreakpointGrid
-from brickpart.io_cli.export import (
-    _CUBE_TRIANGLES,
-    _PALETTE,
-    SVG_SCALE,
-    _svg_trimmed,
-    ratio_renderer,
-)
+from brickpart.io_cli.export import _PALETTE, SVG_SCALE, _svg_trimmed, ratio_renderer
 from brickpart.partition import Failure, ValidationReport
 from brickpart.search import SearchProblem, _Engine
 
@@ -387,6 +381,18 @@ def reference_svg(P: BrickPartition, options: ExportOptions) -> bytes:
     )
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# Cube triangulation over corners indexed by bits (bit a set = hi on axis a),
+# outward-facing counterclockwise winding, 0-based local indices.
+_CUBE_TRIANGLES = (
+    (0, 2, 3), (0, 3, 1),  # z = lo
+    (4, 5, 7), (4, 7, 6),  # z = hi
+    (0, 1, 5), (0, 5, 4),  # y = lo
+    (2, 6, 7), (2, 7, 3),  # y = hi
+    (0, 4, 6), (0, 6, 2),  # x = lo
+    (1, 3, 7), (1, 7, 5),  # x = hi
+)
 
 
 def reference_obj(P: BrickPartition, options: ExportOptions) -> bytes:

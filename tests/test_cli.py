@@ -569,6 +569,20 @@ def test_export_precision_is_capped_at_the_scalar_digit_limit(tmp_path, capsys):
     assert f'width="6.{places}"' in out
 
 
+def test_export_precision_is_capped_at_the_interpreters_digit_limit(tmp_path, capsys):
+    doc, out_path = tmp_path / "s2.json", tmp_path / "s2.obj"
+    assert run_cli(capsys, "construct", "--family", "slicing3d", "--k", "2", "--out", str(doc))[0] == 0
+    export = ("export", str(doc), "--format", "obj", "--exploded", "1/3", "--out", str(out_path))
+    with int_max_str_digits(640):
+        refused = run_cli(capsys, *export, "--precision", "1000")
+        code, out, err = run_cli(capsys, *export, "--precision", "640")
+    msg = "error: --precision: decimal places must be >= 0 and <= 640, got 1000\n"
+    assert refused == (2, "", msg)
+    assert (code, out, err) == (0, "", "")
+    first = out_path.read_text().split("\n")[2]  # the first vertex, moved by -1/6 on y and z
+    assert first == f"v 0.{'0' * 640}" + f" -0.1{'6' * 638}7" * 2
+
+
 def test_export_rejects_negative_precision(tmp_path, capsys):
     doc = tmp_path / "p2.json"
     assert run_cli(capsys, "construct", "--family", "piercing2d", "--k", "3", "--out", str(doc))[0] == 0

@@ -54,6 +54,27 @@ def test_round_trip_is_byte_canonical():
         assert parse_document(text).emit() == text
 
 
+def _labeled_random_document():
+    P = random_split_partition(Random(4), 3, 60)
+    labels = tuple(f"m{i}" for i in range(len(P)))
+    text = emit_document(BrickPartition(P.parent, P.members, labels), metadata={"seed": 4})
+    return parse_document(text).to_partition()  # one Interval per distinct token pair
+
+
+@pytest.mark.parametrize("make", [lambda: piercing_3d(5), _labeled_random_document])
+def test_emit_reads_the_same_from_shared_and_fresh_sides(make):
+    P = make()
+    sides = [s for b in (P.parent, *P.members) for s in b.sides]
+    assert len({id(s) for s in sides}) < len(sides)  # the partition shares side objects
+
+    def fresh(b):  # every side and scalar its own new object
+        return Brick(tuple(Interval(Fraction(s.lo), Fraction(s.hi)) for s in b.sides))
+
+    Q = BrickPartition(fresh(P.parent), tuple(map(fresh, P.members)), P.labels)
+    assert len({id(s) for b in (Q.parent, *Q.members) for s in b.sides}) == len(sides)
+    assert emit_document(Q, {"seed": 4}) == emit_document(P, {"seed": 4})
+
+
 def test_parse_brick_row():
     text = """{
   "dim": 3,
@@ -157,6 +178,11 @@ def test_parse_rejects_structural_errors(text):
          "parent[0][1]: expected a scalar, got NoneType"),
         ('{"dim": 1, "parent": [[0, 1]], "bricks": [[[0, 1]]], "labels": [1]}',
          "labels: expected a list of strings"),
+        # bricks[1][0] repeats a stored pair, then bricks[1][1] fails
+        ('{"dim": 2, "parent": [[0, 1], [0, 2]], "bricks": [[[0, 1], [0, 2]], [[0, 1], [0, 1, 2]]]}',
+         "bricks[1][1]: expected a [lo, hi] pair"),
+        ('{"dim": 2, "parent": [[0, 1], [0, 2]], "bricks": [[[0, 1], [0, 2]], [[0, 1], [0, null]]]}',
+         "bricks[1][1][1]: expected a scalar, got NoneType"),
     ],
 )
 def test_parse_names_the_place_of_each_shape_error(text, message):

@@ -20,7 +20,7 @@ from brickpart.constructions import grid_partition, piercing_2d, piercing_3d, sl
 from brickpart.geometry import MAX_SCALAR_DIGITS
 from brickpart.io_cli.export import ratio_renderer
 
-from helpers import reference_obj, reference_svg
+from helpers import int_max_str_digits, reference_obj, reference_svg
 
 
 def _skewed(P: BrickPartition) -> BrickPartition:
@@ -86,6 +86,14 @@ def test_export_options_cap_precision_at_the_scalar_digit_limit():
     with pytest.raises(ValueError, match=f"<= {MAX_SCALAR_DIGITS}, got {MAX_SCALAR_DIGITS + 1}"):
         ExportOptions(precision=MAX_SCALAR_DIGITS + 1)
     assert ExportOptions(precision=MAX_SCALAR_DIGITS).precision == MAX_SCALAR_DIGITS
+
+
+@pytest.mark.parametrize("limit, top", [(640, 640), (0, MAX_SCALAR_DIGITS), (9000, MAX_SCALAR_DIGITS)])
+def test_export_options_cap_precision_at_the_interpreters_digit_limit(limit, top):
+    with int_max_str_digits(limit):  # 0: no limit, so the fixed cap alone
+        assert ExportOptions(precision=top).precision == top
+        with pytest.raises(ValueError, match=f"^precision: .* <= {top}, got {top + 1}$"):
+            ExportOptions(precision=top + 1)
 
 
 def test_export_options_refusals_start_with_their_field():
