@@ -2,9 +2,10 @@
 and the compressed breakpoint grids everything downstream is evaluated on.
 
 Every coordinate is a `fractions.Fraction`; no operation in this package
-introduces floating point. Bricks are closed sets ("intersects" always means
-nonempty intersection of closed sets), and intervals are nondegenerate by
-construction.
+introduces floating point, and `ratio_renderer` alone writes numbers as text,
+at any length (the int <-> str digit limit is a rule on input). Bricks are
+closed sets ("intersects" always means nonempty intersection of closed sets),
+and intervals are nondegenerate by construction.
 
 Coordinates are compared once, in integers, when `build_grid` compresses each
 axis to the ranks of its distinct endpoints, sorted by floor(x·2^64) (Fractions
@@ -22,11 +23,12 @@ first group's or a gap of its own, and it is never appended as a corner.
 
 from __future__ import annotations
 
+import decimal
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,23 +67,41 @@ def _decimal_places(den: int) -> int | None:
     return max(twos, fives) if den == 1 else None
 
 
+def ratio_renderer(places: int) -> Callable[[int, int], str]:
+    """Decimal text of num/den (den > 0, reduced or not) at the given places and
+    any length, rounded half up: floor(num/den·10^p + 1/2) = (2·num·10^p + den) // (2·den)."""
+    unit = 10**places
+
+    def render(num: int, den: int) -> str:
+        quantized = (2 * num * unit + den) // (2 * den)
+        try:
+            if not places:  # a whole number: the quotient's own digits, sign and all
+                return f"{quantized}"
+            whole, frac = divmod(abs(quantized), unit)
+            return f"{'-' if quantized < 0 else ''}{whole}.{str(frac).zfill(places)}"
+        except ValueError:  # str() refused an int past the limit; Decimal has none
+            digits = str(decimal.Decimal(quantized)).zfill(places + 1 + (quantized < 0))
+            return f"{digits[:-places]}.{digits[-places:]}" if places else digits
+
+    return render
+
+
+_whole = ratio_renderer(0)  # integers, the common case, and the terms of p/q
+
+
 def format_scalar(x: ScalarLike) -> str:
-    """Canonical text form of an exact scalar.
+    """Canonical text form of an exact scalar, by `ratio_renderer`.
 
     Integers render bare ("3"), rationals whose denominator divides a power
     of ten as terminating decimals ("0.5"), everything else as "p/q".
     """
-    x = as_scalar(x)
-    num, den = x.numerator, x.denominator
+    num, den = as_scalar(x).as_integer_ratio()
     if den == 1:
-        return str(num)
+        return _whole(num, 1)
     places = _decimal_places(den)
     if places is None:
-        return f"{num}/{den}"
-    digits = abs(num) * 10**places // den
-    whole, frac = divmod(digits, 10**places)
-    sign = "-" if num < 0 else ""
-    return f"{sign}{whole}.{str(frac).zfill(places).rstrip('0')}"
+        return f"{_whole(num, 1)}/{_whole(den, 1)}"
+    return ratio_renderer(places)(num, den)
 
 
 # -digits, -digits.digits or -digits/digits with a nonzero denominator

@@ -47,9 +47,10 @@ class PartitionDocument:
 
         def scalar_text(x: Fraction) -> str:
             # format_scalar writes only digits, "-", "." and "/": nothing to escape
-            if id(x) not in texts:
-                texts[id(x)] = str(x.numerator) if x.denominator == 1 else f'"{format_scalar(x)}"'
-            return texts[id(x)]
+            if (text := texts.get(id(x))) is None:
+                text = format_scalar(x)
+                text = texts[id(x)] = text if x.denominator == 1 else f'"{text}"'
+            return text
 
         def sides_text(b: Brick) -> str:
             return "[" + ", ".join(

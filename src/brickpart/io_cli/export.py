@@ -1,16 +1,16 @@
 """Deterministic figure exporters: SVG for d=2, Wavefront OBJ for d=3.
 
 Exporters never alter geometry: every emitted coordinate is an exact scalar
-rendered at the configured decimal precision, rounding half up. Coordinates
-are computed and rendered as unreduced integer ratios (numerator, positive
-denominator), so no `Fraction` is built and no gcd taken. Each side object
-is rendered once, and `parse_document` shares one per distinct token pair:
-SVG renders a side's x and width (or y and height), each (a − b)·48; OBJ its
-two ends, each lo + (lo + hi − parent lo − parent hi)·exploded/2, by one
-code path for any exploded factor. Each OBJ brick's vertex lines, in bit
-order, and face lines then come from one f-string over its six rendered
-ends and its eight vertex indices, each index converted to text once. Output
-bytes are identical across runs for equal inputs.
+rendered at the configured decimal precision, rounding half up, at any length,
+by `geometry.ratio_renderer` (also importable from here), from an unreduced
+integer ratio (numerator, positive denominator): no `Fraction` is built and
+no gcd taken. Each side object is rendered once, and `parse_document` shares
+one per distinct token pair: SVG renders a side's x and width (or y and
+height), each (a − b)·48; OBJ its two ends, each lo + (lo + hi − parent lo −
+parent hi)·exploded/2, by one code path for any exploded factor. Each OBJ
+brick's vertex lines, in bit order, and face lines then come from one
+f-string over its six rendered ends and its eight vertex indices, each index
+converted to text once. Equal inputs give identical output bytes.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from html import escape
-from typing import Callable
 
-from ..geometry import MAX_SCALAR_DIGITS, Interval, as_scalar
+from ..geometry import MAX_SCALAR_DIGITS, Interval, as_scalar, ratio_renderer
 from ..partition import BrickPartition
 
 
@@ -44,26 +43,11 @@ class ExportOptions:
             raise ValueError(f"exploded: {e}") from e
         limit = sys.get_int_max_str_digits() or MAX_SCALAR_DIGITS  # 0: no limit
         p, top = self.precision, min(MAX_SCALAR_DIGITS, limit)
-        if not 0 <= p <= top:  # more places would not convert to str
+        if not 0 <= p <= top:  # no more places than input text may have digits
             raise ValueError(f"precision: decimal places must be >= 0 and <= {top}, got {p}")
 
 
 SVG_SCALE = 48  # SVG pixels per geometry unit
-
-
-def ratio_renderer(places: int) -> Callable[[int, int], str]:
-    """Fixed-point decimal rendering of num/den at the given places, for any
-    den > 0, reduced or not, round half up: floor(num/den·10^p + 1/2),
-    computed as (2·num·10^p + den) // (2·den) in plain ints."""
-    unit = 10**places
-
-    def render(num: int, den: int) -> str:
-        quantized = (2 * num * unit + den) // (2 * den)
-        sign = "-" if quantized < 0 else ""
-        whole, frac = divmod(abs(quantized), unit)
-        return f"{sign}{whole}.{str(frac).zfill(places)}" if places else f"{sign}{whole}"
-
-    return render
 
 
 def _svg_trimmed(text: str) -> str:

@@ -24,7 +24,7 @@ from math import prod
 import numpy as np
 
 from .errors import ResourceLimit
-from .geometry import as_scalar, cell_counts
+from .geometry import as_scalar, cell_counts, format_scalar
 from .partition import BrickPartition
 
 
@@ -66,7 +66,7 @@ def hit_members(P: BrickPartition, q: FlatQuery) -> tuple[int, ...]:
     for a, c in q.fixed_coords:
         if not P.parent.sides[a - 1].contains(c):
             raise ValueError(
-                f"axis {a} coordinate {c} outside parent {P.parent.sides[a - 1]!r}"
+                f"axis {a} coordinate {format_scalar(c)} outside parent {P.parent.sides[a - 1]!r}"
             )
     return tuple(
         i

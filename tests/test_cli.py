@@ -195,6 +195,56 @@ def test_verify_reads_quoted_and_bare_integers_alike_with_no_digit_limit(tmp_pat
     assert out.startswith("dim: 1\nmembers: 1\nvalid: yes\n")
 
 
+def run_cli_as_with_no_digit_limit(capsys, *args):
+    """run_cli, checked to give what the same run gives with no int <-> str limit."""
+    result = run_cli(capsys, *args)
+    with int_max_str_digits(0):
+        assert run_cli(capsys, *args) == result
+    return result
+
+
+# a and b each have 4,298-digit terms, under the limit; (a + b)/2 has longer ones
+_A = Fraction(10**4297, 3 * 10**4297 + 1)
+_B = Fraction(2 * 10**4297, 3 * 10**4297 + 7)
+
+
+def _ratio_document(path, bricks):
+    texts = {x: f'"{x.numerator}/{x.denominator}"' for x in (_A, _B)}
+    sides = [", ".join(f"[{texts.get(lo, lo)}, {texts.get(hi, hi)}]" for lo, hi in b) for b in bricks]
+    path.write_text('{"dim": 2, "parent": [[0, 1], [0, 1]], "bricks": [[' + "], [".join(sides) + "]]}")
+
+
+def test_verify_prints_a_gap_between_long_ratios(tmp_path, capsys):
+    doc = tmp_path / "gap.json"
+    _ratio_document(doc, [((0, _A), (0, 1)), ((_B, 1), (0, 1))])
+    code, out, err = run_cli_as_with_no_digit_limit(capsys, "verify", str(doc))
+    mid = (_A + _B) / 2
+    with int_max_str_digits(0):
+        gap = f"failure: gap at ({mid.numerator}/{mid.denominator}, 0.5)\n"
+    assert (code, out, err) == (1, "dim: 2\nmembers: 2\nvalid: no\n" + gap, "")
+
+
+def test_verify_prints_a_witness_between_long_ratios(tmp_path, capsys):
+    doc, half = tmp_path / "valid.json", '"1/2"'
+    _ratio_document(doc, [((0, _A), (0, half)), ((0, _A), (half, 1)), ((_A, _B), (0, 1)),
+                          ((_B, 1), (0, half)), ((_B, 1), (half, 1))])
+    code, out, err = run_cli_as_with_no_digit_limit(capsys, "verify", str(doc))
+    mid = (_A + _B) / 2
+    with int_max_str_digits(0):
+        witness = f"line with free axes {{2}} at x1={mid.numerator}/{mid.denominator}"
+    assert (code, err) == (0, "")
+    assert f"valid: yes\npiercing_number: 1\npiercing_witness: {witness}\n" in out
+
+
+def test_verify_prints_a_gap_between_long_decimals(tmp_path, capsys):
+    doc, places = tmp_path / "gap.json", 4300  # the midpoint has one place more
+    lo, hi = "0." + "1" * places, "0." + "2" * places
+    doc.write_text(f'{{"dim": 1, "parent": [[0, 1]], "bricks": [[[0, "{lo}"]], [["{hi}", 1]]]}}')
+    code, out, err = run_cli_as_with_no_digit_limit(capsys, "verify", str(doc))
+    gap = "0.1" + "6" * (places - 2) + "65"
+    assert (code, out, err) == (1, f"dim: 1\nmembers: 2\nvalid: no\nfailure: gap at ({gap})\n", "")
+
+
 def test_main_runs_after_a_usage_error_in_the_same_process(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["search", "--d", "2"])
@@ -581,6 +631,25 @@ def test_export_precision_is_capped_at_the_interpreters_digit_limit(tmp_path, ca
     assert (code, out, err) == (0, "", "")
     first = out_path.read_text().split("\n")[2]  # the first vertex, moved by -1/6 on y and z
     assert first == f"v 0.{'0' * 640}" + f" -0.1{'6' * 638}7" * 2
+
+
+def test_export_svg_prints_a_width_past_the_digit_limit(tmp_path, capsys):
+    doc, side = tmp_path / "big.json", 10**4300 - 1  # 4,300 nines: the most a document may have
+    with int_max_str_digits(0):
+        text, width = str(side), str(48 * side)
+    doc.write_text(f'{{"dim": 2, "parent": [[0, {text}], [0, 1]], "bricks": [[[0, {text}], [0, 1]]]}}')
+    code, out, err = run_cli_as_with_no_digit_limit(capsys, "export", str(doc), "--format", "svg")
+    assert (code, err) == (0, "")
+    assert f'width="{width}" height="48"' in out
+
+
+def test_export_obj_explodes_by_a_factor_at_the_digit_limit(tmp_path, capsys):
+    doc = tmp_path / "p3.json"
+    assert run_cli(capsys, "construct", "--family", "piercing3d", "--k", "3", "--out", str(doc))[0] == 0
+    export = ("export", str(doc), "--format", "obj", "--exploded", "9" * 4300)
+    code, out, err = run_cli_as_with_no_digit_limit(capsys, *export)
+    assert (code, err) == (0, "")
+    assert out.startswith("# brick partition, ")
 
 
 def test_export_rejects_negative_precision(tmp_path, capsys):

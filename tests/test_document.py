@@ -75,6 +75,15 @@ def test_emit_reads_the_same_from_shared_and_fresh_sides(make):
     assert emit_document(Q, {"seed": 4}) == emit_document(P, {"seed": 4})
 
 
+def test_emit_writes_an_integer_past_the_digit_limit():
+    side = Brick((Interval(0, 10**4400),))  # the limit is a rule on input, not on output
+    P = BrickPartition(side, (side,))
+    text = emit_document(P)
+    with int_max_str_digits(0):
+        assert text == emit_document(P)
+        assert f'"parent": [[0, {10**4400}]]' in text
+
+
 def test_parse_brick_row():
     text = """{
   "dim": 3,

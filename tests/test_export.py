@@ -16,6 +16,7 @@ from brickpart import (
     export_figure,
     parse_document,
 )
+from brickpart import geometry
 from brickpart.constructions import grid_partition, piercing_2d, piercing_3d, slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS
 from brickpart.io_cli.export import ratio_renderer
@@ -211,6 +212,10 @@ def test_svg_labels_are_escaped():
 )
 def test_render_decimal(value, places, text):
     assert ratio_renderer(places)(*value.as_integer_ratio()) == text
+
+
+def test_export_renders_by_the_geometry_renderer():
+    assert ratio_renderer is geometry.ratio_renderer  # one owner of decimal text
 
 
 def _reference_decimal(x: Fraction, places: int) -> str:

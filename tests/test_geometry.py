@@ -5,7 +5,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brickpart import (
@@ -21,7 +21,7 @@ from brickpart import (
 )
 from brickpart import metrics
 from brickpart.constructions import slicing_3d
-from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts, first_bad_cell
+from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts, first_bad_cell, ratio_renderer
 
 from helpers import (
     as_pairs, brick_sets, hull, int_max_str_digits, piercing_3d_base, reference_index_boxes,
@@ -106,6 +106,27 @@ def test_scalar_round_trips_at_the_digit_limit():
     big = Fraction(-(10**MAX_SCALAR_DIGITS - 1), 10**MAX_SCALAR_DIGITS - 3)
     for x in (big, Fraction(1, 2**MAX_SCALAR_DIGITS), Fraction(10**MAX_SCALAR_DIGITS - 1)):
         assert parse_scalar(format_scalar(x)) == x
+
+
+def test_format_scalar_writes_any_length_as_with_no_limit():
+    num, den = 10**8600 + 1, 3 * 10**8599 + 7  # p/q, each term past the limit
+    cases = [Fraction(num, den), Fraction(-num), Fraction(1, 2**9000), Fraction(-num, 10**4301)]
+    texts = [format_scalar(x) for x in cases]
+    with int_max_str_digits(0):
+        assert texts == [format_scalar(x) for x in cases]
+        assert texts[:2] == [f"{num}/{den}", f"-{num}"]
+
+
+@settings(max_examples=50)
+@given(st.integers(-(10**2000), 10**2000), st.integers(1, 10**1500), st.integers(0, 1500))
+@example(-1, 3, 700)  # a whole part of 0, a sign and 700 places
+@example(1, 10**700, 1400)  # 699 zeros before the first digit of the places
+@example(-(10**700), 1, 0)
+def test_ratio_renderer_past_the_limit_writes_what_no_limit_writes(num, den, places):
+    with int_max_str_digits(640):  # the least limit Python allows
+        texts = ratio_renderer(places)(num, den), format_scalar(Fraction(num, den))
+    with int_max_str_digits(0):
+        assert texts == (ratio_renderer(places)(num, den), format_scalar(Fraction(num, den)))
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from brickpart.constructions import (
     slicing_3d,
 )
 
-from helpers import brute_force_min_flat, piercing_3d_base
+from helpers import brute_force_min_flat, int_max_str_digits, piercing_3d_base
 
 
 def test_flat_query_validates_axes():
@@ -76,6 +76,14 @@ def test_count_rejects_query_outside_parent():
     P = grid_partition(2, 2)
     with pytest.raises(ValueError, match=r"^axis 2 coordinate 5 outside parent \[0, 2\]$"):
         count_intersections(P, FlatQuery((1,), ((2, 5),)))
+
+
+def test_count_names_a_long_coordinate_outside_parent():
+    P, c = grid_partition(2, 2), -(10**4400)
+    with pytest.raises(ValueError) as refused:
+        count_intersections(P, FlatQuery((1,), ((2, c),)))
+    with int_max_str_digits(0):
+        assert str(refused.value) == f"axis 2 coordinate {c} outside parent [0, 2]"
 
 
 def test_count_rejects_dimension_mismatch():
