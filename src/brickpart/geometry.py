@@ -122,13 +122,15 @@ def parse_scalar(text: str) -> Fraction:
     ):
         raise ValueError(f"not an integer, decimal or p/q scalar: {text[:40]!r}")
     sign, whole, frac, den = match.groups()
-    num, den = int(whole), int(den or 1)
-    if frac:
-        num, den = num * 10 ** len(frac) + int(frac), 10 ** len(frac)
-    return Fraction(-num if sign else num, den)
+    if frac is None:
+        return Fraction(int(sign + whole), int(den or 1))
+    if limit and len(text) > limit:  # each digit run is within the limit, maybe not both
+        num = int(whole) * 10 ** len(frac) + int(frac)
+        return Fraction(-num if sign else num, 10 ** len(frac))
+    return Fraction(int(text.replace(".", "")), 10 ** len(frac))  # every digit in one int()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Closed nondegenerate interval [lo, hi] with exact rational endpoints."""
 
@@ -156,7 +158,7 @@ class Interval:
         return f"[{format_scalar(self.lo)}, {format_scalar(self.hi)}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Brick:
     """Product of closed intervals: an axis-aligned box with nonempty interior."""
 

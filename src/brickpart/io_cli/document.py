@@ -5,11 +5,13 @@ parent, bricks and optional labels/metadata, and `parse_document` builds the
 parent and each member once, straight into a `BrickPartition`. For the
 duration of one call, every distinct scalar token (the same JSON int or
 string) is parsed once into one `Fraction`, and every distinct token pair
-builds one `Interval`, each shared by all its occurrences. A stored pair of
-plain tokens costs an exact-type check and one lookup, and no location
-string; every other pair takes the one miss path, which locates a token or
-pair that fails at its first occurrence and never remembers it. A bool,
-float or nested token is never looked up or stored. Emission renders each
+builds one `Interval`, each shared by all its occurrences. One loop reads
+the parent and then the bricks: a stored pair of plain tokens costs an
+exact-type check and one lookup; a new pair looks up or parses its two
+tokens and builds its side in place. A location such as `bricks[1][0][1]` is
+written only when the loop raises, at the first failing row, pair or token
+in document order, and nothing that fails is remembered. A bool, float or
+nested token is never looked up or stored. Emission renders each
 scalar object once per call, and a parsed document holds one per distinct
 token. The canonical rendering has a stable key order, two-space
 indentation and a final newline. Scalars are JSON integers when integral;
@@ -75,55 +77,56 @@ def emit_document(P: BrickPartition, metadata: dict[str, Any] | None = None) -> 
 # exact types, checked before any lookup: a bool is an int, and True == 1;
 # an int never equals a str, so the raw tokens are the keys
 _TOKENS = (int, str)
-_Scalars = dict[int | str, Fraction]  # token -> its scalar
-_Sides = dict[tuple[int | str, int | str], Interval]  # token pair -> its side
 
 
-def _parse_scalar_value(value: Any, pair: str, end: int, scalars: _Scalars) -> Fraction:
-    if type(value) in _TOKENS:
-        x = scalars.get(value)
-        if x is None:  # a failing token raises here, so it is never stored
-            try:
-                x = scalars[value] = parse_scalar(value) if type(value) is str else Fraction(value)
-            except ValueError as e:
-                raise ParseError(f"{pair}[{end}]: {e}") from e
-        return x
-    if isinstance(value, bool):
-        raise ParseError(f"{pair}[{end}]: expected a scalar, got a boolean")
-    if isinstance(value, float):
-        raise ParseError(
-            f"{pair}[{end}]: floats are not exact; quote the value as a decimal or p/q string"
-        )
-    raise ParseError(f"{pair}[{end}]: expected a scalar, got {type(value).__name__}")
+def _not_a_scalar(token: Any) -> str:
+    if isinstance(token, bool):
+        return "expected a scalar, got a boolean"
+    if isinstance(token, float):
+        return "floats are not exact; quote the value as a decimal or p/q string"
+    return f"expected a scalar, got {type(token).__name__}"
 
 
-def _parse_pair(value: Any, where: str, sides: _Sides, scalars: _Scalars) -> Interval:
-    """A pair that is not stored: built and stored, or located when it fails."""
-    if not isinstance(value, list) or len(value) != 2:
-        raise ParseError(f"{where}: expected a [lo, hi] pair")
-    lo, hi = value
-    x, y = _parse_scalar_value(lo, where, 0, scalars), _parse_scalar_value(hi, where, 1, scalars)
-    try:  # both tokens are plain here, and a failing pair is never stored
-        side = sides[lo, hi] = Interval(x, y)
-    except ValueError as e:  # lo >= hi
-        raise ParseError(f"{where}: {e}") from e
-    return side
+def _place(row: int, pair: int | None = None, end: int | None = None) -> str:
+    """The location of a failing row (the parent, then bricks[i]), pair or token."""
+    where = "parent" if row == 0 else f"bricks[{row - 1}]"
+    return where + "".join(f"[{i}]" for i in (pair, end) if i is not None)
 
 
-def _parse_sides(value: Any, dim: int, where: str, sides: _Sides, scalars: _Scalars) -> Brick:
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a list of [lo, hi] pairs")
-    if len(value) != dim:
-        raise ParseError(f"{where}: {len(value)} sides for dimension {dim}")
-    out = []
-    for i, p in enumerate(value):  # a stored pair of plain tokens is a hit, never located
-        if type(p) is list and len(p) == 2 and type(p[0]) in _TOKENS and type(p[1]) in _TOKENS:
-            side = sides.get((p[0], p[1]))
-            if side is not None:
-                out.append(side)
-                continue
-        out.append(_parse_pair(p, f"{where}[{i}]", sides, scalars))
-    return Brick(tuple(out))
+def _parse_rows(rows: list, dim: int) -> list[Brick]:
+    """Parent and bricks in one loop, raising at the first failure in document order."""
+    scalars: dict[int | str, Fraction] = {}  # for this call: one Fraction per distinct token
+    sides: dict[tuple[int | str, int | str], Interval] = {}  # one Interval per token pair
+    get, out = sides.get, []
+    for row in rows:
+        if type(row) is not list:
+            raise ParseError(f"{_place(len(out))}: expected a list of [lo, hi] pairs")
+        if len(row) != dim:
+            raise ParseError(f"{_place(len(out))}: {len(row)} sides for dimension {dim}")
+        brick: list[Interval] = []
+        for p in row:  # a stored pair of plain tokens is one type check and one lookup
+            if type(p) is not list or len(p) != 2:
+                raise ParseError(f"{_place(len(out), len(brick))}: expected a [lo, hi] pair")
+            lo, hi = p
+            side = get((lo, hi)) if type(lo) in _TOKENS and type(hi) in _TOKENS else None
+            if side is None:
+                for end, token in enumerate(p):  # a new pair: its tokens stored or located
+                    if type(token) not in _TOKENS:
+                        place = _place(len(out), len(brick), end)
+                        raise ParseError(f"{place}: {_not_a_scalar(token)}")
+                    if token not in scalars:  # a failing token raises here, never stored
+                        try:
+                            x = parse_scalar(token) if type(token) is str else Fraction(token)
+                        except ValueError as e:
+                            raise ParseError(f"{_place(len(out), len(brick), end)}: {e}") from e
+                        scalars[token] = x
+                try:
+                    side = sides[lo, hi] = Interval(scalars[lo], scalars[hi])
+                except ValueError as e:  # lo >= hi
+                    raise ParseError(f"{_place(len(out), len(brick))}: {e}") from e
+            brick.append(side)
+        out.append(Brick(tuple(brick)))
+    return out
 
 
 _KNOWN_KEYS = {"dim", "parent", "bricks", "labels", "metadata"}
@@ -135,6 +138,8 @@ def parse_document(text: str) -> PartitionDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
+    except RecursionError as e:
+        raise ParseError("invalid JSON: nested past the interpreter's recursion limit") from e
     except ValueError as e:  # the only other error: int() refuses a digit run over the limit
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"invalid JSON: an integer longer than {limit} digits") from e
@@ -150,15 +155,11 @@ def parse_document(text: str) -> PartitionDocument:
     dim = raw["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError("dim: expected a positive integer")
-    scalars: _Scalars = {}  # for this call: one Fraction per distinct token
-    sides: _Sides = {}  # and one Interval per distinct token pair
-    parent = _parse_sides(raw["parent"], dim, "parent", sides, scalars)
-    bricks_raw = raw["bricks"]
-    if not isinstance(bricks_raw, list) or not bricks_raw:
+    bricks = raw["bricks"]  # checked after the parent, which comes first in a document
+    listed = isinstance(bricks, list) and bool(bricks)
+    parent, *bricks = _parse_rows([raw["parent"], *bricks] if listed else [raw["parent"]], dim)
+    if not listed:
         raise ParseError("bricks: expected a nonempty list")
-    bricks = tuple(
-        _parse_sides(b, dim, f"bricks[{i}]", sides, scalars) for i, b in enumerate(bricks_raw)
-    )
 
     labels = None
     if "labels" in raw:
@@ -175,7 +176,7 @@ def parse_document(text: str) -> PartitionDocument:
         metadata = raw["metadata"]
 
     try:  # the partition owns the label rules: one printable label per member
-        P = BrickPartition(parent, bricks, labels)
+        P = BrickPartition(parent, tuple(bricks), labels)
     except ValueError as e:
         raise ParseError(str(e)) from e
     return PartitionDocument(P, metadata)

@@ -44,11 +44,10 @@ class BrickPartition:
         members = tuple(self.members)
         if not members:
             raise ValueError("a partition needs at least one member")
+        dim = self.parent.dim
         for m in members:
-            if m.dim != self.parent.dim:
-                raise ValueError(
-                    f"member dimension {m.dim} differs from parent dimension {self.parent.dim}"
-                )
+            if len(m.sides) != dim:
+                raise ValueError(f"member dimension {m.dim} differs from parent dimension {dim}")
         object.__setattr__(self, "members", members)
         if self.labels is not None:
             labels = tuple(self.labels)

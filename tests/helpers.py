@@ -4,13 +4,15 @@ Everything here recomputes results from definitions, without touching the
 breakpoint-grid code paths it is used to check; `slice_loop_counts` and
 `whole_grid_counts` read only the grid's index boxes, which `test_geometry`
 checks on their own. `reference_svg` and `reference_obj` render every
-brick's coordinates afresh, one brick at a time. Brick views,
+brick's coordinates afresh, one brick at a time; `reference_parse` reads a
+document's geometry with a fresh scalar and side for every occurrence. Brick views,
 `piercing_3d_base` and `iter_solutions` live here because only tests use
 them.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 from collections import Counter
 from contextlib import contextmanager
@@ -24,9 +26,9 @@ from typing import Iterator
 import numpy as np
 from hypothesis import strategies as st
 
-from brickpart import Brick, BrickPartition, ExportOptions, FailureKind, Interval
+from brickpart import Brick, BrickPartition, ExportOptions, FailureKind, Interval, ParseError
 from brickpart.constructions import _PIERCING_3D_BASE, _base
-from brickpart.geometry import BreakpointGrid
+from brickpart.geometry import BreakpointGrid, parse_scalar
 from brickpart.io_cli.export import _PALETTE, SVG_SCALE, _svg_trimmed, ratio_renderer
 from brickpart.partition import Failure, ValidationReport
 from brickpart.search import SearchProblem, _Engine
@@ -182,6 +184,51 @@ def int_max_str_digits(limit: int) -> Iterator[None]:
         yield
     finally:
         sys.set_int_max_str_digits(default)
+
+
+def reference_parse(text: str) -> BrickPartition:
+    """The parent and bricks of a document, read plainly: a fresh Fraction and
+    Interval for every occurrence, no tables, and the ParseError that
+    `parse_document` raises at the first failure in document order."""
+    raw = json.loads(text)
+    dim = raw["dim"]
+
+    def scalar(token, where: str) -> Fraction:
+        if isinstance(token, bool):
+            raise ParseError(f"{where}: expected a scalar, got a boolean")
+        if isinstance(token, float):
+            raise ParseError(
+                f"{where}: floats are not exact; quote the value as a decimal or p/q string"
+            )
+        if isinstance(token, int):
+            return Fraction(token)
+        if not isinstance(token, str):
+            raise ParseError(f"{where}: expected a scalar, got {type(token).__name__}")
+        try:
+            return parse_scalar(token)
+        except ValueError as e:
+            raise ParseError(f"{where}: {e}") from e
+
+    def brick(row, where: str) -> Brick:
+        if not isinstance(row, list):
+            raise ParseError(f"{where}: expected a list of [lo, hi] pairs")
+        if len(row) != dim:
+            raise ParseError(f"{where}: {len(row)} sides for dimension {dim}")
+        sides = []
+        for j, pair in enumerate(row):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ParseError(f"{where}[{j}]: expected a [lo, hi] pair")
+            lo, hi = (scalar(token, f"{where}[{j}][{end}]") for end, token in enumerate(pair))
+            try:
+                sides.append(Interval(lo, hi))
+            except ValueError as e:
+                raise ParseError(f"{where}[{j}]: {e}") from e
+        return Brick(tuple(sides))
+
+    parent, rows = brick(raw["parent"], "parent"), raw["bricks"]
+    if not isinstance(rows, list) or not rows:
+        raise ParseError("bricks: expected a nonempty list")
+    return BrickPartition(parent, tuple(brick(row, f"bricks[{i}]") for i, row in enumerate(rows)))
 
 
 def as_pairs(b: Brick) -> tuple[tuple[Fraction, Fraction], ...]:

@@ -537,6 +537,15 @@ def test_directory_paths_exit_2(tmp_path, capsys):
     assert (code, out) == (2, "") and err.startswith("error: ")
 
 
+def test_deep_nesting_is_a_parse_error(tmp_path, capsys):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000 + "]" * 100_000)  # deeper than json.loads recurses by default
+    for argv in (["verify", str(doc)], ["export", str(doc), "--format", "svg"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid JSON: ") and err.count("\n") == 1
+
+
 @pytest.fixture
 def grid_builds(monkeypatch):
     """Count the grids built, wherever a module looks build_grid up."""

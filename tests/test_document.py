@@ -19,7 +19,7 @@ from brickpart.constructions import piercing_3d, slicing_3d
 from brickpart.geometry import as_scalar, parse_scalar
 from brickpart.io_cli import document
 
-from helpers import as_pairs, int_max_str_digits
+from helpers import as_pairs, int_max_str_digits, reference_parse
 
 
 def test_emit_slicing_k2_document():
@@ -350,3 +350,52 @@ def test_parse_remembers_no_failing_token(monkeypatch):
         with pytest.raises(ParseError, match=re.escape("bricks[1][0][1]: not an integer")):
             parse_document(json.dumps(doc))
         assert parsed == ["2", "1", "x"]
+
+
+def _corrupt(rng, raw, row):
+    """Corrupt one place of a row (0 the parent, then the bricks) in place, and
+    return the location that a reader names for it."""
+    sides = raw["parent"] if row == 0 else raw["bricks"][row - 1]
+    where = "parent" if row == 0 else f"bricks[{row - 1}]"
+    j, end = rng.randrange(len(sides)), rng.randrange(2)
+    pair = sides[j]
+    kind = rng.choice(
+        ["bool", "float", "nested", "short", "long", "swap", "equal", "plus", "brick", "count"]
+    )
+    if kind in ("brick", "count"):
+        bad = [5, "x", None, {"a": 1}] if kind == "brick" else [sides[:-1], sides + sides[:1]]
+        if row == 0:
+            raw["parent"] = rng.choice(bad)
+        else:
+            raw["bricks"][row - 1] = rng.choice(bad)
+        return where
+    lo, hi = pair
+    if kind in ("short", "long", "swap", "equal"):
+        pair[:] = {"short": [lo], "long": [lo, hi, hi], "swap": [hi, lo], "equal": [lo, lo]}[kind]
+        return f"{where}[{j}]"
+    token = pair[end]
+    pair[end] = {
+        "bool": rng.choice([True, False]),  # False == 0: a stored pair must not match it
+        "float": float(as_scalar(token)),
+        "nested": [token],
+        "plus": f"+{token}",
+    }[kind]
+    return f"{where}[{j}][{end}]"
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_parse_reads_what_the_reference_reads(seed):
+    rng = Random(seed)
+    P = random_split_partition(rng, rng.choice([1, 2, 3]), rng.randrange(1, 40))
+    raw, rows = json.loads(emit_document(P)), 1 + len(P.members)
+    corrupted = sorted(rng.sample(range(rows), min(rng.randrange(3), rows)))
+    places = [_corrupt(rng, raw, row) for row in corrupted]  # distinct rows, earliest first
+    text = json.dumps(raw)
+    try:
+        want = reference_parse(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            parse_document(text)
+        assert str(got.value) == str(e) and str(e).startswith(f"{places[0]}: ")
+    else:
+        assert not places and parse_document(text).to_partition() == want == P

@@ -65,6 +65,12 @@ def test_interval_coerces_int_and_str_ends():
         assert type(iv.lo) is Fraction and type(iv.hi) is Fraction
 
 
+def test_sides_and_bricks_are_slotted():
+    side = Interval(0, 1)  # no per-instance dict: a parsed document holds many of each
+    for x in (side, Brick((side, side))):
+        assert not hasattr(x, "__dict__") and type(x).__slots__
+
+
 def test_interval_rejects_equal_huge_ends():
     third, more = f"{10**4000}/3", f"{10**4000 + 1}/3"
     with pytest.raises(ValueError, match=f"^need lo < hi, got \\[{third}, {third}\\]$"):
@@ -136,6 +142,7 @@ def test_ratio_renderer_past_the_limit_writes_what_no_limit_writes(num, den, pla
         "-" + "7" * MAX_SCALAR_DIGITS,  # longer than the cap, no run over it
         "1" * 3000 + "/" + "1" * 3000,
         "0." + "5" * MAX_SCALAR_DIGITS,
+        "-" + "1" * 3000 + "." + "9" * 3000,  # both runs within the cap, not together
     ],
 )
 def test_parse_scalar_accepts_digit_runs_up_to_the_limit(text):
