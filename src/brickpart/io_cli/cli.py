@@ -2,12 +2,15 @@
 
 All subcommands read and write the PartitionDocument format. Exit codes:
 0 on success, 1 when verification fails (or a search hits its node budget),
-2 on usage errors including unusable input documents.
+2 on usage errors including unusable input documents. In-process callers of
+`main` share one parser, built on the first call and holding no functions; a
+one-shot process (`python -m brickpart`) builds it once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -168,16 +171,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, default=3, help="dimension (grid family only)")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="validate a document and report metrics")
     p.add_argument("file")
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("bounds", help="print closed-form bounds")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("search", help="exhaustive minimality search on a cell grid")
     p.add_argument("--d", type=int, required=True)
@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable first-box symmetry pruning (for count cross-checks)",
     )
     p.add_argument("--out", help="write the witness document here when found")
-    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("export", help="render a document as SVG (d=2) or OBJ (d=3)")
     p.add_argument("file")
@@ -206,16 +205,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=int, default=6)
     p.add_argument("--labels", action="store_true", help="SVG: draw member labels")
     p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(func=_cmd_export)
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # built on the first main call, then shared
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # built per call, so it holds the current functions
+    commands = {"construct": _cmd_construct, "verify": _cmd_verify, "bounds": _cmd_bounds,
+                "search": _cmd_search, "export": _cmd_export}  # fmt: skip
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (OSError, ValueError) as e:
         # unusable paths, bad parameters (ValueError) and bad documents
         # (ParseError, a ValueError); verification failures exit 1 from the

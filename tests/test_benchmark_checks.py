@@ -45,3 +45,28 @@ def test_tiny_operations_pass_the_benchmark_checks(workloads, workload, tmp_path
                 rc = cli.main(argv)
             calls.append(workloads.Call(rc, out.getvalue(), err.getvalue()))
         assert op.check(calls) == [], op.name
+
+
+def run_op(workloads, op):
+    """The op's calls and the bytes of every file they wrote."""
+    calls = []
+    for argv in op.argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = cli.main(argv)
+        calls.append(workloads.Call(rc, out.getvalue(), err.getvalue()))
+    return calls, [path.read_bytes() for path in op.outputs]
+
+
+@pytest.mark.parametrize("workload", ["families", "search", "documents"])
+def test_a_second_pass_in_one_process_repeats_every_byte(workloads, workload, tmp_path):
+    # the benchmark checks each operation's first output in full and requires
+    # every later pass to repeat it byte for byte, exit codes included
+    # (ops may share an output file, so each op's outputs are read before the next runs)
+    ops = workloads.build(workload, 5, "tiny", tmp_path)
+    first = []
+    for op in ops:
+        first.append(run_op(workloads, op))
+        assert op.check(first[-1][0]) == [], op.name
+    for op, expected in zip(ops, first):
+        assert run_op(workloads, op) == expected, op.name

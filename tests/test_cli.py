@@ -2,6 +2,9 @@ import argparse
 import ast
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
@@ -776,3 +779,72 @@ def test_verify_on_any_document_exits_cleanly(tmp_path_factory, doc):
         except BrickOutsideParent:
             return
         assert whole_grid_report(P).valid == (code == 0)
+
+
+# Run in a fresh interpreter: records every ArgumentParser made while main runs
+# a command, prints help, reports a usage error and runs a command again.
+COUNT_PARSERS = """
+import argparse, io
+from contextlib import redirect_stderr, redirect_stdout
+from brickpart.io_cli import cli
+
+progs, init = [], argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    progs.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+codes, bounds = [], ["bounds", "--d", "3", "--k"]
+with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    for argv in ([*bounds, "2"], ["--help"], ["bounds", "--d"], [*bounds, "3"]):
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as e:
+            codes.append(e.code)
+print(codes, progs)
+"""
+
+
+def test_main_calls_in_one_process_build_one_parser_tree():
+    path = [str(Path(cli.__file__).parent.parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    argv = [sys.executable, "-c", COUNT_PARSERS]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    commands = ("construct", "verify", "bounds", "search", "export")
+    tree = ["brickpart", *(f"brickpart {c}" for c in commands)]
+    assert done.stdout == f"{[0, 0, 2, 0]} {tree}\n"
+
+
+def test_a_shared_parser_keeps_no_defaults_between_calls(capsys):
+    search = "search --d 2 --k 2 --mode piercing --max-bricks 3 --grid 3".split()
+    code, out, _ = run_cli(capsys, *search, "--no-symmetry")
+    assert code == 0 and "nodes_explored: 69\n" in out
+    code, out, _ = run_cli(capsys, *search)
+    assert code == 0 and "nodes_explored: 47\n" in out
+
+
+def test_help_and_usage_errors_read_the_same_on_every_call():
+    def run(parse, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as done:
+            parse(argv)
+        return done.value.code, out.getvalue(), err.getvalue()
+
+    fresh = [run(cli.build_parser().parse_args, argv) for argv in (["--help"], ["search", "--d"])]
+    for _ in range(2):
+        assert [run(main, ["--help"]), run(main, ["search", "--d"])] == fresh
+    assert fresh[0][0] == 0 and fresh[0][1].startswith("usage: brickpart ")
+    assert fresh[1][0] == 2 and "error: argument --d: expected one argument" in fresh[1][2]
+
+
+def test_a_command_patched_after_the_first_call_is_the_one_that_runs(capsys, monkeypatch):
+    assert run_cli(capsys, "bounds", "--d", "2", "--k", "2")[0] == 0
+    files = []
+
+    def patched(args):
+        files.append(args.file)
+        return 7
+
+    monkeypatch.setattr(cli, "_cmd_verify", patched)
+    assert run_cli(capsys, "verify", "doc.json") == (7, "", "")
+    assert files == ["doc.json"]

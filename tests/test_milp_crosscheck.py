@@ -9,44 +9,25 @@ the claim; brickpart itself does not depend on scipy.
 On the cube g = m the same program answers at complete scope: m members
 compress to at most m cells per axis, so a partition of m or fewer members
 meeting every flat k times exists iff the program with sum(x) <= m is
-feasible at g = m.
+feasible at g = m. The model is `milp_model` in scripts/milp_crosscheck.py,
+which checks s(3,4) > 6 and p(3,2) > 7 the same way, outside the test suite.
 """
 
-from itertools import combinations, product
+import importlib.util
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from brickpart.search import Mode, SearchProblem, SearchStatus, exists_partition
 
-from helpers import reference_flats
-
 optimize = pytest.importorskip("scipy.optimize")
 
-
-def milp_solve(d: int, k: int, mode: Mode, g: int, most: float = np.inf):
-    """scipy's result for the fewest boxes, at most `most`, in a tiling of
-    [0,g]^d whose flats each meet >= k of them."""
-    boxes = list(product(combinations(range(g + 1), 2), repeat=d))  # (lo, hi) per axis
-    cells = product(range(g), repeat=d)
-    flats = reference_flats(d, g, mode is Mode.PIERCING)
-    covers = [
-        [all(lo <= c < hi for c, (lo, hi) in zip(cell, box)) for box in boxes] for cell in cells
-    ]
-    meets = [
-        [all(box[a][0] <= x < box[a][1] for a, x in zip(axes, xs)) for box in boxes]
-        for axes, xs in flats
-    ]
-    return optimize.milp(
-        np.ones(len(boxes)),
-        integrality=np.ones(len(boxes)),
-        bounds=optimize.Bounds(0, 1),
-        constraints=[
-            optimize.LinearConstraint(np.array(covers, dtype=float), 1, 1),
-            optimize.LinearConstraint(np.array(meets, dtype=float), k, np.inf),
-            optimize.LinearConstraint(np.ones((1, len(boxes))), 0, most),
-        ],
-    )
+# the one copy of the 0/1 model, shared with the script that runs the slow claims
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "milp_crosscheck.py"
+spec = importlib.util.spec_from_file_location("milp_crosscheck", SCRIPT)
+milp_crosscheck = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(milp_crosscheck)
+milp_solve = milp_crosscheck.milp_solve
 
 
 def milp_minimum(d: int, k: int, mode: Mode, g: int) -> int:
@@ -83,3 +64,9 @@ def test_milp_optimum_is_the_searched_minimum(d, k, mode, g, minimum):
 def test_milp_finds_no_smaller_partition_at_complete_scope(d, k, mode, m):
     assert SearchProblem(d, k, mode, m, m).proof_complete  # g = m covers every partition
     assert milp_solve(d, k, mode, m, most=m).status == 2  # infeasible
+
+
+def test_milp_finds_a_partition_of_the_minimum_at_complete_scope():
+    # with p(2,3) > 7 above, this pins p(2,3) = 8 on the cube g = 8 without the search
+    result = milp_solve(2, 3, Mode.PIERCING, 8, most=8)
+    assert result.status == 0 and round(result.fun) == 8

@@ -18,7 +18,7 @@ SCRIPTS = ROOT / "scripts"
 def scripts_on_path(monkeypatch):
     monkeypatch.syspath_prepend(str(SCRIPTS))
     yield
-    for name in ("family_tables", "search_small_values"):
+    for name in ("family_tables", "search_small_values", "milp_crosscheck"):
         sys.modules.pop(name, None)
 
 
@@ -78,6 +78,14 @@ def test_search_small_values_runs(scripts_on_path, capsys):
         "  exhaustion scope: g=3, m_max=3 (complete)",
         "  exhaustion scope: g=4, m_max=4 (complete)",
     ]
+
+
+def test_milp_crosscheck_runs(scripts_on_path, capsys):
+    pytest.importorskip("scipy.optimize")
+    milp_crosscheck = importlib.import_module("milp_crosscheck")
+    assert milp_crosscheck.main(["--case", "p(2,2)"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert line.startswith("p(2,2) > 3 at g=3: infeasible, as the search says [36 boxes; model ")
 
 
 def test_every_export_has_a_user_outside_tests():
