@@ -18,7 +18,7 @@ from typing import Any, Callable
 from ..constructions import BoundKind, bounds, grid_partition, piercing_2d, piercing_3d, slicing_3d
 from ..errors import BrickError, ResourceLimit
 from ..geometry import format_scalar
-from ..metrics import FlatQuery, min_flat_count
+from ..metrics import min_flat_count
 from ..partition import BrickPartition, boundary_incidence, validate
 from ..search import DEFAULT_NODE_BUDGET, Mode, SearchProblem, exists_partition
 from .document import emit_document, parse_document
@@ -57,18 +57,14 @@ def _write_bytes(data: bytes, out: str | None) -> None:
         Path(out).write_bytes(data)
 
 
-def _describe_flat(q: FlatQuery) -> str:
-    kind = "line" if len(q.free_axes) == 1 else "plane"
-    free = ",".join(str(a) for a in q.free_axes)
-    fixed = " ".join(f"x{a}={format_scalar(c)}" for a, c in q.fixed_coords)
-    return f"{kind} with free axes {{{free}}} at {fixed}"
-
-
 def _print_flat_count(P: BrickPartition, free_axis_count: int, name: str) -> None:
     # the profile's count arrays are released on return, before the next is counted
     profile = min_flat_count(P, free_axis_count)
+    q, kind = profile.witness, "line" if free_axis_count == 1 else "plane"
+    free = ",".join(str(a) for a in q.free_axes)
+    fixed = " ".join(f"x{a}={format_scalar(c)}" for a, c in q.fixed_coords)
     print(f"{name}_number: {profile.minimum}")
-    print(f"{name}_witness: {_describe_flat(profile.witness)}")
+    print(f"{name}_witness: {kind} with free axes {{{free}}} at {fixed}")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:

@@ -2,15 +2,15 @@
 
 Exporters never alter geometry: every emitted coordinate is an exact scalar
 rendered at the configured decimal precision, rounding half up, at any length,
-by `geometry.ratio_renderer` (also importable from here), from an unreduced
-integer ratio (numerator, positive denominator): no `Fraction` is built and
-no gcd taken. Each side object is rendered once, and `parse_document` shares
-one per distinct token pair: SVG renders a side's x and width (or y and
-height), each (a − b)·48; OBJ its two ends, each lo + (lo + hi − parent lo −
-parent hi)·exploded/2, by one code path for any exploded factor. Each OBJ
-brick's vertex lines, in bit order, and face lines then come from one
-f-string over its six rendered ends and its eight vertex indices, each index
-converted to text once. Equal inputs give identical output bytes.
+by `geometry.ratio_renderer` (also importable from here), which reads an
+integer ratio, reduced or not, and takes no gcd. Each side object is rendered
+once, and `parse_document` shares one per distinct token pair. Every SVG
+number is (a − b)·48: the outline, a side's x and width (or y and height), and
+a label centre, with a side's midpoint as a. OBJ renders a side's two ends,
+each lo + (lo + hi − parent lo − parent hi)·exploded/2, for any exploded
+factor. Each OBJ brick's vertex lines, in bit order, and face lines come from
+one f-string over its six rendered ends and its eight vertex indices, each
+index converted to text once. Equal inputs give identical output bytes.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from html import escape
 
-from ..geometry import MAX_SCALAR_DIGITS, Interval, as_scalar, ratio_renderer
+from ..geometry import MAX_SCALAR_DIGITS, as_scalar, ratio_renderer
 from ..partition import BrickPartition
 
 
@@ -76,12 +76,6 @@ def export_figure(
     return _export_obj(P, options)
 
 
-def _twice_midpoint(side: Interval) -> tuple[int, int]:
-    """lo + hi of a side as an unreduced (numerator, denominator) pair."""
-    (ln, ld), (hn, hd) = side.lo.as_integer_ratio(), side.hi.as_integer_ratio()
-    return ln * hd + hn * ld, ld * hd
-
-
 def _export_svg(P: BrickPartition, options: ExportOptions) -> bytes:
     px, py = P.parent.sides
     render = ratio_renderer(options.precision)
@@ -110,11 +104,9 @@ def _export_svg(P: BrickPartition, options: ExportOptions) -> bytes:
             f'fill="{fill}" fill-opacity="0.55" stroke="#000" stroke-width="1"/>'
         )
     if options.labels and P.labels is not None:
-        (ln, ld), (tn, td) = px.lo.as_integer_ratio(), py.hi.as_integer_ratio()
         for b, label in zip(P.members, P.labels):
-            (xn, xd), (yn, yd) = map(_twice_midpoint, b.sides)  # the center, doubled
-            cx = num((xn * ld - 2 * ln * xd) * SVG_SCALE, 2 * xd * ld)
-            cy = num((2 * tn * yd - yn * td) * SVG_SCALE, 2 * yd * td)
+            bx, by = b.sides  # the center, flipped as the rects are
+            cx, cy = gap((bx.lo + bx.hi) / 2, px.lo), gap(py.hi, (by.lo + by.hi) / 2)
             text = escape(label, quote=False)  # a label is text, not markup
             lines.append(
                 f'  <text x="{cx}" y="{cy}" font-size="12" '
@@ -134,7 +126,7 @@ def _export_obj(P: BrickPartition, options: ExportOptions) -> bytes:
     en, ed = options.exploded.as_integer_ratio()
     ends = {}  # per (axis, side object): its (lo, hi), moved outward and rendered
     for a, parent_side in enumerate(P.parent.sides):
-        pn, pd = _twice_midpoint(parent_side)
+        pn, pd = (parent_side.lo + parent_side.hi).as_integer_ratio()
         k = 2 * ed * pd
         for side in {id(b.sides[a]): b.sides[a] for b in P.members}.values():
             (ln, ld), (hn, hd) = side.lo.as_integer_ratio(), side.hi.as_integer_ratio()

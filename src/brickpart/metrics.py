@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
+from operator import index
 
 import numpy as np
 
@@ -32,18 +33,18 @@ from .partition import BrickPartition
 class FlatQuery:
     """An axis-parallel flat: free axes plus exact coordinates on the rest.
 
-    Axes are 1-based; free and fixed axes must partition 1..d. One free axis
-    is a line, d-1 free axes an axis-parallel hyperplane. fixed_coords takes
-    (axis, coord) pairs in any order and keeps them sorted by axis, each coord
-    coerced by as_scalar.
+    Axes are 1-based ints (by operator.index: a float, Fraction or str axis
+    raises TypeError); free and fixed axes must partition 1..d. One free axis
+    is a line, d-1 free axes a hyperplane. fixed_coords takes (axis, coord)
+    pairs in any order, kept sorted by axis, each coord coerced by as_scalar.
     """
 
     free_axes: tuple[int, ...]
     fixed_coords: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        free = tuple(sorted({int(a) for a in self.free_axes}))
-        fixed = tuple(sorted((int(a), as_scalar(c)) for a, c in self.fixed_coords))
+        free = tuple(sorted({index(a) for a in self.free_axes}))
+        fixed = tuple(sorted((index(a), as_scalar(c)) for a, c in self.fixed_coords))
         if not free:
             raise ValueError("a flat needs at least one free axis")
         if not fixed:

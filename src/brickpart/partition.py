@@ -126,7 +126,7 @@ def validate(P: BrickPartition) -> ValidationReport:
 def cut(b: Brick, axis: int, n: int) -> list[Brick]:
     """Split b into n equal-length pieces along the 1-based axis.
 
-    n = 1 returns [b] unchanged; point i is (p·t·(n-i) + r·q·i)/(q·t·n), lo = p/q, hi = r/t.
+    Point i is (p·t·(n-i) + r·q·i)/(q·t·n), lo = p/q, hi = r/t; n = 1 returns [a copy of b].
     """
     if not 1 <= axis <= b.dim:
         raise ValueError(f"axis {axis} outside 1..{b.dim}")

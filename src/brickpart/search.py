@@ -175,7 +175,6 @@ class _Engine:
         self.cells = g**d
         self.full = (1 << self.cells) - 1  # every cell covered
         self.left_bits = problem.m_max.bit_length()
-        self.budget = problem.node_budget
         # fixed[a]: the axes that flat class a fixes, every axis but a for lines
         # (piercing) and axis a alone for slabs (slicing). Each class fixes n
         # axes, so it holds g^n flats of g^(d-n) cells; a flat's id is a*g^n
@@ -272,7 +271,7 @@ class _Engine:
             return  # no flat can ever meet k boxes at this grid size
         slack = self.ones * ((1 << self.width - 1) + slack)
         guards, full, budget, cells, left_bits = (
-            self.guards, self.full, self.budget, self.cells, self.left_bits)
+            self.guards, self.full, self.problem.node_budget, self.cells, self.left_bits)
         last_box, exhausted, free_moves = self.last_box, self.exhausted, self._free_moves
         it: Iterator[_Move] = iter(free_moves(0, 0))
         if self.problem.symmetry_pruning:
@@ -356,8 +355,8 @@ class _Engine:
 
     def _over_budget(self) -> None:
         """Stop as the per-placement check would: at the budget's first excess placement."""
-        self.nodes = self.budget + 1
-        raise ResourceLimit(f"node budget {self.budget} exceeded at {self.nodes} placements")
+        self.nodes = (budget := self.problem.node_budget) + 1
+        raise ResourceLimit(f"node budget {budget} exceeded at {self.nodes} placements")
 
     def witness_partition(self, boxes: list[IndexBox]) -> BrickPartition:
         parent = Brick.from_pairs([(0, self.problem.g)] * self.problem.d)

@@ -71,6 +71,18 @@ def test_sides_and_bricks_are_slotted():
         assert not hasattr(x, "__dict__") and type(x).__slots__
 
 
+def test_brick_keeps_its_sides_as_a_tuple():
+    side = Interval(0, 1)
+    listed = Brick([side])  # a list of sides is copied into a tuple
+    assert type(listed.sides) is tuple and listed.sides == Brick((side,)).sides
+    assert listed == Brick((side,))
+
+
+def test_brick_repr_joins_its_sides():
+    assert repr(Brick.from_pairs([(0, 1), ("1/2", 2)])) == "[0, 1]x[0.5, 2]"
+    assert repr(Brick.from_pairs([(Fraction(-1, 3), 0)])) == "[-1/3, 0]"
+
+
 def test_interval_rejects_equal_huge_ends():
     third, more = f"{10**4000}/3", f"{10**4000 + 1}/3"
     with pytest.raises(ValueError, match=f"^need lo < hi, got \\[{third}, {third}\\]$"):

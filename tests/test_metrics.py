@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from brickpart import (
@@ -35,6 +36,26 @@ def test_flat_query_validates_axes():
         FlatQuery((1,), ((2, "x"),))
     assert type(e.value) is ValueError
     assert str(e.value) == "not an integer, decimal or p/q scalar: 'x'"
+
+
+@pytest.mark.parametrize(
+    "one, two",
+    [(1.9, 2.2), (Fraction(1), Fraction(2)), ("1", "2")],
+    ids=["float", "fraction", "str"],
+)
+def test_flat_query_refuses_a_non_integer_axis(one, two):
+    # int() would read each as axis 1 or 2: (1.9,) at x2.2 = x3 = 1/2
+    # would be a line meeting 3 members of piercing_3d(3)
+    with pytest.raises(TypeError):
+        FlatQuery((one,), ((2, "0.5"), (3, "0.5")))
+    with pytest.raises(TypeError):
+        FlatQuery((1,), ((two, "0.5"), (3, "0.5")))
+
+
+def test_flat_query_reads_numpy_integer_axes():
+    q = FlatQuery((np.int64(1),), ((np.int32(3), "1/2"), (2, 1)))
+    assert q == FlatQuery((1,), ((2, 1), (3, "1/2")))
+    assert all(type(a) is int for a in q.free_axes + tuple(a for a, _ in q.fixed_coords))
 
 
 def test_flat_query_refuses_a_flat_with_no_fixed_axis():
