@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import product
+from operator import index
 
 from .errors import ConstructionInvalid
 from .geometry import Brick, Interval, corner_cap
@@ -34,6 +35,7 @@ class BoundKind(Enum):
 def elementary_piercing_lb(d: int, k: int) -> int:
     """d * 2^(d-1) * (k-2) + 2^d: edge/corner counting lower bound on the
     size of a k-piercing partition."""
+    d, k = index(d), index(k)  # TypeError if not integers
     return d * 2 ** (d - 1) * (k - 2) + 2**d
 
 
@@ -43,6 +45,7 @@ def bounds(d: int, k: int) -> dict[BoundKind, int]:
     Always holds the elementary piercing lower bound and the k^d grid upper
     bound; in dimension 3 additionally the 2k-1 slicing lower bound.
     """
+    d, k = index(d), index(k)  # TypeError if not integers
     if d < 1:
         raise ValueError("d: dimension must be >= 1")
     if k < 2:

@@ -4,9 +4,9 @@ One refusal type per kind of input: a bad parameter raises a plain `ValueError`
 ("<field>: <reason>" from an API refusing a named field, reported under the
 field's flag); a bad document raises `ParseError` naming its place, and only
 `parse_document` raises it; a resource cap raises `ResourceLimit`; an internal
-bug raises `ConstructionInvalid`; a float coordinate or a non-integer flat axis,
-as in Python, `TypeError`. The CLI exits 2 on a `ValueError` (`ParseError` is
-one), 1 on any other `BrickError`.
+bug raises `ConstructionInvalid`; a float coordinate or any non-integer count
+or axis, as in Python, `TypeError`. The CLI exits 2 on a `ValueError`
+(`ParseError` is one), 1 on any other `BrickError`.
 """
 
 

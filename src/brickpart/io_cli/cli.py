@@ -1,10 +1,10 @@
 """Command-line surface: construct, verify, bounds, search, export.
 
-All subcommands read and write the PartitionDocument format. Exit codes:
-0 on success, 1 when verification fails (or a search hits its node budget),
-2 on usage errors including unusable input documents. In-process callers of
-`main` share one parser, built on the first call and holding no functions; a
-one-shot process (`python -m brickpart`) builds it once either way.
+All subcommands read and write the PartitionDocument format, UTF-8 in any locale.
+Exit codes: 0 on success, 1 when verification fails (or a search hits its
+node budget), 2 on usage errors including unusable input documents. In-process
+callers of `main` share one parser, built on the first call and holding no
+functions; a one-shot process (`python -m brickpart`) builds it once either way.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
 
 
 def _write_bytes(data: bytes, out: str | None) -> None:
@@ -77,8 +77,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    doc = parse_document(Path(args.file).read_text())
-    P = doc.to_partition()
+    P = parse_document(Path(args.file).read_text(encoding="utf-8")).to_partition()
     print(f"dim: {P.dim}")
     print(f"members: {len(P.members)}")
     report = validate(P)
@@ -141,8 +140,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    doc = parse_document(Path(args.file).read_text())
-    P = doc.to_partition()
+    P = parse_document(Path(args.file).read_text(encoding="utf-8")).to_partition()
     options = _flagged(
         ExportOptions, precision=args.precision, exploded=args.exploded, labels=args.labels
     )

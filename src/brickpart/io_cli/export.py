@@ -15,11 +15,11 @@ index converted to text once. Equal inputs give identical output bytes.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from html import escape
+from operator import index
 
 from ..geometry import MAX_SCALAR_DIGITS, as_scalar, ratio_renderer
 from ..partition import BrickPartition
@@ -41,10 +41,11 @@ class ExportOptions:
             object.__setattr__(self, "exploded", as_scalar(self.exploded))
         except ValueError as e:
             raise ValueError(f"exploded: {e}") from e
-        limit = sys.get_int_max_str_digits() or MAX_SCALAR_DIGITS  # 0: no limit
-        p, top = self.precision, min(MAX_SCALAR_DIGITS, limit)
-        if not 0 <= p <= top:  # no more places than input text may have digits
-            raise ValueError(f"precision: decimal places must be >= 0 and <= {top}, got {p}")
+        object.__setattr__(self, "precision", p := index(self.precision))  # TypeError if not int
+        if not 0 <= p <= MAX_SCALAR_DIGITS:  # a fixed cap, so it bounds the rendering work
+            raise ValueError(
+                f"precision: decimal places must be >= 0 and <= {MAX_SCALAR_DIGITS}, got {p}"
+            )
 
 
 SVG_SCALE = 48  # SVG pixels per geometry unit

@@ -54,7 +54,7 @@ class BrickPartition:
             if len(labels) != len(members):
                 raise ValueError(f"labels: {len(labels)} labels for {len(members)} members")
             for i, label in enumerate(labels):
-                if not label.isprintable():  # a newline would inject OBJ lines
+                if not (isinstance(label, str) and label.isprintable()):  # no OBJ line injection
                     raise ValueError(f"labels[{i}]: expected printable text, got {label!r}")
             object.__setattr__(self, "labels", labels)
 

@@ -81,6 +81,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise, product
 from math import prod
+from operator import index
 from typing import Iterator
 
 from .errors import ResourceLimit
@@ -126,6 +127,8 @@ class SearchProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", Mode(self.mode))  # ValueError if unknown
+        for field in ("d", "k", "m_max", "g", "node_budget"):  # TypeError if not an integer
+            object.__setattr__(self, field, index(getattr(self, field)))
         for field in ("d", "k", "m_max", "g"):
             if (value := getattr(self, field)) < 1:
                 raise ValueError(f"{field}: must be >= 1, got {value}")

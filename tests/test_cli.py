@@ -501,6 +501,29 @@ def _raised_names():
                 yield path.relative_to(root).as_posix(), name
 
 
+def test_no_setting_outside_the_command_line_decides_what_is_read_or_accepted():
+    # a file is read and written as UTF-8 in any locale, and only the scalar
+    # parser, the JSON reader and `bounds`' printing cost consult the digit limit
+    root = Path(errors.__file__).parent
+    unencoded, limit_reads = [], set()
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            scope = getattr(top, "name", None)  # the top-level function or class
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in ("read_text", "write_text", "open"):
+                    if all(keyword.arg != "encoding" for keyword in node.keywords):
+                        unencoded.append(f"{name}:{node.lineno}")
+                if called == "get_int_max_str_digits":
+                    limit_reads.add(name if name != "io_cli/cli.py" else f"{name}:{scope}")
+    assert unencoded == []
+    assert limit_reads <= {"geometry.py", "io_cli/document.py", "io_cli/cli.py:_printable_bounds"}
+
+
 def test_only_the_document_reader_raises_parse_error_and_no_parameter_is_a_lookup_error():
     # a bad document is a located ParseError; a bad parameter, from any API, a ValueError
     raised = list(_raised_names())
@@ -632,17 +655,33 @@ def test_export_precision_is_capped_at_the_scalar_digit_limit(tmp_path, capsys):
 
 
 def test_export_precision_is_capped_at_the_interpreters_digit_limit(tmp_path, capsys):
+    # the cap is a fixed 4,300 places whatever the digit limit (0: no limit)
     doc, out_path = tmp_path / "s2.json", tmp_path / "s2.obj"
     assert run_cli(capsys, "construct", "--family", "slicing3d", "--k", "2", "--out", str(doc))[0] == 0
     export = ("export", str(doc), "--format", "obj", "--exploded", "1/3", "--out", str(out_path))
-    with int_max_str_digits(640):
-        refused = run_cli(capsys, *export, "--precision", "1000")
-        code, out, err = run_cli(capsys, *export, "--precision", "640")
-    msg = "error: --precision: decimal places must be >= 0 and <= 640, got 1000\n"
-    assert refused == (2, "", msg)
-    assert (code, out, err) == (0, "", "")
-    first = out_path.read_text().split("\n")[2]  # the first vertex, moved by -1/6 on y and z
-    assert first == f"v 0.{'0' * 640}" + f" -0.1{'6' * 638}7" * 2
+    msg = "error: --precision: decimal places must be >= 0 and <= 4300, got 4301\n"
+    figures = set()
+    for limit in (640, 0, 9000):
+        with int_max_str_digits(limit):
+            refused = run_cli(capsys, *export, "--precision", "4301")
+            accepted = run_cli(capsys, *export, "--precision", "4300")
+        assert (refused, accepted) == ((2, "", msg), (0, "", ""))
+        figures.add(out_path.read_bytes())
+    first = figures.pop().decode().split("\n")[2]  # the first vertex, moved by -1/6 on y and z
+    assert (figures, first) == (set(), f"v 0.{'0' * 4300}" + f" -0.1{'6' * 4298}7" * 2)
+
+
+def test_export_writes_the_same_figure_at_any_digit_limit(tmp_path, capsys):
+    # 1,000 places under a limit of 640 renders what no limit renders
+    doc = tmp_path / "s2.json"
+    assert run_cli(capsys, "construct", "--family", "slicing3d", "--k", "2", "--out", str(doc))[0] == 0
+    export = ("export", str(doc), "--format", "obj", "--exploded", "1/3", "--precision", "1000")
+    runs = []
+    for limit in (640, 0, 4300):
+        with int_max_str_digits(limit):
+            runs.append(run_cli(capsys, *export))
+    assert runs[0] == runs[1] == runs[2] and runs[0][::2] == (0, "")
+    assert runs[0][1].split("\n")[2] == f"v 0.{'0' * 1000}" + f" -0.1{'6' * 998}7" * 2
 
 
 def test_export_svg_prints_a_width_past_the_digit_limit(tmp_path, capsys):
@@ -848,3 +887,23 @@ def test_a_command_patched_after_the_first_call_is_the_one_that_runs(capsys, mon
     monkeypatch.setattr(cli, "_cmd_verify", patched)
     assert run_cli(capsys, "verify", "doc.json") == (7, "", "")
     assert files == ["doc.json"]
+
+
+def test_verify_and_export_read_a_utf8_document_in_any_locale(tmp_path):
+    # JSON text is UTF-8 (RFC 8259): a raw non-ASCII label reads the same in the C locale
+    doc = tmp_path / "accents.json"
+    doc.write_bytes(
+        '{"dim": 2, "parent": [[0, 2], [0, 1]], '
+        '"bricks": [[[0, 1], [0, 1]], [[1, 2], [0, 1]]], "labels": ["é", "Straße"]}\n'.encode()
+    )
+    path = [str(Path(cli.__file__).parent.parent.parent), os.environ.get("PYTHONPATH")]
+    base = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    locales = [{"PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "LC_ALL": "C"}, {"PYTHONUTF8": "1"}]
+    for argv in (["verify"], ["export", "--format", "svg", "--labels"]):
+        runs = []
+        for env in locales:
+            command = [sys.executable, "-m", "brickpart", argv[0], str(doc), *argv[1:]]
+            done = subprocess.run(command, env={**base, **env}, capture_output=True)
+            runs.append((done.returncode, done.stdout, done.stderr))
+        assert runs[0] == runs[1] and runs[0][::2] == (0, b"")
+    assert ">Straße</text>".encode() in runs[0][1]

@@ -1,5 +1,7 @@
+from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from brickpart import (
@@ -260,6 +262,18 @@ def test_bounds_slicing_only_in_3d():
 def test_bounds_rejects_small_k():
     with pytest.raises(ValueError, match=r"^k: bounds are defined for k >= 2$"):
         bounds(3, 1)
+
+
+def test_bounds_refuse_a_non_integer_d_or_k():
+    # read as a number, k = 2.5 would give a wrong bound (14.0)
+    for d, k in [(3, 2.5), (3.0, 4), (3, Fraction(5, 2)), (0.5, 2), ("3", 2)]:
+        with pytest.raises(TypeError):
+            bounds(d, k)
+        with pytest.raises(TypeError):
+            elementary_piercing_lb(d, k)
+    by_numpy = bounds(np.int64(3), np.int32(4))
+    assert by_numpy == bounds(3, 4) and {type(v) for v in by_numpy.values()} == {int}
+    assert type(elementary_piercing_lb(np.int64(3), np.int64(4))) is int
 
 
 def _linear_forms(rows, side, free_count):

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import product
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -91,10 +92,23 @@ def test_export_options_cap_precision_at_the_scalar_digit_limit():
 
 @pytest.mark.parametrize("limit, top", [(640, 640), (0, MAX_SCALAR_DIGITS), (9000, MAX_SCALAR_DIGITS)])
 def test_export_options_cap_precision_at_the_interpreters_digit_limit(limit, top):
-    with int_max_str_digits(limit):  # 0: no limit, so the fixed cap alone
-        assert ExportOptions(precision=top).precision == top
-        with pytest.raises(ValueError, match=f"^precision: .* <= {top}, got {top + 1}$"):
-            ExportOptions(precision=top + 1)
+    # the cap is a fixed 4,300 places at any digit limit (0: no limit), even
+    # above top, the most digits str() writes under the limit
+    with int_max_str_digits(limit):
+        for places in (top, MAX_SCALAR_DIGITS):
+            assert ExportOptions(precision=places).precision == places
+        message = "precision: decimal places must be >= 0 and <= 4300, got 4301"
+        with pytest.raises(ValueError) as e:
+            ExportOptions(precision=MAX_SCALAR_DIGITS + 1)
+        assert str(e.value) == message
+
+
+def test_export_options_refuse_a_non_integer_precision():
+    # refused at once, not inside the renderer
+    for precision in (1.5, 6.0, Fraction(6), "6"):
+        with pytest.raises(TypeError):
+            ExportOptions(precision=precision)
+    assert type(ExportOptions(precision=np.int64(3)).precision) is int
 
 
 def test_export_options_refusals_start_with_their_field():

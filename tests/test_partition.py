@@ -95,6 +95,15 @@ def test_partition_rejects_an_unprintable_label():
         BrickPartition(parent, halves, labels=("a", "b", "c"))
 
 
+def test_partition_refuses_a_non_string_label_as_a_bad_parameter():
+    parent = Brick.from_pairs([(0, 2), (0, 1)])
+    halves = [Brick.from_pairs([(x, x + 1), (0, 1)]) for x in (0, 1)]
+    with pytest.raises(ValueError) as e:
+        BrickPartition(parent, halves, [1, 1])
+    assert type(e.value) is ValueError  # a bad parameter, not a crash
+    assert str(e.value) == "labels[0]: expected printable text, got 1"
+
+
 def bars(m: int, r: int) -> BrickPartition:
     """[0,m]^2 x [0,3] as m bars along axis 1, then m along axis 2, then r^2
     along axis 3: about m^2 / 2 pairs of members meet on every axis."""

@@ -1,8 +1,10 @@
 import ast
 import inspect
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
 from brickpart import (
@@ -137,6 +139,20 @@ def test_problem_validation():
     for d, g in [(3, 3000), (2, 2**13 + 1), (27, 2), (10**9, 2)]:
         with pytest.raises(ValueError, match=f"^g: {g} in d={d} gives more than 2\\^26 cells$"):
             SearchProblem(d, 2, Mode.PIERCING, 1, g)
+
+
+def test_problem_refuses_a_non_integer_count():
+    # read as a number, node_budget=1.5 would stop "at 2.5 placements"
+    fields = {"d": 2, "k": 2, "mode": Mode.PIERCING, "m_max": 3, "g": 3, "node_budget": 100}
+    for field, value in [("node_budget", 1.5), ("node_budget", 100.5), ("m_max", 3.5),
+                         ("d", 2.0), ("k", Fraction(2)), ("g", "3")]:  # fmt: skip
+        with pytest.raises(TypeError):
+            SearchProblem(**{**fields, field: value})
+    ints = SearchProblem(**{f: np.int64(v) if f != "mode" else v for f, v in fields.items()})
+    assert ints == SearchProblem(**fields)
+    assert {type(getattr(ints, f)) for f in fields if f != "mode"} == {int}
+    k = SearchProblem(**{**fields, "k": True}).k
+    assert (k, type(k)) == (1, int)  # True reads as 1
 
 
 def test_problem_refuses_more_axes_than_a_grid_under_the_cap_can_have():
