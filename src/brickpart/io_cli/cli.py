@@ -5,12 +5,15 @@ Exit codes: 0 on success, 1 when verification fails (or a search hits its
 node budget), 2 on usage errors including unusable input documents. In-process
 callers of `main` share one parser, built on the first call and holding no
 functions; a one-shot process (`python -m brickpart`) builds it once either way.
+`main` pauses the cyclic garbage collector for the command, then restores it: a
+command makes no reference cycles (a test keeps it so); other threads see it paused.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -51,10 +54,12 @@ def _write_text(text: str, out: str | None) -> None:
 
 
 def _write_bytes(data: bytes, out: str | None) -> None:
-    if out is None:
-        sys.stdout.buffer.write(data)
-    else:
+    if out is not None:
         Path(out).write_bytes(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.buffer.write(data)
+    else:  # a text-only stdout, such as a StringIO: figures are UTF-8 text
+        sys.stdout.write(data.decode("utf-8"))
 
 
 def _print_flat_count(P: BrickPartition, free_axis_count: int, name: str) -> None:
@@ -210,7 +215,9 @@ def main(argv: list[str] | None = None) -> int:
     # built per call, so it holds the current functions
     commands = {"construct": _cmd_construct, "verify": _cmd_verify, "bounds": _cmd_bounds,
                 "search": _cmd_search, "export": _cmd_export}  # fmt: skip
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(argv)  # the first call's parser has cycles to collect
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return commands[args.command](args)
     except (OSError, ValueError) as e:
@@ -222,6 +229,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrickError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import io
 import json
 import os
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from brickpart import (
     BrickOutsideParent,
+    ResourceLimit,
     emit_document,
     errors,
     format_scalar,
@@ -26,6 +28,7 @@ from brickpart import (
     metrics,
     parse_document,
     partition,
+    piercing_3d,
     random_split_partition,
 )
 from brickpart.io_cli import cli
@@ -447,6 +450,30 @@ def test_export_svg(tmp_path, capsys):
     assert out_file.read_text().count("<rect") == 8
 
 
+ACCENTED_PLANE = json.dumps({
+    "dim": 2, "parent": [[0, 2], [0, 1]], "bricks": [[[0, 1], [0, 1]], [[1, 2], [0, 1]]],
+    "labels": ["é", "Straße"],
+}, ensure_ascii=False)  # fmt: skip
+
+
+def test_export_writes_a_figure_to_a_text_only_stdout(tmp_path):
+    # an in-process caller may capture stdout in a StringIO, which has no byte buffer
+    plane, solid = tmp_path / "plane.json", tmp_path / "solid.json"
+    plane.write_text(ACCENTED_PLANE, encoding="utf-8")
+    assert main(["construct", "--family", "piercing3d", "--k", "3", "--out", str(solid)]) == 0
+    texts = []
+    for doc, figure in ((plane, ["--format", "svg", "--labels"]), (solid, ["--format", "obj"])):
+        out_file = tmp_path / "figure"
+        assert main(["export", str(doc), *figure, "--out", str(out_file)]) == 0
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["export", str(doc), *figure])
+        assert (code, err.getvalue()) == (0, "")
+        assert out.getvalue().encode("utf-8") == out_file.read_bytes()
+        texts.append(out.getvalue())
+    assert ">Straße</text>" in texts[0] and texts[1].startswith("# brick partition, ")
+
+
 def test_export_wrong_dimension_exits_2(tmp_path, capsys):
     doc = tmp_path / "p3.json"
     run_cli(capsys, "construct", "--family", "piercing3d", "--k", "3", "--out", str(doc))
@@ -522,6 +549,29 @@ def test_no_setting_outside_the_command_line_decides_what_is_read_or_accepted():
                     limit_reads.add(name if name != "io_cli/cli.py" else f"{name}:{scope}")
     assert unencoded == []
     assert limit_reads <= {"geometry.py", "io_cli/document.py", "io_cli/cli.py:_printable_bounds"}
+
+
+def test_only_main_switches_the_garbage_collector():
+    # one owner of the collector policy: no library function pauses, freezes or retunes it
+    root = Path(errors.__file__).parent
+    switches = {"disable", "enable", "freeze", "set_threshold"}
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        for top in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            scope = getattr(top, "name", None)  # the top-level function or class
+            for node in ast.walk(top):  # a renamed gc or function would hide a switch
+                if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                    sites.append((f"{name}:{scope}", "from gc import"))
+                elif isinstance(node, ast.Import):
+                    renamed = [alias for alias in node.names if alias.name == "gc" and alias.asname]
+                    sites += [(f"{name}:{scope}", "import gc as")] * len(renamed)
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    func = node.func
+                    if isinstance(func.value, ast.Name) and func.value.id == "gc":
+                        if func.attr in switches:
+                            sites.append((f"{name}:{scope}", func.attr))
+    assert sorted(sites) == [("io_cli/cli.py:main", "disable"), ("io_cli/cli.py:main", "enable")]
 
 
 def test_only_the_document_reader_raises_parse_error_and_no_parameter_is_a_lookup_error():
@@ -907,3 +957,87 @@ def test_verify_and_export_read_a_utf8_document_in_any_locale(tmp_path):
             runs.append((done.returncode, done.stdout, done.stderr))
         assert runs[0] == runs[1] and runs[0][::2] == (0, b"")
     assert ">Straße</text>".encode() in runs[0][1]
+
+
+def test_main_pauses_the_collector_for_the_command_alone(capsys, monkeypatch):
+    seen, disables, disable = [], [], gc.disable
+
+    def recording(args):
+        seen.append(gc.isenabled())
+        if args.d:
+            raise (ResourceLimit, ValueError, RuntimeError)[args.d - 1]("x")
+        return 0
+
+    def counted_disable():
+        disables.append(True)
+        disable()
+
+    monkeypatch.setattr(cli, "_cmd_bounds", recording)
+    monkeypatch.setattr(gc, "disable", counted_disable)
+    bounds = ["bounds", "--k", "2", "--d"]
+    try:
+        gc.enable()
+        for d, code in ((0, 0), (1, 1), (2, 2)):
+            assert run_cli(capsys, *bounds, str(d))[0] == code and gc.isenabled()
+        with pytest.raises(RuntimeError):
+            main([*bounds, "3"])
+        assert gc.isenabled() and seen == [False] * 4 and len(disables) == 4
+        with pytest.raises(SystemExit) as usage:  # argparse exits before any command runs
+            main(bounds)
+        assert usage.value.code == 2 and gc.isenabled() and len(disables) == 4
+        capsys.readouterr()
+        gc.disable()  # a caller who paused the collector keeps it paused
+        assert run_cli(capsys, *bounds, "0")[0] == 0 and not gc.isenabled()
+        with pytest.raises(RuntimeError):
+            main([*bounds, "3"])
+        assert not gc.isenabled() and seen == [False] * 6
+    finally:
+        gc.enable()
+
+
+def _write_cycle_check_documents(folder: Path) -> None:
+    (folder / "valid.json").write_text(emit_document(piercing_3d(3)), encoding="utf-8")
+    (folder / "plane.json").write_text(ACCENTED_PLANE, encoding="utf-8")
+    one_axis = {"gap": [[[0, 1]]], "outside": [[[0, 1]], [[1, 3]]]}
+    for name, bricks in one_axis.items():
+        document = {"dim": 1, "parent": [[0, 2]], "bricks": bricks}
+        (folder / f"{name}.json").write_text(json.dumps(document), encoding="utf-8")
+    broken = '{"dim": 1, "parent": [[0, 2]], "bricks": [[[0, 1'
+    (folder / "broken.json").write_text(broken, encoding="utf-8")
+
+
+_SEARCH = ["search", "--d", "2", "--mode", "piercing"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["construct", "--family", "grid", "--d", "2", "--k", "3"], 0),
+    *((["construct", "--family", family, "--k", "3"], 0)
+      for family in ("piercing2d", "piercing3d", "slicing3d")),
+    (["verify", "valid.json"], 0),
+    (["verify", "gap.json"], 1),
+    (["verify", "outside.json"], 1),
+    (["verify", "broken.json"], 2),
+    (["verify", "missing.json"], 2),
+    (["export", "plane.json", "--format", "svg", "--labels"], 0),
+    (["export", "valid.json", "--format", "obj", "--exploded", "1/3"], 0),
+    (["export", "plane.json", "--format", "svg", "--precision", "-1"], 2),
+    (["bounds", "--d", "3", "--k", "5"], 0),
+    ([*_SEARCH, "--k", "2", "--max-bricks", "4", "--grid", "3"], 0),  # found
+    ([*_SEARCH, "--k", "2", "--max-bricks", "3", "--grid", "3"], 0),  # exhausted
+    ([*_SEARCH, "--k", "3", "--max-bricks", "7", "--grid", "4", "--node-budget", "5"], 1),
+    (["construct", "--family", "piercing3d", "--k", "1"], 2),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)  # fmt: skip
+def test_each_command_leaves_no_cyclic_garbage(tmp_path, monkeypatch, argv, code):
+    # the premise of main's pause: reference counting alone frees all a command made
+    _write_cycle_check_documents(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    cli._parser()  # the shared parser's own cycles are made once, outside the pause
+    out, err = io.StringIO(), io.StringIO()
+    gc.collect()
+    gc.disable()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(argv) == code
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
