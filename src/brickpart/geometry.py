@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import decimal
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -112,19 +111,17 @@ MAX_SCALAR_DIGITS = 4300  # Python's default int <-> str limit; export caps deci
 def parse_scalar(text: str) -> Fraction:
     """Inverse of format_scalar: "3", "-0.25" or "p/q" with q nonzero.
 
-    Anything else (a "+" sign, spaces, an exponent, "_") or a digit run over the
-    interpreter's int <-> str limit raises ValueError; the document reader locates it.
+    Anything else (a "+" sign, spaces, an exponent, "_") raises ValueError, and
+    int() refuses a digit run over the interpreter's int <-> str limit with its
+    own ValueError; the document reader locates either.
     """
     match = _SCALAR.fullmatch(text)
-    limit = sys.get_int_max_str_digits()  # 0: no limit
-    if match is None or (  # no digit run is longer than the text
-        limit and len(text) > limit and max(len(run or "") for run in match.groups()) > limit
-    ):
+    if match is None:
         raise ValueError(f"not an integer, decimal or p/q scalar: {text[:40]!r}")
     sign, whole, frac, den = match.groups()
     if frac is None:
         return Fraction(int(sign + whole), int(den or 1))
-    if limit and len(text) > limit:  # each digit run is within the limit, maybe not both
+    if len(text) > 640:  # the least limit Python allows: each run may fit, not both
         num = int(whole) * 10 ** len(frac) + int(frac)
         return Fraction(-num if sign else num, 10 ** len(frac))
     return Fraction(int(text.replace(".", "")), 10 ** len(frac))  # every digit in one int()

@@ -1,6 +1,7 @@
 """Command-line surface: construct, verify, bounds, search, export.
 
-All subcommands read and write the PartitionDocument format, UTF-8 in any locale.
+All subcommands read and write the PartitionDocument format, UTF-8 in any locale;
+one writer writes every document and figure as bytes, after the printed lines.
 Exit codes: 0 on success, 1 when verification fails (or a search hits its
 node budget), 2 on usage errors including unusable input documents. In-process
 callers of `main` share one parser, built on the first call and holding no
@@ -46,19 +47,14 @@ def _flagged(make: Callable[..., Any], **fields: Any) -> Any:
         raise ValueError(f"{_FLAGS[field]}: {reason}") from e
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
-
-
-def _write_bytes(data: bytes, out: str | None) -> None:
+def _write(data: bytes, out: str | None) -> None:
+    """Every output: a document's ASCII bytes or a figure's UTF-8, to a file or stdout."""
     if out is not None:
         Path(out).write_bytes(data)
     elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # the lines printed so far, such as a search's status, go first
         sys.stdout.buffer.write(data)
-    else:  # a text-only stdout, such as a StringIO: figures are UTF-8 text
+    else:  # a text-only stdout, such as a StringIO
         sys.stdout.write(data.decode("utf-8"))
 
 
@@ -77,7 +73,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
              "slicing3d": slicing_3d}  # built per call, so it holds the current functions
     fields = {"d": args.d, "k": args.k} if args.family == "grid" else {"k": args.k}
     P = _flagged(build[args.family], **fields)
-    _write_text(emit_document(P, metadata={"generator": args.family, **fields}), args.out)
+    _write(emit_document(P, metadata={"generator": args.family, **fields}).encode(), args.out)
     return 0
 
 
@@ -140,7 +136,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         metadata = {
             "generator": "search", "d": args.d, "k": args.k, "mode": args.mode, "grid": args.grid
         }
-        _write_text(emit_document(outcome.witness, metadata=metadata), args.out)
+        _write(emit_document(outcome.witness, metadata=metadata).encode(), args.out)
     return 0
 
 
@@ -149,7 +145,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     options = _flagged(
         ExportOptions, precision=args.precision, exploded=args.exploded, labels=args.labels
     )
-    _write_bytes(export_figure(P, args.format, options), args.out)
+    _write(export_figure(P, args.format, options), args.out)
     return 0
 
 

@@ -11,13 +11,17 @@ exact-type check and one lookup; a new pair looks up or parses its two
 tokens and builds its side in place. A location such as `bricks[1][0][1]` is
 written only when the loop raises, at the first failing row, pair or token
 in document order, and nothing that fails is remembered. A bool, float or
-nested token is never looked up or stored. Emission renders each
-scalar object once per call, and a parsed document holds one per distinct
-token. The canonical rendering has a stable key order, two-space
-indentation and a final newline. Scalars are JSON integers when integral;
-otherwise strings, either terminating decimals ("0.5") or "p/q". JSON
-floats are rejected so a parsed document is always exact. Documents are not
-assumed to be valid partitions; validation is a separate explicit step.
+nested token is never looked up or stored. int() alone refuses a digit run
+over the int <-> str limit, in its own words: located for a quoted scalar,
+as invalid JSON for a JSON integer; `BrickPartition` checks each label.
+Emission renders each scalar object once per call, and a parsed document
+holds one per distinct token; a text longer than the limit is parsed back,
+so `emit` refuses, located, what `parse_document` would. The canonical
+rendering has a stable key order, two-space indentation and a final newline.
+Scalars are JSON integers when integral; otherwise strings, either
+terminating decimals ("0.5") or "p/q". JSON floats are rejected so a parsed
+document is always exact. Documents are not assumed to be valid partitions;
+validation is a separate explicit step.
 """
 
 from __future__ import annotations
@@ -46,11 +50,20 @@ class PartitionDocument:
         """Canonical text: bricks in document order (one per line), scalars
         canonical, stable key order, newline-terminated."""
         P, texts = self.partition, {}  # per scalar object (all alive): its JSON text
+        limit = sys.get_int_max_str_digits()  # 0: no limit
 
         def scalar_text(x: Fraction) -> str:
             # format_scalar writes only digits, "-", "." and "/": nothing to escape
             if (text := texts.get(id(x))) is None:
                 text = format_scalar(x)
+                if limit and len(text) > limit:  # refuse what parse_document would
+                    try:
+                        parse_scalar(text)
+                    except ValueError as e:  # located at x's first place in document order
+                        rows = enumerate((P.parent, *P.members))
+                        at = next((r, a, j) for r, b in rows for a, s in enumerate(b.sides)
+                                  for j, y in enumerate((s.lo, s.hi)) if y is x)
+                        raise ValueError(f"{_place(*at)}: {e}") from e
                 text = texts[id(x)] = text if x.denominator == 1 else f'"{text}"'
             return text
 
@@ -136,13 +149,10 @@ def parse_document(text: str) -> PartitionDocument:
     """Parse a document, reporting the failing field on structural errors."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or int() refusing a run over the digit limit
         raise ParseError(f"invalid JSON: {e}") from e
     except RecursionError as e:
         raise ParseError("invalid JSON: nested past the interpreter's recursion limit") from e
-    except ValueError as e:  # the only other error: int() refuses a digit run over the limit
-        limit = sys.get_int_max_str_digits()
-        raise ParseError(f"invalid JSON: an integer longer than {limit} digits") from e
     if not isinstance(raw, dict):
         raise ParseError("top level must be an object")
     unknown = set(raw) - _KNOWN_KEYS
@@ -161,19 +171,11 @@ def parse_document(text: str) -> PartitionDocument:
     if not listed:
         raise ParseError("bricks: expected a nonempty list")
 
-    labels = None
-    if "labels" in raw:
-        labels = raw["labels"]
-        if not isinstance(labels, list) or not all(
-            isinstance(s, str) for s in labels
-        ):
-            raise ParseError("labels: expected a list of strings")
-
-    metadata = None
-    if "metadata" in raw:
-        if not isinstance(raw["metadata"], dict):
-            raise ParseError("metadata: expected an object")
-        metadata = raw["metadata"]
+    labels, metadata = raw.get("labels"), raw.get("metadata")
+    if "labels" in raw and not isinstance(labels, list):
+        raise ParseError("labels: expected a list of strings")
+    if "metadata" in raw and not isinstance(metadata, dict):
+        raise ParseError("metadata: expected an object")
 
     try:  # the partition owns the label rules: one printable label per member
         P = BrickPartition(parent, tuple(bricks), labels)

@@ -134,6 +134,8 @@ class SearchProblem:
                 raise ValueError(f"{field}: must be >= 1, got {value}")
         if self.mode is Mode.SLICING and self.d < 2:
             raise ValueError(f"d: slicing mode needs d >= 2, got {self.d}")
+        if self.d == 1 and self.g > 1 << 13:  # d=2's cap; anchor 0 builds g sides at any budget
+            raise ValueError(f"g: must be <= 2^13 in d=1, got {self.g}")
         # g^27 > 2^26 for any g >= 2, so the power stays small for every d
         if self.g ** min(self.d, _MAX_AXES + 1) > _MAX_CELLS:
             raise ValueError(f"g: {self.g} in d={self.d} gives more than 2^26 cells")
@@ -187,8 +189,6 @@ class _Engine:
         n = len(self.fixed[0])
         self.flat_size, self.class_size = g ** (d - n), g**n
         self.strides = [g ** (d - 1 - a) for a in range(d)]  # cell index place values
-        # spans[lo]: every side (lo, hi) starting at lo, shared by all boxes
-        self.spans = [[(lo, hi) for hi in range(lo + 1, g + 1)] for lo in range(g)]
         self.width = self.flat_size.bit_length() + 1  # bits per packed slack field
         self.ones = _repunit(d * self.class_size, self.width, 0)  # bit 0 of every field
         self.guards = self.ones << self.width - 1
@@ -196,8 +196,10 @@ class _Engine:
         # base-g place value among the class's fixed axes
         self.steps = [self.width * g ** (n - 1 - j) for j in range(n)]
         # factors[step, lo, hi]: the repunit of side (lo, hi) at a cell stride
-        # or a flat step, filled as moves are built, so the budget bounds it too
+        # or a flat step; spans[lo]: every side (lo, hi) from lo, shared by all
+        # boxes. Both are filled as moves are built, so the budget bounds them.
         self.factors: dict[tuple[int, int, int], int] = {}
+        self.spans: dict[int, list[tuple[int, int]]] = {}
         # Candidate boxes per anchor cell. Each anchor's list is built while
         # its first visit runs, so the node budget also bounds the table.
         self.moves: dict[int, list[_Move]] = {}
@@ -217,10 +219,12 @@ class _Engine:
         the whole list once it is complete. It is never empty (the unit cell
         is a move), and anchors rise along a DFS path, so an anchor missing
         from self.moves has no other build under way."""
-        factors = self.factors
-        corner = [anchor // stride % self.problem.g for stride in self.strides]
+        factors, spans, g = self.factors, self.spans, self.problem.g
+        corner = [anchor // stride % g for stride in self.strides]
+        for c in set(corner) - spans.keys():
+            spans[c] = [(c, hi) for hi in range(c + 1, g + 1)]
         moves: list[_Move] = []
-        for box in product(*(self.spans[c] for c in corner)):
+        for box in product(*(spans[c] for c in corner)):
             # one bit per cell; each cell has its own exponent, so no carries
             mask = 1
             for step, (lo, hi) in zip(self.strides, box):

@@ -186,6 +186,16 @@ def int_max_str_digits(limit: int) -> Iterator[None]:
         sys.set_int_max_str_digits(default)
 
 
+def int_refusal(digits: str) -> str:
+    """The interpreter's own message for int() of this digit run under the
+    current limit, in its version's words."""
+    try:
+        int(digits)
+    except ValueError as e:
+        return str(e)
+    raise AssertionError(f"int() accepts {len(digits)} digits under this limit")
+
+
 def reference_parse(text: str) -> BrickPartition:
     """The parent and bricks of a document, read plainly: a fresh Fraction and
     Interval for every occurrence, no tables, and the ParseError that

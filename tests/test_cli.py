@@ -34,7 +34,7 @@ from brickpart import (
 from brickpart.io_cli import cli
 from brickpart.io_cli.cli import main
 
-from helpers import as_pairs, int_max_str_digits, whole_grid_report
+from helpers import as_pairs, int_max_str_digits, int_refusal, whole_grid_report
 
 
 def run_cli(capsys, *args):
@@ -177,7 +177,7 @@ def test_verify_an_integer_over_the_digit_limit_exits_2(tmp_path, capsys):
     doc.write_text('{"dim":1,"parent":[[0,' + "1" * 5000 + ']],"bricks":[[[0,1]]]}')
     code, out, err = run_cli(capsys, "verify", str(doc))
     assert (code, out) == (2, "")
-    assert err == "error: invalid JSON: an integer longer than 4300 digits\n"
+    assert err == f"error: invalid JSON: {int_refusal('1' * 5000)}\n"
 
 
 def test_verify_refuses_a_quoted_integer_over_the_interpreters_digit_limit(tmp_path, capsys):
@@ -185,8 +185,9 @@ def test_verify_refuses_a_quoted_integer_over_the_interpreters_digit_limit(tmp_p
     doc.write_text('{"dim":1,"parent":[[0,"' + "1" * 1000 + '"]],"bricks":[[[0,1]]]}')
     with int_max_str_digits(640):
         code, out, err = run_cli(capsys, "verify", str(doc))
+        message = int_refusal("1" * 1000)
     assert (code, out) == (2, "")
-    assert err == f"error: parent[0][1]: not an integer, decimal or p/q scalar: {'1' * 40!r}\n"
+    assert err == f"error: parent[0][1]: {message}\n" and "(640 digits)" in message
 
 
 def test_verify_reads_quoted_and_bare_integers_alike_with_no_digit_limit(tmp_path, capsys):
@@ -529,8 +530,9 @@ def _raised_names():
 
 
 def test_no_setting_outside_the_command_line_decides_what_is_read_or_accepted():
-    # a file is read and written as UTF-8 in any locale, and only the scalar
-    # parser, the JSON reader and `bounds`' printing cost consult the digit limit
+    # a file is read and written as UTF-8 in any locale; int() alone enforces the
+    # digit limit on input, so only `bounds`' printing cost and emission's round
+    # trip consult it
     root = Path(errors.__file__).parent
     unencoded, limit_reads = [], set()
     for path in sorted(root.rglob("*.py")):
@@ -546,9 +548,9 @@ def test_no_setting_outside_the_command_line_decides_what_is_read_or_accepted():
                     if all(keyword.arg != "encoding" for keyword in node.keywords):
                         unencoded.append(f"{name}:{node.lineno}")
                 if called == "get_int_max_str_digits":
-                    limit_reads.add(name if name != "io_cli/cli.py" else f"{name}:{scope}")
+                    limit_reads.add(f"{name}:{scope}")
     assert unencoded == []
-    assert limit_reads <= {"geometry.py", "io_cli/document.py", "io_cli/cli.py:_printable_bounds"}
+    assert limit_reads == {"io_cli/cli.py:_printable_bounds", "io_cli/document.py:PartitionDocument"}
 
 
 def test_only_main_switches_the_garbage_collector():
@@ -957,6 +959,21 @@ def test_verify_and_export_read_a_utf8_document_in_any_locale(tmp_path):
             runs.append((done.returncode, done.stdout, done.stderr))
         assert runs[0] == runs[1] and runs[0][::2] == (0, b"")
     assert ">Straße</text>".encode() in runs[0][1]
+
+
+def test_a_found_search_prints_its_status_before_the_witness_on_a_buffered_stdout(capsys):
+    # a pipe without PYTHONUNBUFFERED buffers the printed lines; the witness goes
+    # to the byte stream beneath them, so the writer flushes them first
+    args = ["search", "--d", "2", "--k", "2", "--mode", "piercing", "--max-bricks", "4",
+            "--grid", "3"]  # fmt: skip
+    path = [str(Path(cli.__file__).parent.parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-m", "brickpart", *args], env=env, capture_output=True)
+    code, out, _ = run_cli(capsys, *args)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), b"")
+    lines = out.split("\n")
+    assert lines[0] == "status: found" and lines[3] == "{"  # nodes_explored and grid_cap between
 
 
 def test_main_pauses_the_collector_for_the_command_alone(capsys, monkeypatch):

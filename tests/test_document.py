@@ -19,7 +19,7 @@ from brickpart.constructions import piercing_3d, slicing_3d
 from brickpart.geometry import as_scalar, parse_scalar
 from brickpart.io_cli import document
 
-from helpers import as_pairs, int_max_str_digits, reference_parse
+from helpers import as_pairs, int_max_str_digits, int_refusal, reference_parse
 
 
 def test_emit_slicing_k2_document():
@@ -75,13 +75,44 @@ def test_emit_reads_the_same_from_shared_and_fresh_sides(make):
     assert emit_document(Q, {"seed": 4}) == emit_document(P, {"seed": 4})
 
 
-def test_emit_writes_an_integer_past_the_digit_limit():
-    side = Brick((Interval(0, 10**4400),))  # the limit is a rule on input, not on output
+def test_emit_refuses_an_integer_past_the_digit_limit():
+    side = Brick((Interval(0, 10**4400),))  # a document parse_document would refuse
     P = BrickPartition(side, (side,))
-    text = emit_document(P)
-    with int_max_str_digits(0):
-        assert text == emit_document(P)
-        assert f'"parent": [[0, {10**4400}]]' in text
+    with pytest.raises(ValueError) as e:
+        emit_document(P)
+    assert type(e.value) is ValueError
+    assert str(e.value) == f"parent[0][1]: {int_refusal('1' + '0' * 4400)}"
+    with int_max_str_digits(0):  # with no limit it is written, and reads back
+        text = emit_document(P)
+        assert f'"parent": [[0, {10**4400}]]' in text and parse_document(text).emit() == text
+
+
+def _long_coordinates(n: int) -> list[BrickPartition]:
+    """1-D partitions in two: of [0, 10^n] at an n-digit int, and of [0, 1] at a
+    decimal with n places and at 1/3^n, a p/q with about n/2 denominator digits."""
+    cases = [(10**n, Fraction(10**n - 1)), (1, Fraction(1, 2**n)), (1, Fraction(1, 3**n))]
+    return [BrickPartition(Brick.from_pairs([(0, top)]),
+                           (Brick.from_pairs([(0, x)]), Brick.from_pairs([(x, top)])))
+            for top, x in cases]  # fmt: skip
+
+
+@pytest.mark.parametrize("limit", [640, 4300, 0])
+def test_emit_refuses_what_parse_refuses_and_writes_what_reads_back(limit):
+    # the round trip: each document emit writes parses to the same bytes
+    for n in (500, 700, 1400, 4300, 4400, 9100):
+        for P in _long_coordinates(n):
+            with int_max_str_digits(0):
+                unlimited = emit_document(P)
+            with int_max_str_digits(limit):
+                try:
+                    text = emit_document(P)
+                except ValueError as e:
+                    with pytest.raises(ParseError) as parsed:
+                        parse_document(unlimited)  # refused on reading too, at a place
+                    assert str(e).startswith(("parent[0][1]: ", "bricks[0][0][1]: "))
+                    assert str(parsed.value).partition(": ")[2] == str(e).partition(": ")[2]
+                else:
+                    assert text == unlimited and parse_document(text).emit() == text
 
 
 def test_parse_brick_row():
@@ -139,17 +170,23 @@ def test_parse_rejects_malformed_json():
 
 
 def test_parse_rejects_an_integer_over_the_digit_limit():
+    # the JSON decoder's int() refuses it, before any place in the document is known
     text = '{"dim": 1, "parent": [[0, ' + "1" * 5000 + ']], "bricks": [[[0, 1]]]}'
     with pytest.raises(ParseError) as exc:
         parse_document(text)
-    assert str(exc.value) == "invalid JSON: an integer longer than 4300 digits"
+    assert str(exc.value) == f"invalid JSON: {int_refusal('1' * 5000)}"
+    with pytest.raises(ParseError) as quoted:  # quoted, the same words at its place
+        parse_document(text.replace("1" * 5000, '"' + "1" * 5000 + '"'))
+    assert str(quoted.value) == f"parent[0][1]: {int_refusal('1' * 5000)}"
 
 
 def test_parse_names_the_interpreters_own_digit_limit():
     text = '{"dim": 1, "parent": [[0, ' + "1" * 700 + ']], "bricks": [[[0, 1]]]}'
-    with int_max_str_digits(640), pytest.raises(ParseError) as exc:
-        parse_document(text)
-    assert str(exc.value) == "invalid JSON: an integer longer than 640 digits"
+    with int_max_str_digits(640):
+        with pytest.raises(ParseError) as exc:
+            parse_document(text)
+        message = int_refusal("1" * 700)
+    assert str(exc.value) == f"invalid JSON: {message}" and "(640 digits)" in message
 
 
 def test_parse_rejects_floats():
@@ -186,7 +223,7 @@ def test_parse_rejects_structural_errors(text):
         ('{"dim": 1, "parent": [[0, null]], "bricks": [[[0, 1]]]}',
          "parent[0][1]: expected a scalar, got NoneType"),
         ('{"dim": 1, "parent": [[0, 1]], "bricks": [[[0, 1]]], "labels": [1]}',
-         "labels: expected a list of strings"),
+         "labels[0]: expected printable text, got 1"),  # the partition checks each label
         # bricks[1][0] repeats a stored pair, then bricks[1][1] fails
         ('{"dim": 2, "parent": [[0, 1], [0, 2]], "bricks": [[[0, 1], [0, 2]], [[0, 1], [0, 1, 2]]]}',
          "bricks[1][1]: expected a [lo, hi] pair"),

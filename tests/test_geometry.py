@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -24,8 +25,8 @@ from brickpart.constructions import slicing_3d
 from brickpart.geometry import MAX_SCALAR_DIGITS, cell_counts, first_bad_cell, ratio_renderer
 
 from helpers import (
-    as_pairs, brick_sets, hull, int_max_str_digits, piercing_3d_base, reference_index_boxes,
-    slice_loop_counts, whole_grid_counts, whole_grid_report,
+    as_pairs, brick_sets, hull, int_max_str_digits, int_refusal, piercing_3d_base,
+    reference_index_boxes, slice_loop_counts, whole_grid_counts, whole_grid_report,
 )
 
 small_scalars = st.fractions(min_value=-20, max_value=20, max_denominator=8)
@@ -168,13 +169,15 @@ def test_parse_scalar_accepts_digit_runs_up_to_the_limit(text):
         "-" + "7" * (MAX_SCALAR_DIGITS + 1),
         "1/" + "1" * (MAX_SCALAR_DIGITS + 1),
         "0." + "5" * (MAX_SCALAR_DIGITS + 1),
+        "1" * (MAX_SCALAR_DIGITS + 1),  # from the grammar test: a length, not a form
     ],
 )
 def test_parse_scalar_rejects_a_digit_run_over_the_limit(text):
+    # int() alone refuses the run, with the interpreter's message
     with pytest.raises(ValueError) as e:
         parse_scalar(text)
     assert type(e.value) is ValueError  # a bad parameter, not a located document error
-    assert str(e.value) == f"not an integer, decimal or p/q scalar: {text[:40]!r}"
+    assert str(e.value) == int_refusal("1" * (MAX_SCALAR_DIGITS + 1))
 
 
 def test_parse_scalar_follows_the_interpreters_digit_limit():
@@ -182,10 +185,36 @@ def test_parse_scalar_follows_the_interpreters_digit_limit():
         with pytest.raises(ValueError) as e:
             parse_scalar("7" * 641)
         assert parse_scalar("-" + "7" * 640) == -int("7" * 640)
+        message = int_refusal("7" * 641)
     assert type(e.value) is ValueError
-    assert str(e.value) == f"not an integer, decimal or p/q scalar: {'7' * 40!r}"
+    assert str(e.value) == message and "(640 digits)" in message
     with int_max_str_digits(0):  # no limit
         assert parse_scalar("0." + "5" * 5000) == Fraction(int("5" * 5000), 10**5000)
+
+
+def _runs_texts() -> list[str]:
+    """Scalar texts whose digit runs straddle each limit below: every form,
+    signed or not, with and without leading zeros, one run or two."""
+    texts = []
+    for n in (639, 640, 641, 999, 1000, 1001, 4299, 4300, 4301, 5000):
+        for run in ("7" * n, "0" * (n - 1) + "7"):
+            for form in ("{}", "0.{}", "{}.5", "1/{}", "{}/3", "{}.{}", "{}/{}"):
+                texts += [sign + form.format(run, run[-(n // 2):]) for sign in ("", "-")]
+    return texts
+
+
+@pytest.mark.parametrize("limit", [640, 1000, 4300, 9000, 0])
+def test_parse_scalar_accepts_a_text_exactly_when_every_digit_run_fits(limit):
+    texts = _runs_texts()
+    with int_max_str_digits(0):
+        values = [Fraction(text) for text in texts]
+    with int_max_str_digits(limit):
+        for text, value in zip(texts, values):
+            over = [run for run in re.findall("[0-9]+", text) if limit and len(run) > limit]
+            try:
+                assert parse_scalar(text) == value and not over, text[:40]
+            except ValueError as e:  # refused by int() at the first run over the limit
+                assert over and str(e) == int_refusal(over[0]), text[:40]
 
 
 @pytest.mark.parametrize(
@@ -208,9 +237,10 @@ def test_brick_refuses_a_bad_parameter_with_a_plain_value_error(refused, message
 @pytest.mark.parametrize(
     "text",
     ["1e2", " 3 ", "1_000", "+1", "", "-", ".5", "5.", "1/0", "1/-2", "2/ 3", "0x10",
-     "inf", "nan", "1.5e3", "\u0663", "1" * (MAX_SCALAR_DIGITS + 1), "1e999999999"],
+     "inf", "nan", "1.5e3", "\u0663", "1" * (MAX_SCALAR_DIGITS + 1) + "e2", "1e999999999"],
 )
 def test_parse_scalar_rejects_undocumented_forms(text):
+    # the grammar is checked first: an exponent after a run over the limit is still a form error
     # each coercion of a bad text parameter refuses it with the same plain ValueError
     for coerce in (parse_scalar, as_scalar, lambda t: Interval(t, 1), lambda t: Interval(0, t)):
         with pytest.raises(ValueError) as e:

@@ -241,6 +241,20 @@ def test_search_set_up_is_bounded_by_the_budget(capsys):
     assert peak < 6 * 2**20
 
 
+@pytest.mark.parametrize("d, bound", [(2, 24 * 2**20), (1, 4 * 2**20)])
+def test_search_set_up_builds_no_side_list_the_budget_does_not_reach(capsys, d, bound):
+    # g = 2^13 has g(g+1)/2 = 33.6 M sides: each anchor's are built when its moves are.
+    # In d = 2 the 2^26-bit all-cells mask, 8 MiB, is the one thing as large as the grid.
+    args = ("--d", d, "--k", 2, "--mode", "piercing", "--max-bricks", 2, "--grid", 2**13)
+    tracemalloc.start()
+    try:
+        assert run_cli(capsys, "search", *args, "--node-budget", 10) == SEARCH_OVER_BUDGET
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 @pytest.mark.parametrize("d, k", sorted(BOUNDS))
 def test_bounds_are_golden(capsys, d, k):
     assert run_cli(capsys, "bounds", "--d", d, "--k", k) == BOUNDS[d, k]

@@ -141,6 +141,14 @@ def test_problem_validation():
             SearchProblem(d, 2, Mode.PIERCING, 1, g)
 
 
+def test_problem_refuses_a_one_axis_grid_past_the_side_that_two_axes_allow():
+    # anchor 0 alone has g sides in d = 1, built whatever the node budget
+    assert SearchProblem(1, 2, Mode.PIERCING, 1, 2**13).g == 2**13
+    for g in (2**13 + 1, 2**26, 2**26 + 1):
+        with pytest.raises(ValueError, match=f"^g: must be <= 2\\^13 in d=1, got {g}$"):
+            SearchProblem(1, 2, Mode.PIERCING, 1, g)
+
+
 def test_problem_refuses_a_non_integer_count():
     # read as a number, node_budget=1.5 would stop "at 2.5 placements"
     fields = {"d": 2, "k": 2, "mode": Mode.PIERCING, "m_max": 3, "g": 3, "node_budget": 100}
